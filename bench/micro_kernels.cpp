@@ -1,8 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels behind Table I's
 // per-sample timing: Verilog frontend, DFG pipeline, featurization,
-// GCN/pooling forward, whole-graph embedding, corpus-scale pairwise
-// scoring (naive per-pair vs batched PairwiseScorer), and the classical
-// baseline for contrast.
+// GCN/pooling forward, whole-graph embedding, corpus embedding and
+// screening, and the classical baseline for contrast.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "baseline/graph_similarity.h"
 #include "common.h"
 #include "core/gnn4ip.h"
-#include "core/pairwise_scorer.h"
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
 #include "data/rtl_designs.h"
@@ -139,16 +137,12 @@ void BM_SpmmMedium(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmMedium);
 
-// --- Corpus-scale pairwise scoring: the PairwiseScorer before/after. ---
+// --- Corpus-scale embedding and screening. ---
 //
-// BM_PairwiseScoreNaivePerPair is the seed pattern (detector.check per
-// pair: both members re-embedded for every one of the N·(N−1)/2 pairs);
-// BM_PairwiseScoreBatched embeds each design once and scores every pair
-// from the cached matrix with the blocked multi-threaded kernel. Both
-// score the same 64-design corpus per iteration, so their per-iteration
-// times are directly comparable. BM_EmbedCorpus isolates the embedding
-// phase — the audit-path bottleneck once scoring is batched — across
-// worker counts; embeddings are bit-identical for every Arg.
+// BM_EmbedCorpus embeds a 64-design corpus once per design (the
+// audit-path bottleneck: a 16-dim cosine is 16 multiply-adds, an embed
+// is a whole GNN forward) across worker counts; embeddings are
+// bit-identical for every Arg.
 
 constexpr std::size_t kScoringCorpusSize = 64;
 
@@ -190,16 +184,16 @@ BENCHMARK(BM_TrainEpoch)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EmbedCorpus(benchmark::State& state) {
-  const std::vector<train::GraphEntry>& entries = scoring_corpus();
+  const train::PairDataset dataset =
+      train::PairDataset::all_pairs(scoring_corpus());
   gnn::Hw2Vec model;
-  core::ScorerOptions options;
-  options.num_threads = static_cast<std::size_t>(state.range(0));
+  train::TrainConfig tc;
+  tc.num_threads = static_cast<std::size_t>(state.range(0));
+  train::Trainer trainer(model, dataset, tc);
   for (auto _ : state) {
-    const core::PairwiseScorer scorer =
-        core::PairwiseScorer::from_entries(model, entries, options);
-    benchmark::DoNotOptimize(scorer.size());
+    benchmark::DoNotOptimize(trainer.embed_all());
   }
-  state.counters["designs"] = static_cast<double>(entries.size());
+  state.counters["designs"] = static_cast<double>(dataset.graphs().size());
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_EmbedCorpus)
@@ -215,79 +209,24 @@ BENCHMARK(BM_EmbedCorpus)
 void BM_EmbedCorpusCold(benchmark::State& state) {
   std::vector<train::GraphEntry> entries = scoring_corpus();  // own copy
   gnn::Hw2Vec model;
-  core::ScorerOptions options;
-  options.num_threads = 1;
   for (auto _ : state) {
     state.PauseTiming();
     for (train::GraphEntry& e : entries) {
       e.tensors.pooled_cache = std::make_shared<gnn::PooledAdjCache>();
     }
     state.ResumeTiming();
-    const core::PairwiseScorer scorer =
-        core::PairwiseScorer::from_entries(model, entries, options);
-    benchmark::DoNotOptimize(scorer.size());
+    for (const train::GraphEntry& e : entries) {
+      benchmark::DoNotOptimize(model.embed_inference(e.tensors));
+    }
   }
   state.counters["designs"] = static_cast<double>(entries.size());
 }
 BENCHMARK(BM_EmbedCorpusCold)->Unit(benchmark::kMillisecond);
 
-void BM_PairwiseScoreNaivePerPair(benchmark::State& state) {
-  const std::vector<train::GraphEntry>& entries = scoring_corpus();
-  gnn::Hw2Vec model;
-  std::size_t pairs = 0;
-  for (auto _ : state) {
-    float acc = 0.0F;
-    pairs = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      for (std::size_t j = i + 1; j < entries.size(); ++j) {
-        const tensor::Matrix ha = model.embed_inference(entries[i].tensors);
-        const tensor::Matrix hb = model.embed_inference(entries[j].tensors);
-        acc += bench::cosine(ha, hb);
-        ++pairs;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(pairs) * state.iterations());
-  state.counters["designs"] = static_cast<double>(entries.size());
-}
-BENCHMARK(BM_PairwiseScoreNaivePerPair)->Unit(benchmark::kMillisecond);
-
-void BM_PairwiseScoreBatched(benchmark::State& state) {
-  const std::vector<train::GraphEntry>& entries = scoring_corpus();
-  gnn::Hw2Vec model;
-  std::size_t pairs = 0;
-  for (auto _ : state) {
-    const core::PairwiseScorer scorer =
-        core::PairwiseScorer::from_entries(model, entries);
-    const std::vector<core::PairScore> scores = scorer.score_all_pairs();
-    pairs = scores.size();
-    float acc = 0.0F;
-    for (const core::PairScore& p : scores) acc += p.similarity;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(pairs) * state.iterations());
-  state.counters["designs"] = static_cast<double>(entries.size());
-}
-BENCHMARK(BM_PairwiseScoreBatched)->Unit(benchmark::kMillisecond);
-
-// The cached-matrix kernel alone (embeddings precomputed): what scoring
-// costs once a corpus is resident.
-void BM_PairwiseKernelOnly(benchmark::State& state) {
-  const std::vector<train::GraphEntry>& entries = scoring_corpus();
-  gnn::Hw2Vec model;
-  const core::PairwiseScorer scorer =
-      core::PairwiseScorer::from_entries(model, entries);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score_matrix());
-  }
-}
-BENCHMARK(BM_PairwiseKernelOnly);
-
 // The full audit-service loop per batch across worker counts: 8 designs
 // are submitted (pre-featurized GraphEntry path), then one screen()
-// embeds them in parallel, scores them against the 56 pinned residents
-// via score_new_rows, and evicts them again (max_resident == library
+// embeds them in parallel, screens them against the 56 pinned residents
+// via screen_new_rows, and evicts them again (max_resident == library
 // size), so every iteration sees the same steady-state corpus. Verdicts
 // are bit-identical for every Arg.
 void BM_AuditSubmit(benchmark::State& state) {
@@ -321,7 +260,7 @@ BENCHMARK(BM_AuditSubmit)
 // The audit loop across shard counts: identical work to BM_AuditSubmit
 // (8 submissions screened against 56 pinned residents, then evicted),
 // but the resident corpus is split over state.range(0) hash-placed
-// shards and score_new_rows fans the shards out over the pool. Verdicts
+// shards and screen_new_rows fans the shards out over the pool. Verdicts
 // are bit-identical for every Arg — the axis shows what sharding costs
 // (or buys, on multi-core hosts) with results pinned.
 void BM_ShardedScreen(benchmark::State& state) {
@@ -459,15 +398,15 @@ BENCHMARK(BM_SnapshotRoundTrip)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// --- Retrieval at corpus scale: the int8 prefilter tier. ---
+// --- Screening at corpus scale. ---
 //
 // The 64 real designs cap what the embedding front end can feed a bench
-// iteration, but the retrieval tier's whole point is sub-linear exact
-// work at 10k+ resident rows. So these benches screen a synthetic-
-// variant corpus: real anchor embeddings (the RTL corpus plus a handful
-// of data::obfuscate netlist variants) blended pairwise with
-// deterministic noise — corpus-shaped geometry (clusters + spread) at
-// whatever N the bench asks for, reproducible run to run.
+// iteration, but screening cost is about 10k+ resident rows. So these
+// benches screen a synthetic-variant corpus: real anchor embeddings
+// (the RTL corpus plus a handful of data::obfuscate netlist variants)
+// blended pairwise with deterministic noise — corpus-shaped geometry
+// (clusters + spread) at whatever N the bench asks for, reproducible run
+// to run.
 
 std::vector<float> matrix_row(const tensor::Matrix& m) {
   const std::span<const float> row = m.row(0);
@@ -517,66 +456,25 @@ void fill_variant_corpus(Corpus& corpus, std::size_t rows,
   }
 }
 
-// All-pairs flag() over a 1k-row variant corpus, exhaustive (Arg 0) vs
-// int8-bound-gated (Arg 1). Output is bit-identical either way
-// (kernel_test pins it); the axis is pure retrieval cost.
-void BM_QuantPrefilter(benchmark::State& state) {
-  core::ScorerOptions options;
-  options.num_threads = 1;
-  options.int8_prefilter = state.range(0) != 0;
-  core::ShardedCorpus corpus(1, options);
-  fill_variant_corpus(corpus, 1024, /*seed=*/5);
-  std::size_t flagged = 0;
-  for (auto _ : state) {
-    const std::vector<core::PairScore> pairs = corpus.flag(0.5F);
-    flagged = pairs.size();
-    benchmark::DoNotOptimize(flagged);
-  }
-  state.counters["rows"] = static_cast<double>(corpus.size());
-  state.counters["flagged"] = static_cast<double>(flagged);
-  state.counters["prefilter"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_QuantPrefilter)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // Incremental screening against a 10k-row resident corpus (4 shards,
-// shared pool): a batch of 8 incoming rows through screen_new_rows,
-// exhaustive (Arg 0) vs prefiltered (Arg 1). The scanned/rescored
-// counters expose how much exact work the bounds pruned; flagged/best
-// outputs are bit-identical across the two Args.
+// shared pool, δ = 0.5): a batch of 8 incoming rows through
+// screen_new_rows — the in-process counterpart of BM_RemoteScreen.
 void BM_ShardedScreen10k(benchmark::State& state) {
   constexpr std::size_t kResident = 10'000;
   constexpr std::size_t kBatch = 8;
-  core::ScorerOptions options;
-  options.int8_prefilter = state.range(0) != 0;
-  core::ShardedCorpus corpus(4, options);
+  core::ShardedCorpus corpus(4);
   fill_variant_corpus(corpus, kResident + kBatch, /*seed=*/5);
-  std::size_t scanned = 0;
-  std::size_t rescored = 0;
   for (auto _ : state) {
     const std::vector<core::ScreenRow> rows =
         corpus.screen_new_rows(kResident, 0.5F);
-    scanned = 0;
-    rescored = 0;
-    for (const core::ScreenRow& row : rows) {
-      scanned += row.scanned;
-      rescored += row.rescored;
-    }
-    benchmark::DoNotOptimize(rescored);
+    benchmark::DoNotOptimize(rows.size());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(scanned) * state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(kResident * kBatch) *
+                          state.iterations());
   state.counters["resident"] = static_cast<double>(kResident);
   state.counters["batch"] = static_cast<double>(kBatch);
-  state.counters["scanned"] = static_cast<double>(scanned);
-  state.counters["rescored"] = static_cast<double>(rescored);
-  state.counters["prefilter"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_ShardedScreen10k)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedScreen10k)->Unit(benchmark::kMillisecond);
 
 // --- Distributed screening over real loopback TCP. ---
 //

@@ -9,7 +9,6 @@
 //              [--delta <d>] [--top-k <k>] [--max-resident <n>]
 //              [--shards <k> | --connect <host:port,...>]
 //              [--threads <n>] [--async] [--consumers <n>]
-//              [--kernel <scalar|avx2|neon|auto>] [--prefilter]
 //              [--load-corpus <dir>] [--save-corpus <dir>]
 //              <design.v> [<design2.v> ...]
 //                                                 screen designs against
@@ -28,12 +27,10 @@
 // flag takes precedence over its environment knob (GNN4IP_THREADS /
 // GNN4IP_CONSUMERS, which only apply when no explicit count is set).
 //
-// --kernel forces the SIMD dispatch backend (default: auto-detect; the
-// GNN4IP_KERNEL environment variable applies when the flag is absent)
-// and --prefilter screens through the int8 quantized tier. Both are
-// transparent to the output — verdict similarities are always the exact
-// scalar-kernel values, so runs differing only in these flags diff
-// clean line for line.
+// Every numeric argument must parse whole: counts are whole numbers in
+// their documented range (--shards/--threads/--consumers/epochs ≥ 1,
+// --top-k/--max-resident ≥ 0) and δ is a finite number. Anything else
+// is a usage error (exit 2), never a silent default.
 //
 // --save-corpus writes the post-screening resident corpus as a
 // versioned snapshot directory (docs/FORMATS.md); --load-corpus warm-
@@ -49,6 +46,10 @@
 // "Distributed screening"). Mutually exclusive with --shards and
 // --async. Connection and protocol failures exit 5 so scripts can tell
 // "cluster trouble" from "bad design" (3) and "bad snapshot" (4).
+#include <cfloat>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,6 +84,23 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+/// The value of numeric argument `what`, or exit 2: the whole token
+/// must parse as a T within [lo, hi]. from_chars takes no sign on
+/// unsigned types, so "-1" is refused rather than wrapped, and a NaN
+/// fails the range test, so a finite range refuses "nan" and "inf".
+template <typename T>
+T parse_arg(const std::string& text, const char* what, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "error: invalid value '%s' for %s\n", text.c_str(),
+                 what);
+    std::exit(2);
+  }
+  return value;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -94,16 +112,12 @@ int usage() {
       "  gnn4ip_cli audit <model.txt> --corpus <lib.v> [--corpus ...]\n"
       "             [--delta <d>] [--top-k <k>] [--max-resident <n>]\n"
       "             [--shards <k> | --connect <host:port,...>]\n"
-      "             [--threads <n>] [--async]\n"
-      "             [--consumers <n>] [--kernel <scalar|avx2|neon|auto>]\n"
-      "             [--prefilter]\n"
+      "             [--threads <n>] [--async] [--consumers <n>]\n"
       "             [--load-corpus <dir>] [--save-corpus <dir>]\n"
       "             <design.v> [...]\n"
       "  (--threads / --consumers override the GNN4IP_THREADS /\n"
       "   GNN4IP_CONSUMERS environment variables; --consumers implies\n"
-      "   --async; with --load-corpus, --corpus is optional; --kernel\n"
-      "   overrides GNN4IP_KERNEL; --prefilter screens through the int8\n"
-      "   quantized tier — identical output, fewer exact cells)\n");
+      "   --async; with --load-corpus, --corpus is optional)\n");
   return 2;
 }
 
@@ -213,54 +227,24 @@ int cmd_audit(const std::vector<std::string>& args) {
     if (arg == "--corpus") {
       corpus_files.push_back(next_value());
     } else if (arg == "--delta") {
-      options.scorer.delta = std::strtof(next_value().c_str(), nullptr);
+      options.scorer.delta =
+          parse_arg(next_value(), "--delta", -FLT_MAX, FLT_MAX);
     } else if (arg == "--top-k") {
-      top_k = static_cast<std::size_t>(std::atoi(next_value().c_str()));
+      top_k = parse_arg<std::size_t>(next_value(), "--top-k", 0, SIZE_MAX);
     } else if (arg == "--max-resident") {
       options.max_resident =
-          static_cast<std::size_t>(std::atoi(next_value().c_str()));
+          parse_arg<std::size_t>(next_value(), "--max-resident", 0, SIZE_MAX);
     } else if (arg == "--shards") {
-      // Parse as signed so "-1" fails validation instead of wrapping
-      // into a huge size_t.
-      const long shards = std::strtol(next_value().c_str(), nullptr, 10);
-      if (shards <= 0) {
-        std::fprintf(stderr, "error: --shards needs a positive count\n");
-        return 2;
-      }
-      options.num_shards = static_cast<std::size_t>(shards);
+      options.num_shards =
+          parse_arg<std::size_t>(next_value(), "--shards", 1, SIZE_MAX);
       saw_shards = true;
     } else if (arg == "--connect") {
       connect_spec = next_value();
     } else if (arg == "--threads") {
       // Explicit worker count: takes precedence over GNN4IP_THREADS
       // (the env knob only resolves when num_threads stays 0).
-      const long threads = std::strtol(next_value().c_str(), nullptr, 10);
-      if (threads <= 0) {
-        std::fprintf(stderr, "error: --threads needs a positive count\n");
-        return 2;
-      }
-      options.scorer.num_threads = static_cast<std::size_t>(threads);
-    } else if (arg == "--kernel") {
-      // Force the SIMD dispatch backend (scalar | avx2 | neon | auto).
-      // Verdict similarities are exact-scalar either way — the backend
-      // matters to the int8 prefilter screen and the non-exact float
-      // paths, never to the printed values.
-      try {
-        options.scorer.kernel = core::parse_backend(next_value());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-      if (!core::backend_supported(options.scorer.kernel)) {
-        std::fprintf(stderr, "error: --kernel %s is not supported on this "
-                             "host\n",
-                     core::backend_name(options.scorer.kernel));
-        return 2;
-      }
-    } else if (arg == "--prefilter") {
-      // Screen through the int8 quantized tier: bound-gated pruning with
-      // exact rescoring — output identical to the exhaustive scan.
-      options.scorer.int8_prefilter = true;
+      options.scorer.num_threads =
+          parse_arg<std::size_t>(next_value(), "--threads", 1, SIZE_MAX);
     } else if (arg == "--async") {
       use_async = true;
     } else if (arg == "--load-corpus") {
@@ -272,12 +256,8 @@ int cmd_audit(const std::vector<std::string>& args) {
       // GNN4IP_CONSUMERS (the env knob only resolves when
       // num_consumers stays 0). Implies --async — a consumer pool
       // only exists on the async front end.
-      const long consumers = std::strtol(next_value().c_str(), nullptr, 10);
-      if (consumers <= 0) {
-        std::fprintf(stderr, "error: --consumers needs a positive count\n");
-        return 2;
-      }
-      async_options.num_consumers = static_cast<std::size_t>(consumers);
+      async_options.num_consumers =
+          parse_arg<std::size_t>(next_value(), "--consumers", 1, SIZE_MAX);
       use_async = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
@@ -444,14 +424,19 @@ int main(int argc, char** argv) {
       return cmd_extract(argv[2]);
     }
     if (cmd == "train" && (argc == 3 || argc == 4)) {
-      return cmd_train(argv[2], argc == 4 ? std::atoi(argv[3]) : 60);
+      return cmd_train(argv[2],
+                       argc == 4 ? parse_arg(std::string(argv[3]), "epochs",
+                                             1, INT_MAX)
+                                 : 60);
     }
     if (cmd == "embed" && argc == 4) {
       return cmd_embed(argv[2], argv[3]);
     }
     if (cmd == "compare" && (argc == 5 || argc == 6)) {
       const float delta =
-          argc == 6 ? std::strtof(argv[5], nullptr) : 0.5F;
+          argc == 6
+              ? parse_arg(std::string(argv[5]), "delta", -FLT_MAX, FLT_MAX)
+              : 0.5F;
       return cmd_compare(argv[2], argv[3], argv[4], delta);
     }
     if (cmd == "audit" && argc >= 3) {

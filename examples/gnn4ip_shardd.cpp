@@ -1,7 +1,7 @@
 // gnn4ip_shardd — one corpus shard server process.
 //
 //   gnn4ip_shardd --listen <port> [--load-shard <file>]
-//                 [--fingerprint <fp>] [--kernel <scalar|avx2|neon|auto>]
+//                 [--fingerprint <fp>]
 //
 // Binds 127.0.0.1:<port> (0 = ephemeral), prints the chosen address on
 // stdout as "gnn4ip_shardd listening on 127.0.0.1:<port>" (flushed, so
@@ -9,18 +9,20 @@
 // SIGINT/SIGTERM. --load-shard warm-starts the store from one binary
 // shard file of a corpus snapshot (docs/FORMATS.md); --fingerprint pins
 // the model fingerprint this shard will accept at Hello time (default:
-// adopt the first client's).
+// adopt the first client's). The port must parse whole as a number in
+// 0..65535; anything else is a usage error.
 //
 // Exit codes match gnn4ip_cli: 2 usage, 3 error, 4 snapshot error,
 // 5 connection/wire error.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
-#include "core/simd_dispatch.h"
 #include "core/snapshot_format.h"
 #include "dist/shard_server.h"
 #include "net/wire_format.h"
@@ -38,15 +40,28 @@ void on_signal(int) { g_stop = 1; }
 int usage() {
   std::fprintf(stderr,
                "usage: gnn4ip_shardd --listen <port> [--load-shard <file>]\n"
-               "                     [--fingerprint <fp>]\n"
-               "                     [--kernel <scalar|avx2|neon|auto>]\n");
+               "                     [--fingerprint <fp>]\n");
   return 2;
+}
+
+/// The TCP port in `text`, or exit 2: the whole token must parse as a
+/// number in 0..65535 (0 = ephemeral).
+std::uint16_t parse_port(const std::string& text) {
+  std::uint16_t port = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, port);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: invalid value '%s' for --listen\n",
+                 text.c_str());
+    std::exit(2);
+  }
+  return port;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  long port = -1;
+  std::optional<std::uint16_t> port;
   std::string shard_file;
   dist::ShardServerOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -59,33 +74,20 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--listen") {
-      port = std::strtol(next_value(), nullptr, 10);
+      port = parse_port(next_value());
     } else if (arg == "--load-shard") {
       shard_file = next_value();
     } else if (arg == "--fingerprint") {
       options.fingerprint = next_value();
-    } else if (arg == "--kernel") {
-      try {
-        options.kernel = core::parse_backend(next_value());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-      if (!core::backend_supported(options.kernel)) {
-        std::fprintf(stderr, "error: --kernel %s is not supported on this "
-                             "host\n",
-                     core::backend_name(options.kernel));
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       return usage();
     }
   }
-  if (port < 0 || port > 65535) return usage();
+  if (!port) return usage();
 
   try {
-    dist::ShardServer server(static_cast<std::uint16_t>(port), options);
+    dist::ShardServer server(*port, options);
     if (!shard_file.empty()) {
       server.load_shard(shard_file);
       std::fprintf(stderr, "loaded shard file %s\n", shard_file.c_str());

@@ -21,10 +21,10 @@ break them:
   fp-accum        Floating-point accumulation (`x += ...` / `x -= ...`
                   on a declared float/double, or std::accumulate /
                   std::reduce) in src/core or src/audit outside
-                  cosine_kernels.* / simd_dispatch.*. FP reduction order
-                  is the determinism contract's hot surface; it is
-                  centralized in the kernel files where the blocked
-                  fold order is pinned and tested.
+                  cosine_kernels.*. FP reduction order is the
+                  determinism contract's hot surface; it is centralized
+                  in the kernel file where the ascending-k fold order is
+                  pinned and tested.
 
   unordered-iter  Range-for over a declared unordered container in
                   src/core or src/audit. Iteration order of
@@ -99,7 +99,7 @@ UNORDERED_DECL_RE = re.compile(
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*(\w+)\s*\)")
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([\w-]+)\)\s*:\s*(\S.*)")
 
-KERNEL_EXEMPT = ("cosine_kernels", "simd_dispatch")
+KERNEL_EXEMPT = ("cosine_kernels",)
 DETERMINISM_DIRS = ("core", "audit")
 
 

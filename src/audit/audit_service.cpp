@@ -295,13 +295,9 @@ Submission AuditService::add_library(std::string name,
   commit_begin(ticket);
   try {
     util::WriterLock state(state_mu_);
-    const bool replaced = index_by_name_.count(s.name) != 0;
     const std::size_t row = admit(s.name, embedding);
     pinned_.insert(s.name);
     s.accepted = true;
-    if (admission_log_) {
-      admission_log_->append({ticket, s.name, replaced, /*pinned=*/true});
-    }
     const std::vector<std::size_t> mapping = enforce_capacity_and_compact();
     s.corpus_index = mapping.empty() ? row : mapping[row];
   } catch (...) {
@@ -349,25 +345,19 @@ std::vector<ScreenReport> AuditService::screen() {
   return screen_batch(std::move(batch), first_ticket, nullptr);
 }
 
-void AuditService::commit_one(std::size_t ticket, const std::string& name,
+void AuditService::commit_one(const std::string& name,
                               const tensor::Matrix& embedding,
                               ScreenReport& report,
                               std::vector<ScreenReport>* prior,
                               std::size_t prior_count) {
   util::WriterLock state(state_mu_);
-  const bool replaced = index_by_name_.count(name) != 0;
   const std::size_t row = admit(name, embedding);
-  if (admission_log_) {
-    admission_log_->append({ticket, name, replaced, /*pinned=*/false});
-  }
   const std::size_t n = corpus_->size();  // row == n - 1
   // Screen this one submission against everything admitted under an
   // earlier ticket. screen_new_rows returns exactly what the verdicts
   // need — the flagged matches and the best live match, with exact
-  // scalar-kernel similarities bit-identical to the 1×n score_new_rows
-  // slice this loop used to walk — whether the corpus scans exhaustively
-  // or through the int8 prefilter. A same-name row replaced by admit()
-  // above is a tombstone here, excluded like any other tombstone.
+  // cosine_cell similarities. A same-name row replaced by admit() above
+  // is a tombstone here, excluded like any other tombstone.
   if (n > 1) {
     const std::vector<core::ScreenRow> screened =
         corpus_->screen_new_rows(n - 1, options_.scorer.delta);
@@ -460,8 +450,8 @@ std::vector<ScreenReport> AuditService::screen_batch(
       try {
         const bool embedded = !embeddings[i].empty();
         if (embedded) {
-          commit_one(first_ticket + i, batch[i].name, embeddings[i],
-                     reports[i], on_commit ? nullptr : &reports, i);
+          commit_one(batch[i].name, embeddings[i], reports[i],
+                     on_commit ? nullptr : &reports, i);
         }
         // Hand off inside the commit slot: on_commit invocations are
         // mutually exclusive across consumers and arrive in ticket
@@ -510,7 +500,7 @@ std::vector<Verdict> AuditService::top_k(const std::string& name,
 void AuditService::save_corpus(const std::string& dir) {
   // One serialized commit: the turnstile guarantees every earlier
   // ticket's admission is fully in the snapshot and every later one is
-  // fully absent — the same consistency point an AdmissionLog sees.
+  // fully absent.
   const std::size_t ticket = reserve_tickets(1);
   commit_begin(ticket);
   try {
@@ -553,7 +543,6 @@ void AuditService::save_corpus(const std::string& dir) {
     if (!os) {
       throw core::SnapshotIoError("write to '" + path.string() + "' failed");
     }
-    if (admission_log_) admission_log_->checkpoint(dir);
   } catch (...) {
     commit_end();
     throw;

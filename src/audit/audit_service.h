@@ -54,7 +54,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "audit/admission_log.h"
 #include "audit/eviction.h"
 #include "audit/pipeline.h"
 #include "core/sharded_corpus.h"
@@ -230,9 +229,8 @@ class AuditService {
   /// admission turnstile, so the snapshot is always a consistent
   /// post-commit state: every earlier ticket is fully in it, every
   /// later ticket fully absent. The manifest records this service's
-  /// model fingerprint; the AdmissionLog (if set) gets a checkpoint()
-  /// inside the same commit. Safe concurrently with screening
-  /// consumers and producers.
+  /// model fingerprint. Safe concurrently with screening consumers and
+  /// producers.
   void save_corpus(const std::string& dir);
 
   /// Warm restart: replace the resident corpus, name index, pins, and
@@ -251,14 +249,6 @@ class AuditService {
   /// recorded in snapshot manifests.
   [[nodiscard]] const std::string& model_fingerprint() const {
     return model_fingerprint_;
-  }
-
-  /// Install the admission log (see audit/admission_log.h): append()
-  /// fires inside every admission's commit slot, checkpoint() inside
-  /// every save_corpus(). Configuration-time: set it before the first
-  /// submit/screen, not while consumers stream. Pass nullptr to detach.
-  void set_admission_log(std::shared_ptr<AdmissionLog> log) {
-    admission_log_ = std::move(log);
   }
 
   // ---- Pinning & introspection ------------------------------------------
@@ -294,14 +284,14 @@ class AuditService {
   /// Release the turnstile to the next ticket.
   void commit_end();
   /// Commit one accepted submission under the turnstile (caller holds
-  /// the commit slot for `ticket`): admit, score vs the current
-  /// residents, evict, compact, log the admission, and write the
-  /// report. `prior` (when non-null) is the already-committed prefix of
-  /// this batch whose indices must chase this commit's compaction
-  /// mapping (single-consumer screen() contract).
-  void commit_one(std::size_t ticket, const std::string& name,
-                  const tensor::Matrix& embedding, ScreenReport& report,
-                  std::vector<ScreenReport>* prior, std::size_t prior_count);
+  /// its ticket's commit slot): admit, score vs the current residents,
+  /// evict, compact, and write the report. `prior` (when non-null) is
+  /// the already-committed prefix of this batch whose indices must chase
+  /// this commit's compaction mapping (single-consumer screen()
+  /// contract).
+  void commit_one(const std::string& name, const tensor::Matrix& embedding,
+                  ScreenReport& report, std::vector<ScreenReport>* prior,
+                  std::size_t prior_count);
 
   /// Admit an embedding under `name`, replacing any resident row of the
   /// same name. Returns the (pre-compaction) row index. Caller holds
@@ -332,9 +322,6 @@ class AuditService {
   /// serialize against commit slots).
   std::unique_ptr<core::CorpusBackend> corpus_;
   std::unique_ptr<EvictionPolicy> policy_ GNN4IP_PT_GUARDED_BY(state_mu_);
-  /// Replay seam (audit/admission_log.h); may be null.
-  /// Configuration-time (set before consumers stream), so unguarded.
-  std::shared_ptr<AdmissionLog> admission_log_;
   util::BoundedQueue<AuditItem> queue_;
 
   /// Guards index_by_name_/pinned_/policy_: exclusive inside a commit

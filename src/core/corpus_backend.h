@@ -2,10 +2,10 @@
 //
 // audit::AuditService drives exactly one corpus surface: admissions
 // (add/remove/compact), verdict-shaped screening (screen_new_rows),
-// ranking (top_k/flag), pair scoring, shard introspection for the
-// eviction budgets, snapshot save/restore, and the worker fan-out its
-// batch phases ride. This interface names that surface, so the commit
-// turnstile, eviction, and snapshot layers run unchanged on top of any
+// ranking (top_k), shard introspection for the eviction budgets,
+// snapshot save/restore, and the worker fan-out its batch phases ride.
+// This interface names that surface, so the commit turnstile,
+// eviction, and snapshot layers run unchanged on top of any
 // implementation:
 //
 //   * core::ShardedCorpus — K EmbeddingStore shards in-process (the
@@ -13,14 +13,11 @@
 //   * dist::DistCorpus  — the same K shards as remote gnn4ip_shardd
 //     processes behind the G4IPWIRE protocol (src/dist/dist_corpus.h).
 //
-// The contract is behavioural, not just syntactic: every float
-// similarity an implementation reports must be the scalar cosine_cell
-// value of the same row bytes, and every merged result must use the
-// fixed tie-breaks of cosine_kernels.h (flag_order; descending
-// similarity then ascending index) — that is what keeps verdicts
-// bit-identical across implementations, shard counts, and process
-// counts, and the distributed test suite holds DistCorpus to it
-// against ShardedCorpus cell by cell.
+// The contract is behavioural, not just syntactic: both implementations
+// compute every shard's partials with the sweeps of core/shard_sweep.h
+// and merge them under the same fixed tie-breaks (descending similarity,
+// then ascending index) — that is what keeps verdicts bit-identical
+// across implementations, shard counts, and process counts.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +34,8 @@
 
 namespace gnn4ip::core {
 
-/// One screened candidate: a live corpus row and its *exact* similarity
-/// (always computed by the scalar reference kernel, whatever produced
-/// the candidacy).
+/// One screened candidate: a live corpus row and its exact similarity
+/// (cosine_cell of the two rows).
 struct ScreenMatch {
   std::size_t index = 0;
   float similarity = 0.0F;
@@ -47,10 +43,7 @@ struct ScreenMatch {
 
 /// What screening one incoming row actually needs — the flagged matches
 /// and the best match, with exact similarities — instead of the full
-/// 1×N matrix. Identical with the int8 prefilter on or off; the
-/// scanned/rescored tallies expose how much exact work the prefilter
-/// saved (and, for a distributed corpus, how much never crossed the
-/// wire).
+/// 1×N matrix.
 struct ScreenRow {
   /// Live candidates with similarity > delta, ascending corpus index.
   std::vector<ScreenMatch> flagged;
@@ -59,8 +52,8 @@ struct ScreenRow {
   std::optional<ScreenMatch> best;
   /// Live candidates considered.
   std::size_t scanned = 0;
-  /// Candidates whose exact similarity was computed (== scanned on the
-  /// exact path; typically far fewer with the prefilter).
+  /// Candidates whose exact similarity was computed — every scanned
+  /// one, so always equal to scanned.
   std::size_t rescored = 0;
 };
 
@@ -91,12 +84,10 @@ class CorpusBackend {
   [[nodiscard]] virtual std::size_t shard_budget() const = 0;
 
   // ---- Scoring (bit-identical across implementations) -------------------
-  [[nodiscard]] virtual float score(std::size_t i, std::size_t j) const = 0;
   [[nodiscard]] virtual std::vector<ScreenRow> screen_new_rows(
       std::size_t first_new, float delta) const = 0;
   [[nodiscard]] virtual std::vector<PairScore> top_k(std::size_t i,
                                                      std::size_t k) const = 0;
-  [[nodiscard]] virtual std::vector<PairScore> flag(float delta) const = 0;
 
   // ---- Persistence ------------------------------------------------------
   virtual void save(const std::string& dir,

@@ -1,61 +1,15 @@
 #include "core/embedding_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <istream>
 #include <ostream>
 
+#include "core/cosine_kernels.h"
 #include "core/snapshot_format.h"
 #include "util/contract.h"
 
 namespace gnn4ip::core {
-
-void EmbeddingStore::requantize_row(std::size_t i) {
-  const std::span<const float> x =
-      std::span<const float>(data_).subspan(i * dim_, dim_);
-  norms_[i] = row_norm(x);
-  gate_normd_[i] = static_cast<double>(norms_[i]);
-  float max_abs = 0.0F;
-  for (const float v : x) max_abs = std::max(max_abs, std::fabs(v));
-  const float scale = max_abs / 127.0F;
-  scales_[i] = scale;
-  gate_scale_[i] = static_cast<double>(scale);
-  std::int8_t* q = qdata_.data() + i * dim_;
-  if (scale == 0.0F) {
-    std::fill(q, q + dim_, std::int8_t{0});
-    qnorms_[i] = 0.0F;
-    enorms_[i] = 0.0F;
-    gate_sq_[i] = 0.0;
-    gate_e_[i] = 0.0;
-    return;
-  }
-  // Round-to-nearest (half away from zero — rounding-mode independent,
-  // so a loaded snapshot rebuilds the same bytes on any host), then the
-  // residual/quant norms in double with a small upward margin: they
-  // only need to be *upper* bounds for the enclosure to stay rigorous.
-  double q_sq = 0.0;
-  double e_sq = 0.0;
-  for (std::size_t k = 0; k < dim_; ++k) {
-    const long r = std::lround(x[k] / scale);
-    const long clamped = std::clamp(r, -127L, 127L);
-    q[k] = static_cast<std::int8_t>(clamped);
-    // lint:allow(fp-accum): sequential k-order fold over one row; no
-    // schedule can reorder it.
-    q_sq += static_cast<double>(clamped) * static_cast<double>(clamped);
-    const double e = static_cast<double>(x[k]) -
-                     static_cast<double>(scale) * static_cast<double>(clamped);
-    // lint:allow(fp-accum): same sequential fold as q_sq above.
-    e_sq += e * e;
-  }
-  qnorms_[i] = static_cast<float>(std::sqrt(q_sq) * (1.0 + 1e-6));
-  enorms_[i] = static_cast<float>(std::sqrt(e_sq) * (1.0 + 1e-6) + 1e-30);
-  // Keep the gate SoA in lock-step with make_quant_gate's arithmetic on
-  // the float values above — quant_stats() must agree to the bit with a
-  // gate built from quant_view(i).
-  gate_sq_[i] = static_cast<double>(scales_[i]) * qnorms_[i];
-  gate_e_[i] = enorms_[i];
-}
 
 std::size_t EmbeddingStore::add(std::string name,
                                 const tensor::Matrix& embedding) {
@@ -70,37 +24,16 @@ std::size_t EmbeddingStore::add(std::string name,
   }
   const std::span<const float> flat = embedding.data();
   data_.insert(data_.end(), flat.begin(), flat.end());
+  norms_.push_back(row_norm(flat));
   names_.push_back(std::move(name));
   dead_.push_back(false);
   ++live_count_;
-  const std::size_t index = names_.size() - 1;
-  qdata_.resize(qdata_.size() + dim_);
-  scales_.push_back(0.0F);
-  norms_.push_back(0.0F);
-  qnorms_.push_back(0.0F);
-  enorms_.push_back(0.0F);
-  gate_scale_.push_back(0.0);
-  gate_sq_.push_back(0.0);
-  gate_e_.push_back(0.0);
-  gate_normd_.push_back(0.0);
-  requantize_row(index);
-  return index;
+  return names_.size() - 1;
 }
 
 float EmbeddingStore::norm(std::size_t i) const {
   GNN4IP_ENSURE(i < norms_.size(), "EmbeddingStore: index out of range");
   return norms_[i];
-}
-
-std::span<const std::int8_t> EmbeddingStore::qrow(std::size_t i) const {
-  GNN4IP_ENSURE(i < names_.size(), "EmbeddingStore: row index out of range");
-  return std::span<const std::int8_t>(qdata_).subspan(i * dim_, dim_);
-}
-
-QuantRowView EmbeddingStore::quant_view(std::size_t i) const {
-  GNN4IP_ENSURE(i < names_.size(), "EmbeddingStore: row index out of range");
-  return {qdata_.data() + i * dim_, scales_[i], qnorms_[i], enorms_[i],
-          norms_[i]};
 }
 
 const std::string& EmbeddingStore::name(std::size_t i) const {
@@ -136,34 +69,14 @@ std::vector<std::size_t> EmbeddingStore::compact() {
       std::copy(data_.begin() + static_cast<std::ptrdiff_t>(i * dim_),
                 data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_),
                 data_.begin() + static_cast<std::ptrdiff_t>(next * dim_));
-      // The quant tier moves with its row — no requantization, so the
-      // tier stays byte-identical to what add() derived.
-      std::copy(qdata_.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                qdata_.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_),
-                qdata_.begin() + static_cast<std::ptrdiff_t>(next * dim_));
-      scales_[next] = scales_[i];
       norms_[next] = norms_[i];
-      qnorms_[next] = qnorms_[i];
-      enorms_[next] = enorms_[i];
-      gate_scale_[next] = gate_scale_[i];
-      gate_sq_[next] = gate_sq_[i];
-      gate_e_[next] = gate_e_[i];
-      gate_normd_[next] = gate_normd_[i];
     }
     ++next;
   }
   names_.resize(next);
   data_.resize(next * dim_);
-  dead_.assign(next, false);
-  qdata_.resize(next * dim_);
-  scales_.resize(next);
   norms_.resize(next);
-  qnorms_.resize(next);
-  enorms_.resize(next);
-  gate_scale_.resize(next);
-  gate_sq_.resize(next);
-  gate_e_.resize(next);
-  gate_normd_.resize(next);
+  dead_.assign(next, false);
   live_count_ = next;
   return mapping;
 }
@@ -195,13 +108,6 @@ void EmbeddingStore::save(std::ostream& os) const {
     write_u64(os, name.size());
     write_bytes(os, name.data(), name.size());
   }
-  // Optional quantized-tier section: tag, per-row scales, int8 block.
-  // Derived norms are recomputed on load (cheaper than their bytes);
-  // scales and q are written so a loader can cross-check the tier
-  // against a deterministic rebuild and reject a tampered section.
-  write_bytes(os, kQuantSectionTag, sizeof(kQuantSectionTag));
-  write_bytes(os, scales_.data(), scales_.size() * sizeof(float));
-  write_bytes(os, qdata_.data(), qdata_.size());
 }
 
 EmbeddingStore EmbeddingStore::load(std::istream& is,
@@ -268,54 +174,34 @@ EmbeddingStore EmbeddingStore::load(std::istream& is,
     read_bytes(is, name.data(), length, "shard name table");
     store.names_.push_back(std::move(name));
   }
-  // Rebuild the quant tier deterministically from the float rows — the
-  // floats round-tripped as exact bytes, so this reproduces the saved
-  // tier byte-for-byte.
-  store.qdata_.resize(rows * dim);
-  store.scales_.resize(rows);
+  // Norms are derived, not stored: recomputing them from the exact
+  // float bytes reproduces the saved store's cached values bit for bit.
   store.norms_.resize(rows);
-  store.qnorms_.resize(rows);
-  store.enorms_.resize(rows);
-  store.gate_scale_.resize(rows);
-  store.gate_sq_.resize(rows);
-  store.gate_e_.resize(rows);
-  store.gate_normd_.resize(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) store.requantize_row(i);
-  // Optional QNT8 section. Absent (EOF right here): a pre-tier file —
-  // the rebuild above already stands in. Present: it must match the
-  // rebuild exactly, so a poisoned quant block (which would silently
-  // skew every pruning bound) is a loud typed rejection. Anything else
-  // after the name table is trailing garbage.
-  char tag[sizeof(kQuantSectionTag)] = {};
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    store.norms_[i] = row_norm(store.row(i));
+  }
+  // Files written by earlier builds end in a QNT8 trailer: per-row int8
+  // quantization scales, then the int8 rows. Those bytes fed only a
+  // since-removed prefilter, so once the tag and the exact length check
+  // out the trailer is skipped unread. Anything else after the name
+  // table is trailing garbage.
+  char tag[sizeof(kLegacyQuantTag)] = {};
   is.read(tag, sizeof(tag));
   if (is.gcount() == 0 && is.eof()) return store;
   if (is.gcount() != static_cast<std::streamsize>(sizeof(tag)) ||
-      std::memcmp(tag, kQuantSectionTag, sizeof(tag)) != 0) {
+      std::memcmp(tag, kLegacyQuantTag, sizeof(tag)) != 0) {
     throw SnapshotTruncatedError(
         "shard file carries trailing bytes after the name table that are "
-        "not a QNT8 section");
+        "not a legacy QNT8 trailer");
   }
-  std::vector<float> scales(rows);
-  std::vector<std::int8_t> qdata(rows * dim);
-  read_bytes(is, scales.data(), scales.size() * sizeof(float),
-             "shard quant scales");
-  read_bytes(is, qdata.data(), qdata.size(), "shard quant rows");
-  if (rows != 0 &&
-      (std::memcmp(scales.data(), store.scales_.data(),
-                   scales.size() * sizeof(float)) != 0 ||
-       std::memcmp(qdata.data(), store.qdata_.data(), qdata.size()) != 0)) {
-    throw SnapshotManifestError(
-        "shard quantized section disagrees with the float rows (corrupt or "
-        "tampered QNT8 block)");
+  const std::uint64_t trailer = rows * (sizeof(float) + dim);
+  is.ignore(static_cast<std::streamsize>(trailer));
+  if (static_cast<std::uint64_t>(is.gcount()) != trailer) {
+    throw SnapshotTruncatedError(
+        "snapshot stream truncated while skipping the legacy QNT8 trailer");
   }
   expect_eof(is, "shard file");
   return store;
-}
-
-tensor::Matrix EmbeddingStore::embedding_matrix() const {
-  tensor::Matrix m(names_.size(), dim_);
-  std::copy(data_.begin(), data_.end(), m.data().begin());
-  return m;
 }
 
 }  // namespace gnn4ip::core

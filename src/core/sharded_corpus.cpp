@@ -4,10 +4,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
-#include <sstream>
 
+#include "core/shard_sweep.h"
 #include "core/snapshot_format.h"
 #include "util/contract.h"
 #include "util/thread_pool.h"
@@ -183,309 +182,61 @@ std::size_t ShardedCorpus::shard_live_count(std::size_t s) const {
   return shards_[s].live_count();
 }
 
-const EmbeddingStore& ShardedCorpus::shard(std::size_t s) const {
-  GNN4IP_ENSURE(s < shards_.size(), "ShardedCorpus: shard out of range");
-  return shards_[s];
-}
-
-float ShardedCorpus::score(std::size_t i, std::size_t j) const {
-  util::ReaderLock epoch(epoch_mu_);
-  EntryRef a;
-  EntryRef b;
-  {
-    util::ReaderLock index(index_mu_);
-    GNN4IP_ENSURE(i < entries_.size() && j < entries_.size(),
-                  "ShardedCorpus: pair index out of range");
-    a = entries_[i];
-    b = entries_[j];
-  }
-  const StripeGuard stripes = lock_all_stripes_shared();
-  return cosine_pair(row_nolock(a), row_nolock(b));
-}
-
-tensor::Matrix ShardedCorpus::score_new_rows(std::size_t first_new) const {
-  util::ReaderLock epoch(epoch_mu_);
-  // Snapshot the index under index_mu_, then scan under the shard
-  // stripes: rows admitted after the snapshot (global id ≥ n, or a
-  // local slot past the snapshot of its shard) are skipped, so the
-  // matrix is exactly the corpus as of entry.
-  std::vector<EntryRef> query_refs;
-  std::size_t n = 0;
-  {
-    util::ReaderLock index(index_mu_);
-    GNN4IP_ENSURE(first_new <= entries_.size(),
-                  "score_new_rows: first_new past the corpus end");
-    n = entries_.size();
-    query_refs.assign(entries_.begin() +
-                          static_cast<std::ptrdiff_t>(first_new),
-                      entries_.end());
-  }
-  const std::size_t new_rows = n - first_new;
-  tensor::Matrix result(new_rows, n);
-  if (new_rows == 0) return result;
-  const StripeGuard stripes = lock_all_stripes_shared();
-  // Query rows and norms resolve once on the coordinating thread (the
-  // per-global row() lookup is a bounds-checked double indirection —
-  // too heavy for the inner loop of the hot screening path); each shard
-  // task then fills only the columns of its own entries (tombstones
-  // included — this kernel is positional, like the single-shard one).
-  // Every cell is written exactly once from the same two rows and the
-  // same ascending-k arithmetic as PairwiseScorer::score_new_rows, so
-  // the matrix is bit-identical for any shard count × worker count.
-  const std::size_t d =
-      query_refs.empty() ? 0 : row_nolock(query_refs[0]).size();
-  std::vector<std::span<const float>> query_rows(new_rows);
-  std::vector<float> query_norms(new_rows);
-  for (std::size_t r = 0; r < new_rows; ++r) {
-    query_rows[r] = row_nolock(query_refs[r]);
-    // The store caches fl(row_norm) at add time — the same bits the old
-    // per-call recomputation produced.
-    query_norms[r] =
-        shards_[query_refs[r].shard].norm(query_refs[r].local);
-  }
-  // Exact mode pins the scalar sweep (a loop over cosine_cell — the
-  // same bits as always); exact_scoring == false dispatches the fused
-  // row sweep to the resolved SIMD backend. Each shard sweeps its
-  // contiguous row block into a scratch vector, then scatters by global
-  // index — same cells, better locality than per-cell indirection.
-  const KernelOps& ops = kernel_ops(
-      options_.exact_scoring ? KernelBackend::kScalar : options_.kernel);
-  const auto run_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    // Rows admitted after the snapshot form a suffix of the shard
-    // (globals_[s] is ascending), so trimming the tail leaves exactly
-    // the snapshot's rows, tombstones included (this kernel is
-    // positional, like the single-shard one).
-    std::size_t limit = store.size();
-    while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
-    if (limit == 0) return;
-    std::vector<float> sims(limit);
-    for (std::size_t r = 0; r < new_rows; ++r) {
-      ops.cosine_sweep(query_rows[r].data(), query_norms[r],
-                       store.rows().data(), store.norms().data(), limit, d,
-                       sims.data());
-      const std::span<float> out = result.row(r);
-      for (std::size_t local = 0; local < limit; ++local) {
-        out[globals_[s][local]] = sims[local];
-      }
-    }
-  };
-  fan_out(shards_.size(), run_shard);
-  return result;
+std::size_t ShardedCorpus::prefix_below(std::size_t s,
+                                        std::size_t end) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(globals_[s].begin(), globals_[s].end(), end) -
+      globals_[s].begin());
 }
 
 std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
                                                       float delta) const {
   util::ReaderLock epoch(epoch_mu_);
+  // Snapshot the query rows' addresses under index_mu_, then scan under
+  // the shard stripes (the index lock is off-limits while the stripes
+  // are held — admitters take index before stripe).
   std::vector<EntryRef> query_refs;
-  std::size_t n = 0;
   {
     util::ReaderLock index(index_mu_);
     GNN4IP_ENSURE(first_new <= entries_.size(),
                   "screen_new_rows: first_new past the corpus end");
-    n = entries_.size();
     query_refs.assign(entries_.begin() +
                           static_cast<std::ptrdiff_t>(first_new),
                       entries_.end());
   }
-  const std::size_t new_rows = n - first_new;
-  std::vector<ScreenRow> result(new_rows);
-  if (new_rows == 0) return result;
+  std::vector<ScreenRow> result(query_refs.size());
+  if (query_refs.empty()) return result;
   const StripeGuard stripes = lock_all_stripes_shared();
-  const std::size_t d = row_nolock(query_refs[0]).size();
-  std::vector<std::span<const float>> query_rows(new_rows);
-  std::vector<float> query_norms(new_rows);
-  std::vector<QuantGate> query_gates(new_rows);
-  for (std::size_t r = 0; r < new_rows; ++r) {
-    const EntryRef& e = query_refs[r];
-    query_rows[r] = row_nolock(e);
-    query_norms[r] = shards_[e.shard].norm(e.local);
-    query_gates[r] = make_quant_gate(shards_[e.shard].quant_view(e.local), d);
-  }
-  const bool prefilter = options_.int8_prefilter;
-  // Integer kernels are bit-identical across backends, so the int8
-  // screen always uses the resolved backend — exact_scoring only pins
-  // *float* arithmetic, and every float cell below is the scalar
-  // cosine_cell regardless.
-  const KernelOps& ops = kernel_ops(options_.kernel);
-
-  // A candidate the bounds proved can neither flag nor (yet) be best;
-  // kept with its shard address so the best phase can rescore it
-  // without re-resolving global ids (the index lock is off-limits while
-  // the stripes are held — admitters take index before stripe).
-  struct PrunedCand {
-    std::size_t g = 0;
-    float ub = 0.0F;
-    EntryRef ref;
-  };
-  struct ShardPartial {
-    std::vector<ScreenMatch> flagged;  // exact sims > delta, ascending g
-    std::optional<ScreenMatch> best;   // best among this shard's rescored
-    std::vector<PrunedCand> pruned;
-    std::size_t scanned = 0;
-    std::size_t rescored = 0;
-  };
-  std::vector<std::vector<ShardPartial>> partials(
-      shards_.size(), std::vector<ShardPartial>(new_rows));
-
-  const auto run_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    // Candidates are live rows admitted before first_new — an ascending
-    // prefix of the shard, exactly like the score_new_rows snapshot.
-    std::size_t limit = store.size();
-    while (limit > 0 && globals_[s][limit - 1] >= first_new) --limit;
-    const double delta_d = delta;
-    if (!prefilter) {
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (!store.live(local)) continue;
-        const std::size_t g = globals_[s][local];
-        const float* rb = store.row(local).data();
-        const float norm_b = store.norm(local);
-        for (std::size_t r = 0; r < new_rows; ++r) {
-          ShardPartial& p = partials[s][r];
-          ++p.scanned;
-          ++p.rescored;
-          const float sim = cosine_cell(query_rows[r].data(), rb, d,
-                                        query_norms[r] * norm_b);
-          if (sim > delta) p.flagged.push_back({g, sim});
-          if (!p.best || sim > p.best->similarity) {
-            p.best = ScreenMatch{g, sim};
-          }
-        }
-      }
-      return;
-    }
-    // Prefilter sweeps: the candidate-side gate stats live in the
-    // store's incrementally maintained SoA (quant_stats — no per-call
-    // rebuild); each query row then costs one fused quant_screen_sweep
-    // over the shard's contiguous int8 block, and the scalar walks only
-    // ever visit the compacted hit lists the kernels emit. Dead rows
-    // burn a sweep lane but are skipped in the walks. Scratch buffers
-    // are allocated uninitialized — every lane is written by the sweep
-    // before any walk reads it.
-    const QuantStatsSoa soa = store.quant_stats();
-    std::size_t live_n = 0;
-    for (std::size_t local = 0; local < limit; ++local) {
-      live_n += store.live(local) ? 1 : 0;
-    }
-    const auto dots = std::make_unique_for_overwrite<std::int32_t[]>(limit);
-    const auto num = std::make_unique_for_overwrite<double[]>(limit);
-    const auto den = std::make_unique_for_overwrite<double[]>(limit);
-    const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(limit);
-    const std::int8_t* qbase = limit > 0 ? store.qrow(0).data() : nullptr;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    // Pruning compares the bound numerator against t·denominator — the
-    // *unclamped* bound against t. The exact cell clamps into [-1, 1],
-    // so the comparison only implies `exact ≤ t` for t ≥ −1; a
-    // sub-range delta disables pruning (−inf: every row is a hit and
-    // rescores — the exact sweep).
-    const double prune_max = delta >= -1.0F ? delta_d : -kInf;
-    for (std::size_t r = 0; r < new_rows; ++r) {
-      ShardPartial& p = partials[s][r];
-      p.scanned += live_n;
-      if (limit == 0) continue;
-      const QuantGate& ga = query_gates[r];
-      const QuantSweepQuery qc = make_sweep_query(ga);
-      // Pass 1 — one fused sweep computes every candidate's int8 dot and
-      // margin test, emitting the rescore class: every candidate the
-      // bounds could not prune gets the exact scalar cell (flags + best
-      // + a lower bound on the best similarity for pass 2).
-      const std::size_t n_rescore = ops.quant_screen_sweep(
-          qc, ga.q, qbase, d, soa, limit, prune_max, dots.get(), num.get(),
-          den.get(), hits.get());
-      float best_lb = -2.0F;
-      std::size_t rescored = 0;
-      for (std::size_t h = 0; h < n_rescore; ++h) {
-        const std::size_t local = hits[h];
-        if (!store.live(local)) continue;
-        ++rescored;
-        const std::size_t g = globals_[s][local];
-        const float sim =
-            cosine_cell(query_rows[r].data(), store.row(local).data(), d,
-                        query_norms[r] * soa.normf[local]);
-        if (sim > delta) p.flagged.push_back({g, sim});
-        if (!p.best || sim > p.best->similarity) p.best = ScreenMatch{g, sim};
-        if (sim > best_lb) best_lb = sim;
-      }
-      p.rescored += rescored;
-      // Pass 2 — the best band among the pruned: only candidates whose
-      // upper bound reaches best_lb can still win the best slot. A
-      // candidate below the scan's threshold loses strictly to the row
-      // that set best_lb (exact ≤ num/den < best_lb ≤ its similarity),
-      // index tie-breaks never come into play — sound only on the
-      // clamped range, hence the > −1 guard (−inf keeps everything).
-      const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
-      double best_lb_d = best_lb;
-      const std::size_t n_band = ops.quant_survivor_scan(
-          num.get(), den.get(), limit, keep_lb, hits.get());
-      for (std::size_t h = 0; h < n_band; ++h) {
-        const std::size_t local = hits[h];
-        if (!store.live(local)) continue;
-        const double nm = num[local];
-        const double dn = den[local];
-        // Skip the rescore class (already handled in pass 1), and keep
-        // tightening: candidates rejected against the *running* best_lb
-        // drop without being stored, same witness argument as the scan.
-        if (nm > prune_max * dn) continue;
-        if (best_lb > -1.0F && nm < best_lb_d * dn) continue;
-        const CosineBounds bounds = quant_gate_bounds(
-            ga, make_quant_gate(store.quant_view(local), d), dots[local]);
-        p.pruned.push_back({globals_[s][local], bounds.ub, {s, local}});
-        if (bounds.lb > best_lb) {
-          best_lb = bounds.lb;
-          best_lb_d = bounds.lb;
-        }
-      }
-    }
-  };
-  fan_out(shards_.size(), run_shard);
-
-  for (std::size_t r = 0; r < new_rows; ++r) {
+  std::vector<std::span<const float>> probes;
+  probes.reserve(query_refs.size());
+  for (const EntryRef& e : query_refs) probes.push_back(row_nolock(e));
+  // Candidates are each shard's rows admitted before first_new.
+  std::vector<std::vector<ScreenRow>> partials(shards_.size());
+  fan_out(shards_.size(), [&](std::size_t s) {
+    partials[s] =
+        screen_shard(shards_[s], prefix_below(s, first_new), probes, delta);
+  });
+  for (std::size_t r = 0; r < result.size(); ++r) {
     ScreenRow& out = result[r];
-    std::optional<ScreenMatch> best;
-    std::vector<PrunedCand> pruned;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      ShardPartial& p = partials[s][r];
+      const ScreenRow& p = partials[s][r];
       out.scanned += p.scanned;
       out.rescored += p.rescored;
-      out.flagged.insert(out.flagged.end(), p.flagged.begin(),
-                         p.flagged.end());
-      if (p.best && (!best || p.best->similarity > best->similarity ||
-                     (p.best->similarity == best->similarity &&
-                      p.best->index < best->index))) {
-        best = p.best;
+      for (const ScreenMatch& m : p.flagged) {
+        out.flagged.push_back({globals_[s][m.index], m.similarity});
       }
-      pruned.insert(pruned.end(), p.pruned.begin(), p.pruned.end());
+      if (!p.best) continue;
+      const ScreenMatch best{globals_[s][p.best->index], p.best->similarity};
+      if (!out.best || best.similarity > out.best->similarity ||
+          (best.similarity == out.best->similarity &&
+           best.index < out.best->index)) {
+        out.best = best;
+      }
     }
     std::sort(out.flagged.begin(), out.flagged.end(),
               [](const ScreenMatch& x, const ScreenMatch& y) {
                 return x.index < y.index;
               });
-    // Best phase: descend the pruned candidates by upper bound and stop
-    // as soon as no remaining bound can beat (or index-tie-break) the
-    // best exact value — every rescore is the scalar cosine_cell, so
-    // the winner is bit-identical to the exact sweep's first-max.
-    std::sort(pruned.begin(), pruned.end(),
-              [](const PrunedCand& x, const PrunedCand& y) {
-                if (x.ub != y.ub) return x.ub > y.ub;
-                return x.g < y.g;
-              });
-    for (const PrunedCand& c : pruned) {
-      if (best) {
-        if (c.ub < best->similarity) break;
-        if (c.ub == best->similarity && c.g > best->index) continue;
-      }
-      const EmbeddingStore& store = shards_[c.ref.shard];
-      ++out.rescored;
-      const float sim =
-          cosine_cell(query_rows[r].data(), store.row(c.ref.local).data(), d,
-                      query_norms[r] * store.norm(c.ref.local));
-      if (!best || sim > best->similarity ||
-          (sim == best->similarity && c.g < best->index)) {
-        best = ScreenMatch{c.g, sim};
-      }
-    }
-    out.best = best;
   }
   return result;
 }
@@ -495,174 +246,41 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   util::ReaderLock epoch(epoch_mu_);
   EntryRef query_ref;
   std::size_t n = 0;
-  std::size_t live_now = 0;
   {
     util::ReaderLock index(index_mu_);
     GNN4IP_ENSURE(i < entries_.size(), "top_k: row index out of range");
     query_ref = entries_[i];
     n = entries_.size();
-    live_now = live_count_;
   }
   const StripeGuard stripes = lock_all_stripes_shared();
   GNN4IP_ENSURE(shards_[query_ref.shard].live(query_ref.local),
                 "top_k: row has been removed");
   const std::span<const float> query = row_nolock(query_ref);
-  const std::size_t d = query.size();
-  const float query_norm = shards_[query_ref.shard].norm(query_ref.local);
-  const auto closer = [](const PairScore& x, const PairScore& y) {
-    if (x.similarity != y.similarity) return x.similarity > y.similarity;
-    return x.b < y.b;
-  };
-
-  if (options_.int8_prefilter) {
-    // Two-phase ranking: the int8 screen assigns every candidate a
-    // rigorous upper bound; exact (scalar-kernel) rescoring then walks
-    // the candidates in descending-bound order and stops once the k-th
-    // exact similarity provably beats every remaining bound. Equal
-    // bounds still rescore — an exact tie displaces on the ascending-
-    // index tie-break — so the kept set and its order are bit-identical
-    // to the exhaustive scan.
-    struct Cand {
-      std::size_t g = 0;
-      float ub = 0.0F;
-      EntryRef ref;
-    };
-    const QuantRowView query_view =
-        shards_[query_ref.shard].quant_view(query_ref.local);
-    const KernelOps& ops = kernel_ops(options_.kernel);
-    std::vector<std::vector<Cand>> cand_buckets(shards_.size());
-    const auto bound_shard = [&](std::size_t s) {
-      const EmbeddingStore& store = shards_[s];
-      for (std::size_t local = 0; local < store.size(); ++local) {
-        const std::size_t g = globals_[s][local];
-        if (g >= n || g == i || !store.live(local)) continue;
-        const QuantRowView qv = store.quant_view(local);
-        const std::int32_t dot = ops.dot_i8(query_view.q, qv.q, d);
-        const CosineBounds bounds =
-            quantized_cosine_bounds(query_view, qv, dot, d);
-        cand_buckets[s].push_back({g, bounds.ub, {s, local}});
-      }
-    };
-    fan_out(shards_.size(), bound_shard);
-    std::vector<Cand> cands;
-    cands.reserve(live_now > 0 ? live_now - 1 : 0);
-    for (std::vector<Cand>& bucket : cand_buckets) {
-      cands.insert(cands.end(), bucket.begin(), bucket.end());
-    }
-    std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& y) {
-      if (x.ub != y.ub) return x.ub > y.ub;
-      return x.g < y.g;
-    });
-    const std::size_t keep = std::min(k, cands.size());
-    std::vector<PairScore> result;
-    if (keep == 0) return result;
-    result.reserve(keep + 1);
-    for (const Cand& c : cands) {
-      // Every later candidate's bound is ≤ c.ub; once the ranking is
-      // full and even c's bound sits strictly below the k-th exact
-      // value, nothing left can enter it.
-      if (result.size() == keep && c.ub < result.back().similarity) break;
-      const EmbeddingStore& store = shards_[c.ref.shard];
-      const PairScore scored{
-          i, c.g,
-          cosine_cell(query.data(), store.row(c.ref.local).data(), d,
-                      query_norm * store.norm(c.ref.local))};
-      const auto pos =
-          std::lower_bound(result.begin(), result.end(), scored, closer);
-      result.insert(pos, scored);
-      if (result.size() > keep) result.pop_back();
-    }
-    return result;
-  }
-
-  // Each shard scans its own live rows in parallel; the merge comparator
-  // (similarity desc, global index asc) is a total order over candidates
-  // with distinct global indices, so the merged prefix is the same no
-  // matter how candidates were bucketed. Each cell divides by the cached
-  // norms — the same bits cosine_pair recomputes.
-  std::vector<std::vector<PairScore>> buckets(shards_.size());
-  const auto scan_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    for (std::size_t local = 0; local < store.size(); ++local) {
-      const std::size_t g = globals_[s][local];
-      if (g >= n || g == i || !store.live(local)) continue;
-      buckets[s].push_back(
-          {i, g,
-           cosine_cell(query.data(), store.row(local).data(), d,
-                       query_norm * store.norm(local))});
-    }
-  };
-  fan_out(shards_.size(), scan_shard);
-
-  std::vector<PairScore> neighbours;
-  neighbours.reserve(live_now > 0 ? live_now - 1 : 0);
-  for (std::vector<PairScore>& bucket : buckets) {
-    neighbours.insert(neighbours.end(), bucket.begin(), bucket.end());
-  }
-  const std::size_t keep = std::min(k, neighbours.size());
-  std::partial_sort(neighbours.begin(),
-                    neighbours.begin() + static_cast<std::ptrdiff_t>(keep),
-                    neighbours.end(), closer);
-  neighbours.resize(keep);
-  return neighbours;
-}
-
-std::vector<PairScore> ShardedCorpus::score_all_pairs() const {
-  util::ReaderLock epoch(epoch_mu_);
-  // Fan out over the first member of each pair; worker w writes only
-  // per_a[w], and the buckets concatenate in ascending-a order — the
-  // exact pair order of the single-shard path. Rows and norms resolve
-  // once up front (the store's cached norms carry the same ascending-k
-  // row_norm bits the matrix kernel computes, so each cell stays
-  // bit-identical to PairwiseScorer::score_all_pairs) instead of three
-  // fused accumulators per pair recomputing every norm N−1 times.
-  std::vector<std::size_t> live_ids;
-  std::vector<EntryRef> live_refs;
-  {
-    util::ReaderLock index(index_mu_);
-    live_ids.reserve(live_count_);
-    live_refs.reserve(live_count_);
-    for (std::size_t g = 0; g < entries_.size(); ++g) {
-      const EntryRef& e = entries_[g];
-      live_ids.push_back(g);  // liveness filtered under the stripes below
-      live_refs.push_back(e);
+  // Each shard's top-min(k) prefix, in its local order (= global order
+  // within the shard); the global top-k is a subset of their union, so
+  // merging under the same total order and truncating is exact.
+  std::vector<std::vector<ScreenMatch>> prefixes(shards_.size());
+  fan_out(shards_.size(), [&](std::size_t s) {
+    const std::size_t exclude =
+        s == query_ref.shard ? query_ref.local : kNoIndex;
+    prefixes[s] = top_k_shard(shards_[s], prefix_below(s, n), query, k,
+                              exclude);
+  });
+  std::vector<PairScore> merged;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (const ScreenMatch& m : prefixes[s]) {
+      merged.push_back({i, globals_[s][m.index], m.similarity});
     }
   }
-  const StripeGuard stripes = lock_all_stripes_shared();
-  std::size_t kept = 0;
-  for (std::size_t idx = 0; idx < live_ids.size(); ++idx) {
-    const EntryRef& e = live_refs[idx];
-    if (!shards_[e.shard].live(e.local)) continue;
-    live_ids[kept] = live_ids[idx];
-    live_refs[kept] = e;
-    ++kept;
-  }
-  live_ids.resize(kept);
-  live_refs.resize(kept);
-  const std::size_t d = live_refs.empty() ? 0 : row_nolock(live_refs[0]).size();
-  std::vector<std::span<const float>> live_rows(live_ids.size());
-  std::vector<float> norms(live_ids.size());
-  for (std::size_t a = 0; a < live_ids.size(); ++a) {
-    live_rows[a] = row_nolock(live_refs[a]);
-    norms[a] = shards_[live_refs[a].shard].norm(live_refs[a].local);
-  }
-  std::vector<std::vector<PairScore>> per_a(live_ids.size());
-  const auto score_row = [&](std::size_t a) {
-    per_a[a].reserve(live_ids.size() - a - 1);
-    const float* ra = live_rows[a].data();
-    for (std::size_t b = a + 1; b < live_ids.size(); ++b) {
-      per_a[a].push_back(
-          {live_ids[a], live_ids[b],
-           cosine_cell(ra, live_rows[b].data(), d, norms[a] * norms[b])});
-    }
-  };
-  fan_out(live_ids.size(), score_row);
-  std::vector<PairScore> pairs;
-  pairs.reserve(kept * (kept > 0 ? kept - 1 : 0) / 2);
-  for (std::vector<PairScore>& bucket : per_a) {
-    pairs.insert(pairs.end(), bucket.begin(), bucket.end());
-  }
-  return pairs;
+  std::sort(merged.begin(), merged.end(),
+            [](const PairScore& x, const PairScore& y) {
+              if (x.similarity != y.similarity) {
+                return x.similarity > y.similarity;
+              }
+              return x.b < y.b;
+            });
+  merged.resize(std::min(k, merged.size()));
+  return merged;
 }
 
 void ShardedCorpus::fan_out(
@@ -688,130 +306,6 @@ void ShardedCorpus::fan_out(
   // right (transient-pool-free) thing for both.
   util::parallel_for(count, options_.num_threads, fn);
 }
-
-namespace {
-
-/// Everything the text manifest records, parsed and range-checked
-/// before any in-memory state is touched.
-struct ManifestData {
-  std::string fingerprint;
-  std::size_t dim = 0;
-  std::size_t shards = 0;
-  std::vector<std::size_t> order;  // global index -> shard id
-};
-
-ManifestData parse_manifest(const std::filesystem::path& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw SnapshotIoError("cannot open corpus manifest '" + path.string() +
-                          "' for reading");
-  }
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw SnapshotTruncatedError("corpus manifest is empty");
-  }
-  {
-    std::istringstream ls(line);
-    std::string magic;
-    std::string version;
-    ls >> magic >> version;
-    if (magic != kManifestMagic) {
-      throw SnapshotMagicError("not a corpus manifest (missing '" +
-                               std::string(kManifestMagic) + "' magic)");
-    }
-    const std::string expected =
-        "v" + std::to_string(kManifestFormatVersion);
-    if (version != expected) {
-      throw SnapshotVersionError("unsupported corpus manifest version '" +
-                                 version + "'; this build reads " + expected);
-    }
-  }
-  ManifestData manifest;
-  const auto next_line = [&](const char* field) -> std::istringstream {
-    if (!std::getline(is, line)) {
-      throw SnapshotTruncatedError(
-          std::string("corpus manifest truncated before the ") + field +
-          " line");
-    }
-    return std::istringstream(line);
-  };
-  {
-    std::istringstream ls = next_line("model");
-    std::string tag;
-    if (!(ls >> tag >> manifest.fingerprint) || tag != "model") {
-      throw SnapshotManifestError("bad manifest model line: '" + line + "'");
-    }
-  }
-  {
-    std::istringstream ls = next_line("placement");
-    std::string tag;
-    std::string scheme;
-    if (!(ls >> tag >> scheme) || tag != "placement") {
-      throw SnapshotManifestError("bad manifest placement line: '" + line +
-                                  "'");
-    }
-    if (scheme != kPlacementScheme) {
-      throw SnapshotManifestError(
-          "unknown placement scheme '" + scheme + "'; this build places by " +
-          kPlacementScheme);
-    }
-  }
-  {
-    std::istringstream ls = next_line("dim");
-    std::string tag;
-    if (!(ls >> tag >> manifest.dim) || tag != "dim") {
-      throw SnapshotManifestError("bad manifest dim line: '" + line + "'");
-    }
-  }
-  {
-    std::istringstream ls = next_line("shards");
-    std::string tag;
-    if (!(ls >> tag >> manifest.shards) || tag != "shards" ||
-        manifest.shards == 0) {
-      throw SnapshotManifestError("bad manifest shards line: '" + line + "'");
-    }
-  }
-  std::size_t entries = 0;
-  {
-    std::istringstream ls = next_line("entries");
-    std::string tag;
-    if (!(ls >> tag >> entries) || tag != "entries") {
-      throw SnapshotManifestError("bad manifest entries line: '" + line +
-                                  "'");
-    }
-  }
-  {
-    std::istringstream ls = next_line("order");
-    std::string tag;
-    if (!(ls >> tag) || tag != "order") {
-      throw SnapshotManifestError("bad manifest order line: '" + line + "'");
-    }
-    manifest.order.reserve(entries);
-    std::size_t shard = 0;
-    while (ls >> shard) {
-      if (shard >= manifest.shards) {
-        throw SnapshotManifestError(
-            "manifest order references shard " + std::to_string(shard) +
-            " but only " + std::to_string(manifest.shards) +
-            " shards are declared");
-      }
-      manifest.order.push_back(shard);
-    }
-    if (manifest.order.size() != entries) {
-      throw SnapshotManifestError(
-          "manifest declares " + std::to_string(entries) +
-          " entries but the order line lists " +
-          std::to_string(manifest.order.size()));
-    }
-  }
-  if (!std::getline(is, line) || line != "end") {
-    throw SnapshotTruncatedError(
-        "corpus manifest is missing its 'end' sentinel (truncated?)");
-  }
-  return manifest;
-}
-
-}  // namespace
 
 void ShardedCorpus::save(const std::string& dir,
                          std::string_view model_fingerprint) const {
@@ -843,31 +337,17 @@ void ShardedCorpus::save(const std::string& dir,
       throw SnapshotIoError("short write to '" + path.string() + "'");
     }
   }
-  const std::filesystem::path manifest_path = root / kManifestFileName;
-  std::ofstream os(manifest_path, std::ios::trunc);
-  if (!os) {
-    throw SnapshotIoError("cannot open '" + manifest_path.string() +
-                          "' for writing");
-  }
-  os << kManifestMagic << " v" << kManifestFormatVersion << '\n';
-  os << "model " << model_fingerprint << '\n';
-  os << "placement " << kPlacementScheme << '\n';
-  os << "dim " << dim_ << '\n';
-  os << "shards " << shards_.size() << '\n';
-  os << "entries " << entries_.size() << '\n';
-  os << "order";
-  for (const EntryRef& e : entries_) os << ' ' << e.shard;
-  os << '\n';
-  os << "end\n";
-  if (!os) {
-    throw SnapshotIoError("short write to '" + manifest_path.string() + "'");
-  }
+  CorpusManifest manifest{std::string(model_fingerprint), dim_,
+                          shards_.size(), {}};
+  manifest.order.reserve(entries_.size());
+  for (const EntryRef& e : entries_) manifest.order.push_back(e.shard);
+  write_manifest(root / kManifestFileName, manifest);
 }
 
 void ShardedCorpus::restore(const std::string& dir,
                             std::string_view expected_fingerprint) {
   const std::filesystem::path root(dir);
-  const ManifestData manifest = parse_manifest(root / kManifestFileName);
+  const CorpusManifest manifest = parse_manifest(root / kManifestFileName);
   if (!expected_fingerprint.empty() &&
       manifest.fingerprint != expected_fingerprint) {
     throw SnapshotFingerprintError(
@@ -966,109 +446,6 @@ std::unique_ptr<CorpusBackend> ShardedCorpus::restored(
 std::string ShardedCorpus::snapshot_fingerprint(const std::string& dir) {
   return parse_manifest(std::filesystem::path(dir) / kManifestFileName)
       .fingerprint;
-}
-
-std::vector<PairScore> ShardedCorpus::flag(float delta) const {
-  if (options_.int8_prefilter) return flag_prefiltered(delta);
-  std::vector<PairScore> pairs = score_all_pairs();
-  std::erase_if(pairs,
-                [delta](const PairScore& p) { return p.similarity <= delta; });
-  std::sort(pairs.begin(), pairs.end(), flag_order);
-  return pairs;
-}
-
-std::vector<PairScore> ShardedCorpus::flag_prefiltered(float delta) const {
-  // Same fan-out shape as score_all_pairs, but each pair passes the int8
-  // bound gate before the exact cell: a pair is skipped only when its
-  // upper bound proves similarity ≤ delta — which the exact sweep would
-  // have discarded anyway — and every surviving pair rescores with the
-  // scalar kernel, so the flagged set is bit-identical to the exact
-  // path's.
-  util::ReaderLock epoch(epoch_mu_);
-  std::vector<std::size_t> live_ids;
-  std::vector<EntryRef> live_refs;
-  {
-    util::ReaderLock index(index_mu_);
-    live_ids.reserve(live_count_);
-    live_refs.reserve(live_count_);
-    for (std::size_t g = 0; g < entries_.size(); ++g) {
-      live_ids.push_back(g);  // liveness filtered under the stripes below
-      live_refs.push_back(entries_[g]);
-    }
-  }
-  const StripeGuard stripes = lock_all_stripes_shared();
-  std::size_t kept = 0;
-  for (std::size_t idx = 0; idx < live_ids.size(); ++idx) {
-    const EntryRef& e = live_refs[idx];
-    if (!shards_[e.shard].live(e.local)) continue;
-    live_ids[kept] = live_ids[idx];
-    live_refs[kept] = e;
-    ++kept;
-  }
-  live_ids.resize(kept);
-  live_refs.resize(kept);
-  const std::size_t d = live_refs.empty() ? 0 : row_nolock(live_refs[0]).size();
-  std::vector<std::span<const float>> live_rows(kept);
-  std::vector<float> norms(kept);
-  std::vector<QuantGate> gates(kept);
-  std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept), cd_norm(kept);
-  for (std::size_t a = 0; a < kept; ++a) {
-    const EntryRef& e = live_refs[a];
-    live_rows[a] = row_nolock(e);
-    norms[a] = shards_[e.shard].norm(e.local);
-    gates[a] = make_quant_gate(shards_[e.shard].quant_view(e.local), d);
-    cd_scale[a] = gates[a].scale;
-    cd_sq[a] = gates[a].sq;
-    cd_e[a] = gates[a].e;
-    cd_norm[a] = gates[a].norm;
-  }
-  const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                          cd_norm.data(), norms.data()};
-  const KernelOps& ops = kernel_ops(options_.kernel);
-  // Same caveat as screen_new_rows: the margin sweep compares the
-  // *unclamped* bound against delta, which only implies `exact ≤ delta`
-  // for delta ≥ −1; below that every pair rescores (prune_max = −inf
-  // makes everything a hit), which is exactly what the clamp demands.
-  const double prune_max =
-      delta >= -1.0F ? static_cast<double>(delta)
-                     : -std::numeric_limits<double>::infinity();
-  std::vector<std::vector<PairScore>> per_a(kept);
-  const auto screen_row = [&](std::size_t a) {
-    const float* ra = live_rows[a].data();
-    const QuantGate& ga = gates[a];
-    const std::size_t tail = kept - a - 1;
-    if (tail == 0) return;
-    // Rows of different shards are not contiguous, so the dots fill
-    // stays per-pair; the bound test and hit compaction are one
-    // vectorized sweep over the tail b ∈ (a, kept).
-    std::vector<std::int32_t> dots(tail);
-    std::vector<double> num(tail);
-    std::vector<double> den(tail);
-    std::vector<std::uint32_t> hits(tail);
-    for (std::size_t b = a + 1; b < kept; ++b) {
-      dots[b - a - 1] = ops.dot_i8(ga.q, gates[b].q, d);
-    }
-    const QuantStatsSoa tail_soa{soa.scale + a + 1, soa.sq + a + 1,
-                                 soa.e + a + 1, soa.normd + a + 1,
-                                 soa.normf + a + 1};
-    const std::size_t n_hits =
-        ops.quant_margin_sweep(make_sweep_query(ga), tail_soa, dots.data(),
-                               tail, prune_max, num.data(), den.data(),
-                               hits.data());
-    for (std::size_t h = 0; h < n_hits; ++h) {
-      const std::size_t b = a + 1 + hits[h];
-      const float sim =
-          cosine_cell(ra, live_rows[b].data(), d, norms[a] * norms[b]);
-      if (sim > delta) per_a[a].push_back({live_ids[a], live_ids[b], sim});
-    }
-  };
-  fan_out(kept, screen_row);
-  std::vector<PairScore> pairs;
-  for (std::vector<PairScore>& bucket : per_a) {
-    pairs.insert(pairs.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(pairs.begin(), pairs.end(), flag_order);
-  return pairs;
 }
 
 }  // namespace gnn4ip::core

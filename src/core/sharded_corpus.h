@@ -6,28 +6,27 @@
 // EmbeddingStore shards by a deterministic hash of the design *name*
 // (FNV-1a — stable across runs, platforms, and shard-local history), so
 // placement never depends on arrival order, and per-shard work (scoring
-// columns, compaction, eviction budgets) can proceed independently.
+// sweeps, compaction, eviction budgets) can proceed independently.
 //
 // Callers never see shard-local indices. Every public index is a
-// *global* id assigned in insertion order, exactly like a single
-// PairwiseScorer: add() returns N, remove(i) tombstones, compact()
-// remaps to a dense 0..live−1 numbering in insertion order. Because the
-// global index space, the per-cell kernel arithmetic (cosine_kernels.h),
-// and the merge tie-breaks are all shard-count-independent,
-// score()/score_new_rows()/top_k()/flag() are bit-identical to the
-// single-shard PairwiseScorer path for any shard count × worker count —
-// the sharding test suite asserts this, and audit::AuditService relies
-// on it.
+// *global* id assigned in insertion order: add() returns N, remove(i)
+// tombstones, compact() remaps to a dense 0..live−1 numbering in
+// insertion order. Each shard's partials come from the sweeps of
+// core/shard_sweep.h, and the merges below use fixed tie-breaks
+// (descending similarity, then ascending global index), so
+// screen_new_rows()/top_k() give bit-identical results for any shard
+// count × worker count — the sharding test suite checks them against an
+// exhaustive oracle, and audit::AuditService relies on it.
 //
-// score_new_rows and top_k fan the shards out over util::ThreadPool
-// (each shard's task writes only its own entries' cells), so screening
-// scales across cores without a determinism tax.
+// screen_new_rows and top_k fan the shards out over util::ThreadPool
+// (each shard's task writes only its own partials), so screening scales
+// across cores without a determinism tax.
 //
 // Concurrency (shard-striped reader/writer locking): the corpus is safe
 // for K consumer threads screening concurrent batches.
-//   - Reads (score/score_new_rows/top_k/flag/row/name/live/counts) take
-//     every touched shard's stripe *shared* — readers overlap freely
-//     across consumers.
+//   - Reads (screen_new_rows/top_k/row/name/live/counts) take every
+//     touched shard's stripe *shared* — readers overlap freely across
+//     consumers.
 //   - Admissions (add) and tombstoning (remove) serialize on the global
 //     index (the deterministic admission-ticket fold: global ids are
 //     assigned in the order admitters win index_mu_) and take only the
@@ -48,7 +47,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,18 +97,17 @@ class ShardedCorpus final : public CorpusBackend {
   /// vector iterator.
   [[nodiscard]] std::span<const float> row(std::size_t i) const;
 
-  /// Tombstone global row `i` (skipped by top_k/flag, erased by the next
-  /// compact; still positionally included by score/score_new_rows).
+  /// Tombstone global row `i` (skipped by screening and top_k, erased by
+  /// the next compact; row(i) stays addressable until then).
   void remove(std::size_t i) override;
   [[nodiscard]] bool live(std::size_t i) const override;
   [[nodiscard]] std::size_t live_count() const override;
 
   /// Compact every shard and renumber the global index space densely in
   /// insertion order. Returns result[old_global] = new_global or
-  /// kNoIndex — the same contract as PairwiseScorer::compact(), and the
-  /// same mapping values for any shard count. Takes the global epoch:
-  /// every in-flight reader and admitter completes first, so no caller
-  /// ever observes a half-remapped index space.
+  /// kNoIndex — the same mapping values for any shard count. Takes the
+  /// global epoch: every in-flight reader and admitter completes first,
+  /// so no caller ever observes a half-remapped index space.
   std::vector<std::size_t> compact() override;
 
   // ---- Shard introspection ----------------------------------------------
@@ -118,54 +115,28 @@ class ShardedCorpus final : public CorpusBackend {
   [[nodiscard]] std::size_t shard_of(std::size_t i) const override;
   [[nodiscard]] std::size_t shard_live_count(std::size_t s) const override;
   [[nodiscard]] std::size_t shard_budget() const override { return shard_budget_; }
-  [[nodiscard]] const EmbeddingStore& shard(std::size_t s) const;
 
-  // ---- Scoring (bit-identical to the single-shard PairwiseScorer) -------
-  /// Single pair of global rows (tombstoned rows still addressable).
-  [[nodiscard]] float score(std::size_t i, std::size_t j) const override;
-
-  /// Cosine of every row with global index ≥ `first_new` against the
-  /// whole corpus, as an (N − first_new) × N matrix — the incremental
-  /// screening kernel. Shards fan out over the worker pool; each cell is
-  /// written by exactly one worker from the same two rows the
-  /// single-shard path reads, so the result is bit-identical to
-  /// PairwiseScorer::score_new_rows for any shard count × worker count.
-  /// N snapshots at entry; rows admitted concurrently are not scored.
-  [[nodiscard]] tensor::Matrix score_new_rows(std::size_t first_new) const;
-
+  // ---- Scoring (bit-identical for any shard count × worker count) ------
   /// Verdict-shaped screening: for every row with global index ≥
-  /// `first_new`, the flagged matches (exact similarity > delta) and the
-  /// best match among *live* rows with global index < first_new. The
-  /// similarities are the exact scalar-kernel values — bit-identical to
-  /// the matching cells of score_new_rows — whether the corpus screens
-  /// exactly or through the int8 prefilter
-  /// (options().int8_prefilter): prefilter bounds are rigorous, so a
-  /// candidate is pruned only when it provably cannot flag or be best,
-  /// and every reported similarity is an exact rescore.
+  /// `first_new`, the flagged matches (similarity > delta) and the best
+  /// match among *live* rows with global index < first_new, every
+  /// similarity the exact cosine_cell value. Shards fan out over the
+  /// worker pool (screen_shard); the per-shard bests merge under
+  /// (similarity desc, global index asc), so the winner is the first
+  /// maximum in global order. N snapshots at entry; rows admitted
+  /// concurrently are not screened.
   [[nodiscard]] std::vector<ScreenRow> screen_new_rows(
       std::size_t first_new, float delta) const override;
 
   /// The k live entries most similar to global row `i` (i itself and
   /// removed rows excluded), descending similarity with ascending-index
-  /// tie-break. Per-shard candidate scans fan out over the pool; the
-  /// merge comparator is a total order (no two candidates share a global
-  /// index), so the merged result is independent of shard count, worker
-  /// count, and merge arrival order. Candidates admitted concurrently
-  /// (global id past the entry snapshot) are excluded.
+  /// tie-break. Each shard returns its top-min(k) prefix (top_k_shard);
+  /// the merge comparator is a total order (no two candidates share a
+  /// global index), so the merged result is independent of shard count,
+  /// worker count, and merge arrival order. Candidates admitted
+  /// concurrently (global id past the entry snapshot) are excluded.
   [[nodiscard]] std::vector<PairScore> top_k(std::size_t i,
                                              std::size_t k) const override;
-
-  /// All unordered pairs of live rows (ascending (a, b) global order).
-  [[nodiscard]] std::vector<PairScore> score_all_pairs() const;
-
-  /// Live pairs with similarity > delta, in flag_order (descending
-  /// similarity, ascending (a, b) tie-break) — bit-identical to
-  /// PairwiseScorer::flag. The overload without an argument uses
-  /// options().delta.
-  [[nodiscard]] std::vector<PairScore> flag(float delta) const override;
-  [[nodiscard]] std::vector<PairScore> flag() const {
-    return flag(options_.delta);
-  }
 
   // ---- Persistence (snapshot directory: manifest + one file per shard) --
   /// Write the corpus to directory `dir` (created if absent): one
@@ -257,9 +228,11 @@ class ShardedCorpus final : public CorpusBackend {
     return shards_[e.shard].row(e.local);
   }
 
-  /// flag(delta) through the int8 bound gate (chosen by flag() when
-  /// options().int8_prefilter is set) — bit-identical flagged set.
-  [[nodiscard]] std::vector<PairScore> flag_prefiltered(float delta) const;
+  /// Rows of shard `s` admitted before global index `end`: an
+  /// ascending prefix of its local order (globals_[s] is ascending).
+  /// Callers hold stripe s.
+  [[nodiscard]] std::size_t prefix_below(std::size_t s,
+                                         std::size_t end) const;
 
   ScorerOptions options_;
   std::size_t shard_budget_ = 0;

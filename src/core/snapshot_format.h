@@ -21,10 +21,13 @@
 // the in-memory corpus untouched.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace gnn4ip::core {
 
@@ -39,12 +42,11 @@ inline constexpr std::uint32_t kShardFormatVersion = 1;
 /// value on a foreign-endian host, turning silent float garbage into a
 /// typed rejection.
 inline constexpr std::uint32_t kByteOrderMark = 0x0A0B0C0Du;
-/// 4-byte tag opening the *optional* quantized-tier section appended
-/// after the name table of a v1 shard file: per-row float scales, then
-/// the int8 row block. Files without the section load fine (the tier is
-/// rebuilt from the float rows); files with it are verified against a
-/// deterministic rebuild byte-for-byte.
-inline constexpr char kQuantSectionTag[4] = {'Q', 'N', 'T', '8'};
+/// 4-byte tag opening the legacy QNT8 trailer that earlier builds
+/// appended after the name table of a v1 shard file: per-row float
+/// scales, then the int8 row block. This build never writes it; the
+/// loader skips it once its tag and exact length check out.
+inline constexpr char kLegacyQuantTag[4] = {'Q', 'N', 'T', '8'};
 
 /// Magic token opening the corpus manifest, followed by " v<version>".
 inline constexpr const char* kManifestMagic = "gnn4ip-corpus";
@@ -152,5 +154,29 @@ void read_bytes(std::istream& is, void* data, std::size_t size,
 /// Throws SnapshotTruncatedError unless `is` is positioned exactly at
 /// end-of-stream (a snapshot artifact has no trailing bytes).
 void expect_eof(std::istream& is, const char* artifact);
+
+// ---- Corpus manifest -----------------------------------------------------
+// The one reader and writer of the text manifest, shared by every
+// CorpusBackend (ShardedCorpus and dist::DistCorpus), so either
+// implementation restores the other's snapshots.
+
+/// Everything a corpus manifest records.
+struct CorpusManifest {
+  std::string fingerprint;         // embedder that produced the rows
+  std::size_t dim = 0;
+  std::size_t shards = 0;
+  std::vector<std::size_t> order;  // global index -> shard id
+};
+
+/// Write `manifest` to the file at `path`. Throws SnapshotIoError when
+/// the file cannot be written.
+void write_manifest(const std::filesystem::path& path,
+                    const CorpusManifest& manifest);
+
+/// Parse and range-check the manifest file at `path` before any caller
+/// state is touched. Throws SnapshotIoError, SnapshotMagicError,
+/// SnapshotVersionError, SnapshotTruncatedError, or
+/// SnapshotManifestError.
+[[nodiscard]] CorpusManifest parse_manifest(const std::filesystem::path& path);
 
 }  // namespace gnn4ip::core

@@ -1,9 +1,7 @@
 #include "dist/dist_corpus.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <utility>
 
@@ -338,18 +336,6 @@ std::size_t DistCorpus::shard_live_count(std::size_t s) const {
   return shard_live_[s];
 }
 
-float DistCorpus::score(std::size_t i, std::size_t j) const {
-  util::MutexLock lock(shared_->mu);
-  check_reconciled_locked();
-  GNN4IP_ENSURE(i < entries_.size() && j < entries_.size(),
-                "DistCorpus: pair index out of range");
-  // Single pairs score off the mirror — same bytes, same cosine_pair
-  // arithmetic as in-process, and no round trip.
-  const std::span<const float> a(rows_.data() + i * dim_, dim_);
-  const std::span<const float> b(rows_.data() + j * dim_, dim_);
-  return core::cosine_pair(a, b);
-}
-
 std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
                                                    float delta) const {
   util::MutexLock lock(shared_->mu);
@@ -381,7 +367,6 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
     b.put_u32(static_cast<std::uint32_t>(d));
     b.put_u32(static_cast<std::uint32_t>(new_rows));
     b.put_f32(delta);
-    b.put_u8(options_.int8_prefilter ? 1 : 0);
     b.put_u64(limits[s]);
     b.finish(tail_bytes);
     ch.sock.write_vectored({{ch.sendbuf.data(), ch.sendbuf.size()},
@@ -449,7 +434,6 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
     b.put_u64(k);
     b.put_u64(globals_[s].size());
     b.put_u64(entries_[i].shard == s ? entries_[i].local : kNoLocal);
-    b.put_u8(options_.int8_prefilter ? 1 : 0);
     b.put_bytes(rows_.data() + i * d, d * sizeof(float));
     b.finish();
     flush_locked(ch);
@@ -478,105 +462,6 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
   std::sort(merged.begin(), merged.end(), closer);
   merged.resize(std::min(k, merged.size()));
   return merged;
-}
-
-std::vector<PairScore> DistCorpus::flag(float delta) const {
-  util::MutexLock lock(shared_->mu);
-  check_reconciled_locked();
-  const std::size_t d = dim_;
-  const std::size_t shard_count = globals_.size();
-  const std::uint8_t prefilter = options_.int8_prefilter ? 1 : 0;
-  std::vector<PairScore> pairs;
-
-  // Round 1 — within-shard pairs, one request per shard, pipelined.
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    Channel& ch = shared_->channels[s];
-    flush_locked(ch);
-    FrameBuilder b(ch.sendbuf, MsgType::kFlag);
-    b.put_f32(delta);
-    b.put_u8(prefilter);
-    b.put_u64(globals_[s].size());
-    b.finish();
-    flush_locked(ch);
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const net::Frame frame =
-        net::expect_frame(shared_->channels[s].sock, MsgType::kFlagResult);
-    FrameCursor cur(frame.payload);
-    const std::uint32_t count = cur.get_u32("pair count");
-    for (std::uint32_t m = 0; m < count; ++m) {
-      const std::uint64_t la = cur.get_u64("pair local a");
-      const std::uint64_t lb = cur.get_u64("pair local b");
-      const float sim = cur.get_f32("pair similarity");
-      if (la >= globals_[s].size() || lb >= globals_[s].size()) {
-        throw net::WireProtocolError("shard " + std::to_string(s) +
-                                     " flagged an unknown local pair");
-      }
-      // Within one shard local order equals global order, so (la < lb)
-      // already gives ascending global (a, b).
-      pairs.push_back({globals_[s][static_cast<std::size_t>(la)],
-                       globals_[s][static_cast<std::size_t>(lb)], sim});
-    }
-    cur.done("FlagResult");
-  }
-
-  // Rounds 2..S — cross-shard pairs: shard s's live rows travel once to
-  // every shard t > s. Each round sends at most one request per
-  // connection (all distinct t), so requests pipeline across servers
-  // without ever queueing two bulk payloads on one socket.
-  std::vector<float> scratch;
-  std::vector<std::size_t> probe_globals;
-  for (std::size_t s = 0; s + 1 < shard_count; ++s) {
-    probe_globals.clear();
-    for (const std::size_t g : globals_[s]) {
-      if (live_[g] != 0) probe_globals.push_back(g);
-    }
-    if (probe_globals.empty()) continue;
-    scratch.resize(probe_globals.size() * d);
-    for (std::size_t p = 0; p < probe_globals.size(); ++p) {
-      std::memcpy(scratch.data() + p * d,
-                  rows_.data() + probe_globals[p] * d, d * sizeof(float));
-    }
-    const std::size_t tail_bytes = scratch.size() * sizeof(float);
-    for (std::size_t t = s + 1; t < shard_count; ++t) {
-      Channel& ch = shared_->channels[t];
-      flush_locked(ch);
-      FrameBuilder b(ch.sendbuf, MsgType::kCrossFlag);
-      b.put_u32(static_cast<std::uint32_t>(d));
-      b.put_u32(static_cast<std::uint32_t>(probe_globals.size()));
-      b.put_f32(delta);
-      b.put_u8(prefilter);
-      b.put_u64(globals_[t].size());
-      b.finish(tail_bytes);
-      ch.sock.write_vectored({{ch.sendbuf.data(), ch.sendbuf.size()},
-                              {scratch.data(), tail_bytes}});
-      ch.sendbuf.clear();
-    }
-    for (std::size_t t = s + 1; t < shard_count; ++t) {
-      const net::Frame frame = net::expect_frame(
-          shared_->channels[t].sock, MsgType::kCrossFlagResult);
-      FrameCursor cur(frame.payload);
-      const std::uint32_t count = cur.get_u32("hit count");
-      for (std::uint32_t m = 0; m < count; ++m) {
-        const std::uint32_t p = cur.get_u32("hit probe");
-        const std::uint64_t local = cur.get_u64("hit local");
-        const float sim = cur.get_f32("hit similarity");
-        if (p >= probe_globals.size() || local >= globals_[t].size()) {
-          throw net::WireProtocolError("shard " + std::to_string(t) +
-                                       " flagged an unknown cross pair");
-        }
-        const std::size_t ga = probe_globals[p];
-        const std::size_t gb = globals_[t][static_cast<std::size_t>(local)];
-        // Cosine is bit-symmetric (commutative multiplies, same
-        // ascending-k sum), so orienting the pair ascending matches the
-        // in-process (a < b) enumeration exactly.
-        pairs.push_back({std::min(ga, gb), std::max(ga, gb), sim});
-      }
-      cur.done("CrossFlagResult");
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), core::flag_order);
-  return pairs;
 }
 
 void DistCorpus::save(const std::string& dir,
@@ -615,29 +500,14 @@ void DistCorpus::save(const std::string& dir,
           std::to_string(shard_live_[s]) + " live) — state has drifted");
     }
   }
-  // The manifest comes from the mirror — the same lines, in the same
-  // order, as ShardedCorpus::save, so either implementation restores
-  // the other's snapshots.
-  const std::filesystem::path manifest_path = root / core::kManifestFileName;
-  std::ofstream os(manifest_path, std::ios::trunc);
-  if (!os) {
-    throw core::SnapshotIoError("cannot open '" + manifest_path.string() +
-                                "' for writing");
-  }
-  os << core::kManifestMagic << " v" << core::kManifestFormatVersion << '\n';
-  os << "model " << model_fingerprint << '\n';
-  os << "placement " << core::kPlacementScheme << '\n';
-  os << "dim " << dim_ << '\n';
-  os << "shards " << shard_count << '\n';
-  os << "entries " << entries_.size() << '\n';
-  os << "order";
-  for (const EntryRef& e : entries_) os << ' ' << e.shard;
-  os << '\n';
-  os << "end\n";
-  if (!os) {
-    throw core::SnapshotIoError("short write to '" + manifest_path.string() +
-                                "'");
-  }
+  // The manifest comes from the mirror, through the same writer as
+  // ShardedCorpus::save, so either implementation restores the other's
+  // snapshots.
+  core::CorpusManifest manifest{std::string(model_fingerprint), dim_,
+                                shard_count, {}};
+  manifest.order.reserve(entries_.size());
+  for (const EntryRef& e : entries_) manifest.order.push_back(e.shard);
+  core::write_manifest(root / core::kManifestFileName, manifest);
 }
 
 std::unique_ptr<core::CorpusBackend> DistCorpus::restored(

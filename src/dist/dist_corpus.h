@@ -6,21 +6,20 @@
 // and liveness — and uses ShardedCorpus::placement() as the partition
 // map, so a design lands on the same shard id whether the corpus is
 // in-process or distributed. Shard servers hold the same rows and run
-// the same per-shard sweep arithmetic (dist::ShardServer); every float
-// that crosses the wire back is a scalar cosine_cell value, and the
-// front end applies the same fixed tie-break merges as ShardedCorpus
-// (flag_order; descending similarity then ascending global index), so
-// verdicts are bit-identical to the in-process path for any shard-
-// process count — the dist test suite asserts this cell by cell.
+// the same per-shard sweeps (core/shard_sweep.h, behind
+// dist::ShardServer), and the front end applies the same fixed
+// tie-break merges as ShardedCorpus (descending similarity, then
+// ascending global index), so verdicts are bit-identical to the
+// in-process path for any shard-process count.
 //
 // Perf shape (Galois NetworkInterfaceBuffered):
 //   * one-way mutations (AdmitRows/Remove/Compact) append frames to a
 //     per-connection send buffer, flushed when it crosses
 //     kFlushThresholdBytes or at the latest before the next request on
 //     that connection — many small admissions ride one send(2);
-//   * bulk probe blocks (Screen's N×D new-rows slab, CrossFlag's
-//     gathered rows) go out as a writev tail straight from the mirror,
-//     never copied into the buffer;
+//   * the bulk probe block (Screen's N×D new-rows slab) goes out as a
+//     writev tail straight from the mirror, never copied into the
+//     buffer;
 //   * fan-out requests are pipelined: every shard's request is written
 //     before any response is read, so shard processes compute
 //     concurrently (at most one in-flight request per connection, which
@@ -101,13 +100,11 @@ class DistCorpus final : public core::CorpusBackend {
   }
 
   // ---- Scoring (bit-identical to ShardedCorpus) -------------------------
-  [[nodiscard]] float score(std::size_t i, std::size_t j) const override;
   [[nodiscard]] std::vector<core::ScreenRow> screen_new_rows(
       std::size_t first_new, float delta) const override;
   [[nodiscard]] std::vector<core::PairScore> top_k(std::size_t i,
                                                    std::size_t k)
       const override;
-  [[nodiscard]] std::vector<core::PairScore> flag(float delta) const override;
 
   // ---- Persistence ------------------------------------------------------
   /// Each server writes its own shard file into `dir` (v1 assumes a
@@ -197,7 +194,7 @@ class DistCorpus final : public core::CorpusBackend {
   /// Per shard: local index -> global index, ascending.
   std::vector<std::vector<std::size_t>> globals_;
   /// Row-major size()×dim() float mirror — probe source for every
-  /// request, and the bytes score() reads.
+  /// request.
   std::vector<float> rows_;
   /// Names in a deque: name(i) hands out references that stay valid
   /// across admissions (invalidated only by compact, like ShardedCorpus).

@@ -1,19 +1,17 @@
 #include "dist/shard_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/cosine_kernels.h"
+#include "core/shard_sweep.h"
 #include "core/snapshot_format.h"
 #include "net/wire_format.h"
 #include "tensor/matrix.h"
@@ -22,54 +20,29 @@ namespace gnn4ip::dist {
 
 namespace {
 
-using core::cosine_cell;
-using core::CosineBounds;
 using core::EmbeddingStore;
-using core::KernelOps;
-using core::make_quant_gate;
-using core::make_sweep_query;
-using core::QuantGate;
-using core::QuantRowView;
-using core::QuantStatsSoa;
-using core::QuantSweepQuery;
 using net::FrameBuilder;
 using net::FrameCursor;
 using net::MsgType;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One shard-local match (the wire's result unit — the front end owns
-/// the local→global mapping).
-struct Match {
-  std::uint64_t local = 0;
-  float similarity = 0.0F;
-};
-
-/// Materialize a request's probe block as a throwaway EmbeddingStore:
-/// add() runs the exact same quantization/norm arithmetic the original
-/// corpus ran on these float bytes, so probe gates and norms here are
-/// bit-identical to the in-process query gates — the server never
-/// reimplements (or risks drifting from) the quant tier.
-EmbeddingStore make_probe_store(FrameCursor& cur, std::size_t nrows,
-                                std::size_t dim, const char* field) {
+/// Copy a request's `nrows`×`dim` probe block out of the frame into
+/// `storage` and view it as one span per row. The block sits behind the
+/// 5-byte frame header, so it may be unaligned: memcpy, never a float*
+/// read in place.
+std::vector<std::span<const float>> read_probes(FrameCursor& cur,
+                                                std::size_t nrows,
+                                                std::size_t dim,
+                                                std::vector<float>& storage,
+                                                const char* field) {
   const float* block = cur.get_f32_array(nrows * dim, field);
-  EmbeddingStore probes;
-  tensor::Matrix row(1, dim);
+  storage.resize(nrows * dim);
+  std::memcpy(storage.data(), block, storage.size() * sizeof(float));
+  std::vector<std::span<const float>> rows;
+  rows.reserve(nrows);
   for (std::size_t r = 0; r < nrows; ++r) {
-    // memcpy, not a float* cast read: the block sits behind a 5-byte
-    // frame header and may be unaligned.
-    std::memcpy(row.row(0).data(), block + r * dim, dim * sizeof(float));
-    probes.add("probe" + std::to_string(r), row);
+    rows.push_back(std::span<const float>(storage).subspan(r * dim, dim));
   }
-  return probes;
-}
-
-/// The ranking comparator of ShardedCorpus::top_k, on shard-local
-/// indices — within one shard, local order equals global order, so the
-/// tie-breaks agree with the in-process ones.
-bool closer(const Match& x, const Match& y) {
-  if (x.similarity != y.similarity) return x.similarity > y.similarity;
-  return x.local < y.local;
+  return rows;
 }
 
 }  // namespace
@@ -202,7 +175,6 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
                            const std::vector<std::uint8_t>& payload) {
   FrameCursor cur(payload);
   std::vector<std::uint8_t> out;
-  const KernelOps& ops = core::kernel_ops(options_.kernel);
   const auto check_dim = [&](std::uint32_t dim) {
     if (dim == 0) {
       throw net::WireProtocolError("request declares dim 0");
@@ -272,143 +244,28 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       const std::uint32_t nrows = cur.get_u32("probe count");
       if (nrows == 0) throw net::WireProtocolError("Screen with 0 probes");
       const float delta = cur.get_f32("delta");
-      const bool prefilter = cur.get_u8("prefilter") != 0;
-      const std::uint64_t limit64 = cur.get_u64("candidate limit");
-      check_limit(limit64);
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-      const std::size_t d = dim;
-      const EmbeddingStore probes =
-          make_probe_store(cur, nrows, d, "probe rows");
+      const std::uint64_t limit = cur.get_u64("candidate limit");
+      check_limit(limit);
+      std::vector<float> storage;
+      const std::vector<std::span<const float>> probes =
+          read_probes(cur, nrows, dim, storage, "probe rows");
       cur.done("Screen");
-
-      // This is ShardedCorpus::screen_new_rows's run_shard on the local
-      // store, with one addition: the pruned band resolves HERE (sorted
-      // by upper bound, same break/skip/update rules as the in-process
-      // merge), so what crosses back is the shard's true exact
-      // first-max. Merging per-shard true first-maxes under the fixed
-      // (sim desc, index asc) order reproduces the in-process best bit
-      // for bit. `rescored` can differ from the in-process tally (the
-      // local band seeds from a weaker shard-local best) — diagnostics
-      // only, documented in docs/ARCHITECTURE.md.
-      struct RowPartial {
-        std::vector<Match> flagged;
-        std::optional<Match> best;
-        std::uint64_t scanned = 0;
-        std::uint64_t rescored = 0;
-      };
-      std::vector<RowPartial> partials(nrows);
-      if (!prefilter) {
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (!store_.live(local)) continue;
-          const float* rb = store_.row(local).data();
-          const float norm_b = store_.norm(local);
-          for (std::size_t r = 0; r < nrows; ++r) {
-            RowPartial& p = partials[r];
-            ++p.scanned;
-            ++p.rescored;
-            const float sim = cosine_cell(probes.row(r).data(), rb, d,
-                                          probes.norm(r) * norm_b);
-            if (sim > delta) p.flagged.push_back({local, sim});
-            if (!p.best || sim > p.best->similarity) {
-              p.best = Match{local, sim};
-            }
-          }
-        }
-      } else {
-        const QuantStatsSoa soa = store_.quant_stats();
-        std::size_t live_n = 0;
-        for (std::size_t local = 0; local < limit; ++local) {
-          live_n += store_.live(local) ? 1 : 0;
-        }
-        const auto dots =
-            std::make_unique_for_overwrite<std::int32_t[]>(limit);
-        const auto num = std::make_unique_for_overwrite<double[]>(limit);
-        const auto den = std::make_unique_for_overwrite<double[]>(limit);
-        const auto hits =
-            std::make_unique_for_overwrite<std::uint32_t[]>(limit);
-        const std::int8_t* qbase = limit > 0 ? store_.qrow(0).data() : nullptr;
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        struct Pruned {
-          std::size_t local = 0;
-          float ub = 0.0F;
-        };
-        for (std::size_t r = 0; r < nrows; ++r) {
-          RowPartial& p = partials[r];
-          p.scanned += live_n;
-          if (limit == 0) continue;
-          const QuantGate ga = make_quant_gate(probes.quant_view(r), d);
-          const QuantSweepQuery qc = make_sweep_query(ga);
-          const float* qrow = probes.row(r).data();
-          const float qnorm = probes.norm(r);
-          const std::size_t n_rescore = ops.quant_screen_sweep(
-              qc, ga.q, qbase, d, soa, limit, prune_max, dots.get(),
-              num.get(), den.get(), hits.get());
-          float best_lb = -2.0F;
-          for (std::size_t h = 0; h < n_rescore; ++h) {
-            const std::size_t local = hits[h];
-            if (!store_.live(local)) continue;
-            ++p.rescored;
-            const float sim = cosine_cell(qrow, store_.row(local).data(), d,
-                                          qnorm * soa.normf[local]);
-            if (sim > delta) p.flagged.push_back({local, sim});
-            if (!p.best || sim > p.best->similarity) p.best = Match{local, sim};
-            if (sim > best_lb) best_lb = sim;
-          }
-          const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
-          double best_lb_d = best_lb;
-          const std::size_t n_band = ops.quant_survivor_scan(
-              num.get(), den.get(), limit, keep_lb, hits.get());
-          std::vector<Pruned> pruned;
-          for (std::size_t h = 0; h < n_band; ++h) {
-            const std::size_t local = hits[h];
-            if (!store_.live(local)) continue;
-            const double nm = num[local];
-            const double dn = den[local];
-            if (nm > prune_max * dn) continue;
-            if (best_lb > -1.0F && nm < best_lb_d * dn) continue;
-            const CosineBounds bounds = core::quant_gate_bounds(
-                ga, make_quant_gate(store_.quant_view(local), d),
-                dots[local]);
-            pruned.push_back({local, bounds.ub});
-            if (bounds.lb > best_lb) {
-              best_lb = bounds.lb;
-              best_lb_d = bounds.lb;
-            }
-          }
-          std::sort(pruned.begin(), pruned.end(),
-                    [](const Pruned& x, const Pruned& y) {
-                      if (x.ub != y.ub) return x.ub > y.ub;
-                      return x.local < y.local;
-                    });
-          for (const Pruned& c : pruned) {
-            if (p.best) {
-              if (c.ub < p.best->similarity) break;
-              if (c.ub == p.best->similarity && c.local > p.best->local) {
-                continue;
-              }
-            }
-            ++p.rescored;
-            const float sim = cosine_cell(qrow, store_.row(c.local).data(), d,
-                                          qnorm * store_.norm(c.local));
-            if (!p.best || sim > p.best->similarity ||
-                (sim == p.best->similarity && c.local < p.best->local)) {
-              p.best = Match{c.local, sim};
-            }
-          }
-        }
-      }
+      // The same sweep ShardedCorpus runs per shard: what crosses back
+      // is this shard's exact partials, which the front end merges
+      // under the in-process tie-breaks.
+      const std::vector<core::ScreenRow> partials = core::screen_shard(
+          store_, static_cast<std::size_t>(limit), probes, delta);
 
       FrameBuilder b(out, MsgType::kScreenResult);
-      for (const RowPartial& p : partials) {
+      for (const core::ScreenRow& p : partials) {
         b.put_u32(static_cast<std::uint32_t>(p.flagged.size()));
-        for (const Match& m : p.flagged) {
-          b.put_u64(m.local);
+        for (const core::ScreenMatch& m : p.flagged) {
+          b.put_u64(m.index);
           b.put_f32(m.similarity);
         }
         b.put_u8(p.best ? 1 : 0);
         if (p.best) {
-          b.put_u64(p.best->local);
+          b.put_u64(p.best->index);
           b.put_f32(p.best->similarity);
         }
         b.put_u64(p.scanned);
@@ -423,261 +280,22 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       const std::uint32_t dim = cur.get_u32("dim");
       check_dim(dim);
       const std::uint64_t k = cur.get_u64("k");
-      const std::uint64_t limit64 = cur.get_u64("candidate limit");
-      check_limit(limit64);
+      const std::uint64_t limit = cur.get_u64("candidate limit");
+      check_limit(limit);
       const std::uint64_t exclude = cur.get_u64("excluded local index");
-      const bool prefilter = cur.get_u8("prefilter") != 0;
-      const std::size_t d = dim;
-      const EmbeddingStore probes = make_probe_store(cur, 1, d, "probe row");
+      std::vector<float> storage;
+      const std::vector<std::span<const float>> probe =
+          read_probes(cur, 1, dim, storage, "probe row");
       cur.done("TopK");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-      const float* query = probes.row(0).data();
-      const float query_norm = probes.norm(0);
-
-      std::vector<Match> result;
-      if (prefilter) {
-        // Bound every candidate, then exact-rescore in descending-bound
-        // order until the k-th exact value beats every remaining bound
-        // — ShardedCorpus::top_k's walk on one shard.
-        struct Cand {
-          std::size_t local = 0;
-          float ub = 0.0F;
-        };
-        const QuantRowView query_view = probes.quant_view(0);
-        std::vector<Cand> cands;
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (local == exclude || !store_.live(local)) continue;
-          const QuantRowView qv = store_.quant_view(local);
-          const std::int32_t dot = ops.dot_i8(query_view.q, qv.q, d);
-          const CosineBounds bounds =
-              core::quantized_cosine_bounds(query_view, qv, dot, d);
-          cands.push_back({local, bounds.ub});
-        }
-        std::sort(cands.begin(), cands.end(),
-                  [](const Cand& x, const Cand& y) {
-                    if (x.ub != y.ub) return x.ub > y.ub;
-                    return x.local < y.local;
-                  });
-        const std::size_t keep =
-            std::min(static_cast<std::size_t>(k), cands.size());
-        if (keep > 0) {
-          result.reserve(keep + 1);
-          for (const Cand& c : cands) {
-            if (result.size() == keep &&
-                c.ub < result.back().similarity) {
-              break;
-            }
-            const Match scored{
-                c.local, cosine_cell(query, store_.row(c.local).data(), d,
-                                     query_norm * store_.norm(c.local))};
-            const auto pos =
-                std::lower_bound(result.begin(), result.end(), scored, closer);
-            result.insert(pos, scored);
-            if (result.size() > keep) result.pop_back();
-          }
-        }
-      } else {
-        std::vector<Match> cands;
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (local == exclude || !store_.live(local)) continue;
-          cands.push_back(
-              {local, cosine_cell(query, store_.row(local).data(), d,
-                                  query_norm * store_.norm(local))});
-        }
-        const std::size_t keep =
-            std::min(static_cast<std::size_t>(k), cands.size());
-        std::partial_sort(cands.begin(),
-                          cands.begin() + static_cast<std::ptrdiff_t>(keep),
-                          cands.end(), closer);
-        cands.resize(keep);
-        result = std::move(cands);
-      }
+      const std::vector<core::ScreenMatch> result = core::top_k_shard(
+          store_, static_cast<std::size_t>(limit), probe[0],
+          static_cast<std::size_t>(k), static_cast<std::size_t>(exclude));
 
       FrameBuilder b(out, MsgType::kTopKResult);
       b.put_u32(static_cast<std::uint32_t>(result.size()));
-      for (const Match& m : result) {
-        b.put_u64(m.local);
+      for (const core::ScreenMatch& m : result) {
+        b.put_u64(m.index);
         b.put_f32(m.similarity);
-      }
-      b.finish();
-      socket.write_all(out.data(), out.size());
-      return true;
-    }
-
-    case MsgType::kFlag: {
-      const float delta = cur.get_f32("delta");
-      const bool prefilter = cur.get_u8("prefilter") != 0;
-      const std::uint64_t limit64 = cur.get_u64("candidate limit");
-      check_limit(limit64);
-      cur.done("Flag");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-      const std::size_t d = store_.dim();
-
-      std::vector<std::size_t> live;
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (store_.live(local)) live.push_back(local);
-      }
-      const std::size_t kept = live.size();
-
-      struct Pair {
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        float similarity = 0.0F;
-      };
-      std::vector<Pair> pairs;
-      if (!prefilter) {
-        for (std::size_t x = 0; x < kept; ++x) {
-          const float* ra = store_.row(live[x]).data();
-          const float na = store_.norm(live[x]);
-          for (std::size_t y = x + 1; y < kept; ++y) {
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * store_.norm(live[y]));
-            if (sim > delta) pairs.push_back({live[x], live[y], sim});
-          }
-        }
-      } else if (kept > 0) {
-        // ShardedCorpus::flag_prefiltered on one shard: gate each tail
-        // with the vectorized margin sweep, exact-rescore survivors.
-        // The gate is sound (skips only provable sim ≤ delta) and the
-        // output passes the exact `sim > delta` filter, so the flagged
-        // set matches the exact path's no matter how the gate decides.
-        std::vector<QuantGate> gates(kept);
-        std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept),
-            cd_norm(kept);
-        std::vector<float> norms(kept);
-        for (std::size_t x = 0; x < kept; ++x) {
-          gates[x] = make_quant_gate(store_.quant_view(live[x]), d);
-          cd_scale[x] = gates[x].scale;
-          cd_sq[x] = gates[x].sq;
-          cd_e[x] = gates[x].e;
-          cd_norm[x] = gates[x].norm;
-          norms[x] = store_.norm(live[x]);
-        }
-        const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                                cd_norm.data(), norms.data()};
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        std::vector<std::int32_t> dots(kept);
-        std::vector<double> num(kept);
-        std::vector<double> den(kept);
-        std::vector<std::uint32_t> hits(kept);
-        for (std::size_t x = 0; x < kept; ++x) {
-          const std::size_t tail = kept - x - 1;
-          if (tail == 0) break;
-          const QuantGate& ga = gates[x];
-          const float* ra = store_.row(live[x]).data();
-          for (std::size_t y = x + 1; y < kept; ++y) {
-            dots[y - x - 1] = ops.dot_i8(ga.q, gates[y].q, d);
-          }
-          const QuantStatsSoa tail_soa{soa.scale + x + 1, soa.sq + x + 1,
-                                       soa.e + x + 1, soa.normd + x + 1,
-                                       soa.normf + x + 1};
-          const std::size_t n_hits = ops.quant_margin_sweep(
-              make_sweep_query(ga), tail_soa, dots.data(), tail, prune_max,
-              num.data(), den.data(), hits.data());
-          for (std::size_t h = 0; h < n_hits; ++h) {
-            const std::size_t y = x + 1 + hits[h];
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          norms[x] * norms[y]);
-            if (sim > delta) pairs.push_back({live[x], live[y], sim});
-          }
-        }
-      }
-
-      FrameBuilder b(out, MsgType::kFlagResult);
-      b.put_u32(static_cast<std::uint32_t>(pairs.size()));
-      for (const Pair& p : pairs) {
-        b.put_u64(p.a);
-        b.put_u64(p.b);
-        b.put_f32(p.similarity);
-      }
-      b.finish();
-      socket.write_all(out.data(), out.size());
-      return true;
-    }
-
-    case MsgType::kCrossFlag: {
-      const std::uint32_t dim = cur.get_u32("dim");
-      check_dim(dim);
-      const std::uint32_t nprobes = cur.get_u32("probe count");
-      const float delta = cur.get_f32("delta");
-      const bool prefilter = cur.get_u8("prefilter") != 0;
-      const std::uint64_t limit64 = cur.get_u64("candidate limit");
-      check_limit(limit64);
-      const std::size_t d = dim;
-      const EmbeddingStore probes =
-          make_probe_store(cur, nprobes, d, "probe rows");
-      cur.done("CrossFlag");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-
-      std::vector<std::size_t> live;
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (store_.live(local)) live.push_back(local);
-      }
-      const std::size_t kept = live.size();
-
-      struct Hit {
-        std::uint32_t probe = 0;
-        std::uint64_t local = 0;
-        float similarity = 0.0F;
-      };
-      std::vector<Hit> result;
-      if (!prefilter) {
-        for (std::uint32_t r = 0; r < nprobes; ++r) {
-          const float* ra = probes.row(r).data();
-          const float na = probes.norm(r);
-          for (std::size_t y = 0; y < kept; ++y) {
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * store_.norm(live[y]));
-            if (sim > delta) result.push_back({r, live[y], sim});
-          }
-        }
-      } else if (kept > 0) {
-        std::vector<QuantGate> cand_gates(kept);
-        std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept),
-            cd_norm(kept);
-        std::vector<float> norms(kept);
-        for (std::size_t y = 0; y < kept; ++y) {
-          cand_gates[y] = make_quant_gate(store_.quant_view(live[y]), d);
-          cd_scale[y] = cand_gates[y].scale;
-          cd_sq[y] = cand_gates[y].sq;
-          cd_e[y] = cand_gates[y].e;
-          cd_norm[y] = cand_gates[y].norm;
-          norms[y] = store_.norm(live[y]);
-        }
-        const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                                cd_norm.data(), norms.data()};
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        std::vector<std::int32_t> dots(kept);
-        std::vector<double> num(kept);
-        std::vector<double> den(kept);
-        std::vector<std::uint32_t> hits(kept);
-        for (std::uint32_t r = 0; r < nprobes; ++r) {
-          const QuantGate ga = make_quant_gate(probes.quant_view(r), d);
-          const float* ra = probes.row(r).data();
-          const float na = probes.norm(r);
-          for (std::size_t y = 0; y < kept; ++y) {
-            dots[y] = ops.dot_i8(ga.q, cand_gates[y].q, d);
-          }
-          const std::size_t n_hits = ops.quant_margin_sweep(
-              make_sweep_query(ga), soa, dots.data(), kept, prune_max,
-              num.data(), den.data(), hits.data());
-          for (std::size_t h = 0; h < n_hits; ++h) {
-            const std::size_t y = hits[h];
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * norms[y]);
-            if (sim > delta) result.push_back({r, live[y], sim});
-          }
-        }
-      }
-
-      FrameBuilder b(out, MsgType::kCrossFlagResult);
-      b.put_u32(static_cast<std::uint32_t>(result.size()));
-      for (const Hit& h : result) {
-        b.put_u32(h.probe);
-        b.put_u64(h.local);
-        b.put_f32(h.similarity);
       }
       b.finish();
       socket.write_all(out.data(), out.size());

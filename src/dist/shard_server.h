@@ -2,18 +2,16 @@
 //
 // A shard server owns exactly one core::EmbeddingStore and speaks for
 // it over the wire: the front end (dist::DistCorpus) admits rows into
-// it, and screening requests run the SAME sweep arithmetic the
-// in-process ShardedCorpus runs per shard — int8 prefilter, exact
-// scalar rescoring, per-shard first-max best resolution — so what
-// crosses the wire back is only the shard's exact *partials* (flagged
-// matches, the shard-local best, top-k prefix), never raw rows or
-// bound-approximate values. That server-side resolution is both the
-// perf point (a 10k-row shard screen returns a handful of matches, not
-// 10k floats) and the determinism point: every similarity a server
-// reports is the scalar cosine_cell of the same row bytes the
-// in-process path would read, so the front end's fixed-tie-break
-// merges reproduce in-process verdicts bit for bit
-// (docs/ARCHITECTURE.md, "Distributed screening").
+// it, and Screen/TopK requests run the very sweeps the in-process
+// ShardedCorpus runs per shard (core/shard_sweep.h), so what crosses
+// the wire back is only the shard's exact *partials* (flagged matches,
+// the shard-local first-max best, top-k prefix), never raw rows. That
+// server-side resolution is both the perf point (a 10k-row shard
+// screen returns a handful of matches, not 10k floats) and the
+// determinism point: a remote shard's partials are the local shard's
+// by construction, so the front end's fixed-tie-break merges reproduce
+// in-process verdicts bit for bit (docs/ARCHITECTURE.md, "Distributed
+// screening").
 //
 // Addressing: the wire speaks shard-LOCAL row indices only. The front
 // end owns the global index space and the placement map; within one
@@ -34,7 +32,6 @@
 #include <string>
 
 #include "core/embedding_store.h"
-#include "core/simd_dispatch.h"
 #include "net/socket.h"
 #include "util/bounded_queue.h"
 
@@ -45,10 +42,6 @@ struct ShardServerOptions {
   /// first client's fingerprint at Hello time; non-empty = reject any
   /// client whose Hello carries a different one (WireFingerprintError).
   std::string fingerprint;
-  /// Kernel backend for the int8 prefilter sweeps. Integer kernels are
-  /// bit-identical across backends and every reported float is a scalar
-  /// rescore, so this is a pure perf knob.
-  core::KernelBackend kernel = core::KernelBackend::kAuto;
   /// Accept/drain poll granularity — the upper bound on how long stop()
   /// takes to be observed.
   unsigned poll_ms = 100;

@@ -146,13 +146,14 @@ std::string FrameCursor::get_string(const char* field) {
 }
 
 const float* FrameCursor::get_f32_array(std::size_t count, const char* field) {
-  const std::size_t bytes = count * sizeof(float);
-  if (size_ - pos_ < bytes) {
+  // Compared in floats, not bytes: a hostile count × 4 could wrap.
+  if ((size_ - pos_) / sizeof(float) < count) {
     throw WireTruncatedError("float block '" + std::string(field) +
                              "' declares " + std::to_string(count) +
                              " floats but only " +
                              std::to_string(size_ - pos_) + " bytes remain");
   }
+  const std::size_t bytes = count * sizeof(float);
   // Payload buffers come from std::vector<uint8_t> (aligned for any
   // scalar), and the floats were packed at float offsets — but the
   // frame header is 5 bytes, so the block itself may sit unaligned;

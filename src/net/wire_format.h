@@ -1,4 +1,4 @@
-// G4IPWIRE v1 — the length-prefixed binary protocol between the
+// G4IPWIRE v2 — the length-prefixed binary protocol between the
 // distributed-corpus front end (dist::DistCorpus) and shard servers
 // (dist::ShardServer / gnn4ip_shardd). Byte-level spec in
 // docs/FORMATS.md; this header is the single source of the constants,
@@ -40,8 +40,10 @@ namespace gnn4ip::net {
 
 /// 8-byte magic opening every Hello (no terminating NUL).
 inline constexpr char kWireMagic[8] = {'G', '4', 'I', 'P', 'W', 'I', 'R', 'E'};
-/// Protocol version this build speaks.
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Protocol version this build speaks. v2 dropped v1's prefilter byte
+/// from Screen/TopK and retired frame types 8, 9, 35 and 36, so a v1
+/// peer is refused at Hello (WireVersionError).
+inline constexpr std::uint32_t kWireVersion = 2;
 /// Byte-order mark carried in the Hello: reads back scrambled on a
 /// foreign-endian peer, turning silent float garbage into a typed
 /// rejection (same trick as the snapshot header).
@@ -58,7 +60,9 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr std::size_t kFlushThresholdBytes = 16 * 1024;
 
 /// Frame types. Client→server use 1..31, server→client 32..62, and 63
-/// is the error frame either side may send before closing.
+/// is the error frame either side may send before closing. Numbers are
+/// never reused: 8, 9, 35 and 36 (v1's all-pairs flag frames) are
+/// retired and answered as unknown types.
 enum class MsgType : std::uint8_t {
   // client → server
   kHello = 1,      // magic, version, BOM, dim, model fingerprint
@@ -68,16 +72,12 @@ enum class MsgType : std::uint8_t {
   kReset = 5,      // one-way: drop every row (warm-restart push)
   kScreen = 6,     // N probe rows → per-row flagged/best partials
   kTopK = 7,       // one probe row → ≤k best matches in this shard
-  kFlag = 8,       // all within-shard pairs above delta
-  kCrossFlag = 9,  // probe block × this shard's rows above delta
   kSaveShard = 10, // write this store as shard file s into a directory
   kInfo = 11,      // dim / row count / live count probe
   // server → client
   kHelloAck = 32,
   kScreenResult = 33,
   kTopKResult = 34,
-  kFlagResult = 35,
-  kCrossFlagResult = 36,
   kSaveAck = 37,
   kInfoAck = 38,
   kError = 63,  // u32 WireErrorCode + message; sender closes after

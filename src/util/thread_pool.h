@@ -1,8 +1,8 @@
 // Reusable worker pool for embarrassingly-parallel index loops.
 //
 // The embedding pipeline fans out over independent graphs
-// (PairwiseScorer::from_entries, Trainer::embed_all) and over tiles of
-// the blocked cosine kernel. Workers claim indices through an atomic
+// (Trainer::embed_all, the audit layer's batch embed) and corpus
+// screening over shards. Workers claim indices through an atomic
 // counter, so the schedule adapts to uneven per-index cost; because
 // every index writes only its own output slot, results are bit-identical
 // for any worker count — parallelism never changes the arithmetic.

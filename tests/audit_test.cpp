@@ -1,8 +1,7 @@
-// AuditService tests: screen() parity with the raw
-// PairwiseScorer::score_new_rows path (bit-identical across worker
-// counts — the facade must never change the arithmetic), Result-style
-// per-submission diagnostics, and the eviction story (LRU, pinning,
-// capacity bounds, evict-then-resubmit).
+// AuditService tests: screen() parity with the exhaustive oracle
+// (bit-identical across worker counts — the facade must never change
+// the arithmetic), Result-style per-submission diagnostics, and the
+// eviction story (LRU, pinning, capacity bounds, evict-then-resubmit).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +14,10 @@
 #include "audit/async_auditor.h"
 #include "audit/audit_service.h"
 #include "core/gnn4ip.h"
-#include "core/pairwise_scorer.h"
+#include "core/sharded_corpus.h"
 #include "data/corpus.h"
 #include "data/rtl_designs.h"
+#include "exhaustive_oracle.h"
 #include "util/contract.h"
 
 namespace gnn4ip::audit {
@@ -36,40 +36,43 @@ std::vector<train::GraphEntry> small_corpus() {
   return make_graph_entries(small_corpus_items());
 }
 
-TEST(AuditService, ScreenBitIdenticalToScoreNewRowsAcross1And2And8Workers) {
-  // The acceptance bar: screen() verdict similarities equal the rows of
-  // PairwiseScorer::score_new_rows on an identically built corpus — not
-  // approximately, bit-for-bit — for any worker count. Submissions
+TEST(AuditService, ScreenBitIdenticalToOracleAcrossShardsAndWorkers) {
+  // The acceptance bar: screen() verdict similarities equal the oracle's
+  // cells on an identically built corpus — not approximately,
+  // bit-for-bit — for {1, 2, 4} shards × {1, 2, 8} workers. Submissions
   // commit one at a time, so submission r scores against the library
-  // AND its r earlier batch-mates (columns j < library + r of the
-  // reference matrix).
+  // AND its r earlier batch-mates (rows j < library + r of the
+  // reference corpus).
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   ASSERT_GE(entries.size(), 6u);
   const std::size_t library = 5;
 
-  std::vector<std::vector<ScreenReport>> per_thread;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    AuditOptions options;
-    options.scorer.num_threads = threads;
-    options.scorer.delta = -2.0F;  // every resident match becomes a verdict
-    AuditService service(model, options);
-    for (std::size_t i = 0; i < library; ++i) {
-      ASSERT_TRUE(service.add_library(entries[i]).accepted);
+  std::vector<std::vector<ScreenReport>> per_config;
+  for (std::size_t shards : {1u, 2u, 4u}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      AuditOptions options;
+      options.num_shards = shards;
+      options.scorer.num_threads = threads;
+      options.scorer.delta = -2.0F;  // every resident match is a verdict
+      AuditService service(model, options);
+      for (std::size_t i = 0; i < library; ++i) {
+        ASSERT_TRUE(service.add_library(entries[i]).accepted);
+      }
+      for (std::size_t i = library; i < entries.size(); ++i) {
+        ASSERT_TRUE(service.submit(entries[i]));
+      }
+      per_config.push_back(service.screen());
     }
-    for (std::size_t i = library; i < entries.size(); ++i) {
-      ASSERT_TRUE(service.submit(entries[i]));
-    }
-    per_thread.push_back(service.screen());
   }
 
-  // Reference: the hand-wired path the facade replaced.
-  core::ScorerOptions ref_options;
-  const core::PairwiseScorer reference =
-      core::PairwiseScorer::from_entries(model, entries, ref_options);
-  const tensor::Matrix expected = reference.score_new_rows(library);
+  // Reference: every design embedded once into a plain corpus.
+  core::ShardedCorpus reference;
+  for (const train::GraphEntry& entry : entries) {
+    reference.add(entry.name, model.embed_inference(entry.tensors));
+  }
 
-  for (const std::vector<ScreenReport>& reports : per_thread) {
+  for (const std::vector<ScreenReport>& reports : per_config) {
     ASSERT_EQ(reports.size(), entries.size() - library);
     for (std::size_t r = 0; r < reports.size(); ++r) {
       const ScreenReport& report = reports[r];
@@ -81,7 +84,8 @@ TEST(AuditService, ScreenBitIdenticalToScoreNewRowsAcross1And2And8Workers) {
       }
       for (std::size_t j = 0; j < library + r; ++j) {
         ASSERT_TRUE(by_name.count(entries[j].name));
-        EXPECT_EQ(by_name[entries[j].name], expected.at(r, j))
+        EXPECT_EQ(by_name[entries[j].name],
+                  oracle::cell(reference, library + r, j))
             << "query " << report.submission.name << " vs "
             << entries[j].name;
       }
@@ -259,14 +263,12 @@ TEST(AuditService, ResubmittingResidentNameReplacesItsRow) {
   ASSERT_TRUE(service.submit("x", entries[1].tensors));
   (void)service.screen();
   ASSERT_TRUE(service.contains("x"));
-  const float before = service.corpus().score(service.index_of("lib"),
-                                              service.index_of("x"));
+  const float before = service.top_k("lib", 1).front().similarity;
 
   ASSERT_TRUE(service.submit("x", entries[2].tensors));
   (void)service.screen();
   EXPECT_EQ(service.resident(), 2u);
-  const float after = service.corpus().score(service.index_of("lib"),
-                                             service.index_of("x"));
+  const float after = service.top_k("lib", 1).front().similarity;
   // entries[1] and entries[2] are different designs, so replacing the
   // row must change the cached score.
   EXPECT_NE(before, after);

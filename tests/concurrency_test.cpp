@@ -24,6 +24,7 @@
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
 #include "data/rtl_designs.h"
+#include "exhaustive_oracle.h"
 #include "util/bounded_queue.h"
 #include "util/contract.h"
 
@@ -138,6 +139,14 @@ TEST(MultiConsumer, VerdictSetInvariantAcrossConsumersShardsWorkersGrid) {
         }
         EXPECT_EQ(auditor.service().resident(), reference.resident())
             << config;
+        // And the converged corpus screens and ranks exactly like the
+        // exhaustive oracle over its own rows.
+        const auto& corpus = dynamic_cast<const core::ShardedCorpus&>(
+            auditor.service().corpus());
+        oracle::expect_same_ranking(corpus.top_k(0, 3),
+                                    oracle::top_k(corpus, 0, 3), config);
+        oracle::expect_same_screen(corpus.screen_new_rows(2, 0.5F),
+                                   oracle::screen(corpus, 2, 0.5F), config);
       }
     }
   }
@@ -305,7 +314,7 @@ TEST(MultiConsumer, CloseWhileScreeningFulfilsEveryFuture) {
 
 TEST(MultiConsumer, ShardedCorpusReadersRaceAdmissionsAndCompaction) {
   // Reader/writer interleave stress at the core layer: top_k and
-  // score_new_rows scans race add(), remove(), and compact() from
+  // screen_new_rows scans race add(), remove(), and compact() from
   // sibling threads. Under TSan this is the proof the stripe/index/
   // epoch locking has no data race; in any build it proves scans only
   // ever see fully admitted rows (snapshot semantics) and a stable
@@ -354,7 +363,7 @@ TEST(MultiConsumer, ShardedCorpusReadersRaceAdmissionsAndCompaction) {
     });
   }
   // Three readers, a bounded number of sweeps each: top_k of the stable
-  // base row, full pair sweeps, and whole-corpus incremental scans.
+  // base row, and whole-corpus screens against it.
   for (std::size_t r = 0; r < 3; ++r) {
     threads.emplace_back([&] {
       for (std::size_t iter = 0; iter < 40; ++iter) {
@@ -366,10 +375,15 @@ TEST(MultiConsumer, ShardedCorpusReadersRaceAdmissionsAndCompaction) {
           ASSERT_GE(p.similarity, -1.0F);
           ASSERT_LE(p.similarity, 1.0F);
         }
-        // first_new = 0 stays valid under racing compaction (any
-        // positive watermark could exceed a just-compacted size).
-        const tensor::Matrix scores = corpus.score_new_rows(0);
-        ASSERT_EQ(scores.rows(), scores.cols());  // snapshot is square
+        // first_new = 1 stays valid under racing compaction (the base
+        // row survives every renumbering, so the size never drops below
+        // 1): every later row screens against the base row alone.
+        for (const core::ScreenRow& row : corpus.screen_new_rows(1, -2.0F)) {
+          ASSERT_EQ(row.scanned, 1u);
+          ASSERT_TRUE(row.best.has_value());
+          ASSERT_EQ(row.best->index, 0u);
+          ASSERT_EQ(row.flagged.size(), 1u);
+        }
         ASSERT_EQ(corpus.live(0), true);
         // Wait for writer progress (or 1ms, whichever first) before the
         // next sweep — yields the locks to the admitters for real.
@@ -392,25 +406,17 @@ TEST(MultiConsumer, ShardedCorpusReadersRaceAdmissionsAndCompaction) {
   for (std::thread& t : threads) t.join();
 
   // Converged state: one final compact, then the corpus must be exactly
-  // the live set in insertion order — a fresh single-threaded rebuild
-  // of the same live rows produces identical top_k results.
+  // the live set in insertion order, and its screens and rankings the
+  // exhaustive oracle's.
   (void)corpus.compact();
   EXPECT_EQ(corpus.size(), corpus.live_count());
   EXPECT_EQ(corpus.name(0), "base");
-  const auto final_top = corpus.top_k(0, 8);
-  core::ShardedCorpus rebuilt(1);
-  for (std::size_t g = 0; g < corpus.size(); ++g) {
-    tensor::Matrix row_copy(1, corpus.dim());
-    const std::span<const float> row = corpus.row(g);
-    for (std::size_t d = 0; d < corpus.dim(); ++d) row_copy.row(0)[d] = row[d];
-    rebuilt.add(corpus.name(g), row_copy);
-  }
-  const auto rebuilt_top = rebuilt.top_k(0, 8);
-  ASSERT_EQ(final_top.size(), rebuilt_top.size());
-  for (std::size_t t = 0; t < final_top.size(); ++t) {
-    EXPECT_EQ(final_top[t].b, rebuilt_top[t].b);
-    EXPECT_EQ(final_top[t].similarity, rebuilt_top[t].similarity);
-  }
+  oracle::expect_same_ranking(corpus.top_k(0, 8), oracle::top_k(corpus, 0, 8),
+                              "converged top_k");
+  const std::size_t half = corpus.size() / 2;
+  oracle::expect_same_screen(corpus.screen_new_rows(half, 0.5F),
+                             oracle::screen(corpus, half, 0.5F),
+                             "converged screen");
 }
 
 TEST(MultiConsumer, AddLibraryWhileConsumersStreamIsSafe) {

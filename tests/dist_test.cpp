@@ -1,11 +1,9 @@
 // Distributed-corpus tests: the acceptance bar is that distribution is
 // *invisible* to results — a DistCorpus fronting {1, 2, 3} shard-server
-// processes produces screen()/top_k()/flag() output bit-identical to
-// the in-process ShardedCorpus with the same shard count (which
-// sharding_test already proves bit-identical to the single-shard
-// reference), with and without the int8 prefilter, through mutation
-// churn (remove/compact), snapshot round trips in both directions, and
-// the full AuditService end to end. Servers here are real ShardServer
+// processes produces screen_new_rows()/top_k() output bit-identical to
+// the exhaustive oracle (scan tallies included), through mutation churn
+// (remove/compact), snapshot round trips in both directions, and the
+// full AuditService end to end. Servers here are real ShardServer
 // instances on ephemeral loopback ports — the same bytes-over-TCP path
 // production takes, minus process isolation.
 #include <gtest/gtest.h>
@@ -25,14 +23,12 @@
 #include "data/corpus.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
+#include "exhaustive_oracle.h"
 #include "gnn/model_io.h"
 #include "net/wire_format.h"
 
 namespace gnn4ip {
 namespace {
-
-using core::PairScore;
-using core::ScreenRow;
 
 std::vector<train::GraphEntry> small_corpus() {
   data::RtlCorpusOptions options;
@@ -79,48 +75,6 @@ struct Cluster {
   std::vector<std::unique_ptr<dist::ShardServer>> servers;
   std::vector<std::thread> threads;
 };
-
-void expect_rows_equal(const std::vector<ScreenRow>& got,
-                       const std::vector<ScreenRow>& want,
-                       bool compare_rescored, const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    ASSERT_EQ(got[r].flagged.size(), want[r].flagged.size())
-        << label << " row " << r;
-    for (std::size_t f = 0; f < want[r].flagged.size(); ++f) {
-      EXPECT_EQ(got[r].flagged[f].index, want[r].flagged[f].index)
-          << label << " row " << r;
-      EXPECT_EQ(got[r].flagged[f].similarity, want[r].flagged[f].similarity)
-          << label << " row " << r;
-    }
-    ASSERT_EQ(got[r].best.has_value(), want[r].best.has_value())
-        << label << " row " << r;
-    if (want[r].best) {
-      EXPECT_EQ(got[r].best->index, want[r].best->index)
-          << label << " row " << r;
-      EXPECT_EQ(got[r].best->similarity, want[r].best->similarity)
-          << label << " row " << r;
-    }
-    EXPECT_EQ(got[r].scanned, want[r].scanned) << label << " row " << r;
-    if (compare_rescored) {
-      // Exact path only: under the prefilter the distributed band
-      // resolution seeds from the shard-local best, so the *diagnostic*
-      // rescore tally may differ while the verdict set cannot.
-      EXPECT_EQ(got[r].rescored, want[r].rescored) << label << " row " << r;
-    }
-  }
-}
-
-void expect_pairs_equal(const std::vector<PairScore>& got,
-                        const std::vector<PairScore>& want,
-                        const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].a, want[i].a) << label << " #" << i;
-    EXPECT_EQ(got[i].b, want[i].b) << label << " #" << i;
-    EXPECT_EQ(got[i].similarity, want[i].similarity) << label << " #" << i;
-  }
-}
 
 std::string snapshot_dir(const std::string& leaf) {
   const std::filesystem::path dir =
@@ -203,10 +157,11 @@ TEST(DistCorpus, MirrorsIndexSpaceAndPlacement) {
   EXPECT_EQ(corpus->live_count(), 5u);
 }
 
-TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
-  // The tentpole grid: {1, 2, 3} shard servers × prefilter {off, on},
-  // verdicts compared cell by cell against the in-process ShardedCorpus
-  // with the same shard count — including through a tombstone.
+TEST(DistCorpus, ScreenAndTopKMatchOracleThroughChurn) {
+  // The tentpole grid: {1, 2, 3} shard servers, verdicts and scan
+  // tallies compared cell by cell against the exhaustive oracle over an
+  // in-process mirror of the same rows — including through a tombstone
+  // and a compaction that churns every local index.
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   ASSERT_GE(entries.size(), 8u);
@@ -214,41 +169,34 @@ TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
   const std::size_t resident = entries.size() - 3;
 
   for (const std::size_t shards : {1u, 2u, 3u}) {
-    for (const bool prefilter : {false, true}) {
-      core::ScorerOptions options;
-      options.int8_prefilter = prefilter;
-      const std::string label = std::to_string(shards) + " shards, prefilter " +
-                                (prefilter ? "on" : "off");
-
-      core::ShardedCorpus reference(shards, options);
-      Cluster cluster(shards);
-      auto corpus =
-          dist::DistCorpus::connect(cluster.endpoints(), "fp", options);
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        ASSERT_EQ(corpus->add(entries[i].name, embeddings[i]),
-                  reference.add(entries[i].name, embeddings[i]));
-      }
-      reference.remove(1);
-      corpus->remove(1);
-
-      expect_rows_equal(corpus->screen_new_rows(resident, -0.25F),
-                        reference.screen_new_rows(resident, -0.25F),
-                        /*compare_rescored=*/!prefilter, label);
-      expect_pairs_equal(corpus->top_k(0, 5), reference.top_k(0, 5), label);
-      expect_pairs_equal(corpus->flag(-0.5F), reference.flag(-0.5F), label);
-      EXPECT_EQ(corpus->score(0, 2), reference.score(0, 2)) << label;
-
-      // Compact churns every local index; the renumbering and every
-      // post-compact result must still agree.
-      EXPECT_EQ(corpus->compact(), reference.compact())
-          << label << " (compact mapping)";
-      expect_rows_equal(corpus->screen_new_rows(resident - 1, -0.25F),
-                        reference.screen_new_rows(resident - 1, -0.25F),
-                        /*compare_rescored=*/!prefilter,
-                        label + " (post-compact)");
-      expect_pairs_equal(corpus->flag(-0.5F), reference.flag(-0.5F),
-                         label + " (post-compact)");
+    const std::string label = std::to_string(shards) + " shards";
+    core::ShardedCorpus mirror(shards);
+    Cluster cluster(shards);
+    auto corpus = dist::DistCorpus::connect(cluster.endpoints(), "fp");
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      ASSERT_EQ(corpus->add(entries[i].name, embeddings[i]),
+                mirror.add(entries[i].name, embeddings[i]));
     }
+    mirror.remove(1);
+    corpus->remove(1);
+
+    oracle::expect_same_screen(corpus->screen_new_rows(resident, -0.25F),
+                               oracle::screen(mirror, resident, -0.25F),
+                               label);
+    for (const std::size_t k : {1u, 5u, 99u}) {
+      oracle::expect_same_ranking(corpus->top_k(0, k),
+                                  oracle::top_k(mirror, 0, k),
+                                  label + ", k " + std::to_string(k));
+    }
+
+    EXPECT_EQ(corpus->compact(), mirror.compact())
+        << label << " (compact mapping)";
+    oracle::expect_same_screen(corpus->screen_new_rows(resident - 1, -0.25F),
+                               oracle::screen(mirror, resident - 1, -0.25F),
+                               label + " (post-compact)");
+    oracle::expect_same_ranking(corpus->top_k(2, 4),
+                                oracle::top_k(mirror, 2, 4),
+                                label + " (post-compact)");
   }
 }
 
@@ -280,8 +228,9 @@ TEST(DistCorpus, SnapshotRoundTripsBothDirections) {
   straight.remove(2);
   EXPECT_EQ(restored.size(), straight.size());
   EXPECT_EQ(restored.live_count(), straight.live_count());
-  expect_pairs_equal(restored.flag(-0.5F), straight.flag(-0.5F),
-                     "dist->inproc");
+  oracle::expect_same_screen(restored.screen_new_rows(3, -2.0F),
+                             oracle::screen(straight, 3, -2.0F),
+                             "dist->inproc");
 
   // And back: an in-process snapshot restored into a distributed corpus
   // (cold servers — the reset-and-push path).
@@ -293,10 +242,12 @@ TEST(DistCorpus, SnapshotRoundTripsBothDirections) {
   EXPECT_EQ(adopted->size(), straight.size());
   EXPECT_EQ(adopted->live_count(), straight.live_count());
   EXPECT_FALSE(adopted->live(2));
-  expect_pairs_equal(adopted->flag(-0.5F), straight.flag(-0.5F),
-                     "inproc->dist");
-  expect_pairs_equal(adopted->top_k(0, 4), straight.top_k(0, 4),
-                     "inproc->dist top_k");
+  oracle::expect_same_screen(adopted->screen_new_rows(3, -2.0F),
+                             oracle::screen(straight, 3, -2.0F),
+                             "inproc->dist");
+  oracle::expect_same_ranking(adopted->top_k(0, 4),
+                              oracle::top_k(straight, 0, 4),
+                              "inproc->dist top_k");
 }
 
 TEST(DistCorpus, UnreconciledServersRefuseUseUntilRestore) {
@@ -318,7 +269,7 @@ TEST(DistCorpus, UnreconciledServersRefuseUseUntilRestore) {
   auto raw = dist::DistCorpus::connect(cluster.endpoints(), "fp", {}, 0,
                                        /*allow_resident=*/true);
   EXPECT_THROW((void)raw->add("x", embeddings[0]), net::WireProtocolError);
-  EXPECT_THROW((void)raw->flag(-0.5F), net::WireProtocolError);
+  EXPECT_THROW((void)raw->screen_new_rows(2, -0.5F), net::WireProtocolError);
   EXPECT_THROW(raw->save(snapshot_dir("refused"), "fp"),
                net::WireProtocolError);
   // restored() reconciles — here by adopting the resident rows without
@@ -329,7 +280,8 @@ TEST(DistCorpus, UnreconciledServersRefuseUseUntilRestore) {
   for (std::size_t i = 0; i < 4; ++i) {
     straight.add(entries[i].name, embeddings[i]);
   }
-  expect_pairs_equal(adopted->flag(-0.5F), straight.flag(-0.5F), "adopted");
+  oracle::expect_same_screen(adopted->screen_new_rows(2, -2.0F),
+                             oracle::screen(straight, 2, -2.0F), "adopted");
 }
 
 TEST(DistAudit, ScreenReportsBitIdenticalToInProcess) {
@@ -400,11 +352,11 @@ TEST(DistCorpus, ServerDeathMidConversationIsTypedNotAHang) {
   for (std::size_t i = 0; i < 4; ++i) {
     corpus->add(entries[i].name, embeddings[i]);
   }
-  ASSERT_FALSE(corpus->flag(-0.5F).empty());
+  ASSERT_FALSE(corpus->screen_new_rows(2, -2.0F).front().flagged.empty());
   // Kill both servers (stop + connection teardown), then screen: the
   // dead cluster must surface as a typed WireError, never a hang.
   cluster.reset();
-  EXPECT_THROW((void)corpus->flag(-0.5F), net::WireError);
+  EXPECT_THROW((void)corpus->screen_new_rows(2, -2.0F), net::WireError);
 }
 
 }  // namespace

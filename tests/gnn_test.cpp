@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
@@ -291,6 +292,36 @@ TEST(Hw2Vec, RealDfgEndToEnd) {
   const tensor::Matrix h = model.embed_inference(featurize(g));
   EXPECT_EQ(h.cols(), 16u);
   for (float v : h.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Hw2Vec, ReusedTapeEmbeddingsMatchFreshTapePath) {
+  // embed_inference(tape, g) resets and reuses one tape across graphs
+  // (the corpus embed path: Trainer::embed_all, the audit batch embed);
+  // every embedding must stay bit-identical to the fresh-tape overload,
+  // whatever the tape held before.
+  const std::vector<GraphTensors> graphs = {
+      featurize(tiny_graph()),
+      featurize(dfg::extract_dfg(
+          "module m (input [3:0] a, input [3:0] b, output [3:0] y);\n"
+          "  assign y = (a & b) | (a ^ b);\n"
+          "endmodule\n")),
+      featurize(dfg::extract_dfg(
+          "module n (input [3:0] a, input [3:0] b, output [4:0] s);\n"
+          "  assign s = a + b;\n"
+          "endmodule\n")),
+  };
+  Hw2Vec model;
+  tensor::Tape tape;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const GraphTensors& g : graphs) {
+      const tensor::Matrix reused = model.embed_inference(tape, g);
+      const tensor::Matrix fresh = model.embed_inference(g);
+      ASSERT_EQ(reused.size(), fresh.size());
+      for (std::size_t c = 0; c < fresh.size(); ++c) {
+        EXPECT_EQ(reused.data()[c], fresh.data()[c]) << "cell " << c;
+      }
+    }
+  }
 }
 
 TEST(ModelIo, SaveLoadRoundTrip) {

@@ -1,9 +1,8 @@
 // ShardedCorpus tests: the acceptance bar for the sharded resident
-// corpus is that sharding is *invisible* to results — screen()/top_k()/
-// flag() are bit-identical across {1, 2, 4} shards × {1, 2, 8} workers
-// and to the single-shard PairwiseScorer reference — while placement,
-// per-shard eviction budgets, and per-shard compaction behave as
-// documented.
+// corpus is that sharding is *invisible* to results — screen_new_rows()
+// and top_k() match the exhaustive oracle bit for bit across {1, 2, 4}
+// shards × {1, 2, 8} workers — while placement, per-shard eviction
+// budgets, and per-shard compaction behave as documented.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +13,9 @@
 
 #include "audit/audit_service.h"
 #include "core/gnn4ip.h"
-#include "core/pairwise_scorer.h"
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
+#include "exhaustive_oracle.h"
 #include "util/contract.h"
 
 namespace gnn4ip::core {
@@ -75,7 +74,7 @@ TEST(ShardedCorpus, AddRoutesByNameHashAndKeepsGlobalIndexSpace) {
   EXPECT_EQ(corpus.live_count(), 4u);
   std::size_t shard_total = 0;
   for (std::size_t s = 0; s < corpus.num_shards(); ++s) {
-    shard_total += corpus.shard(s).size();
+    shard_total += corpus.shard_live_count(s);
   }
   EXPECT_EQ(shard_total, 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -92,20 +91,13 @@ TEST(ShardedCorpus, AddRoutesByNameHashAndKeepsGlobalIndexSpace) {
   }
 }
 
-TEST(ShardedCorpus, ScoreNewRowsBitIdenticalAcrossShardAndWorkerCounts) {
+TEST(ShardedCorpus, ScreenNewRowsMatchOracleAcrossShardAndWorkerCounts) {
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   ASSERT_GE(entries.size(), 8u);
   const auto embeddings = embed_all(model, entries);
   const std::size_t resident = entries.size() - 3;
 
-  // Reference: the single-shard PairwiseScorer path.
-  PairwiseScorer reference;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    reference.add(entries[i].name, embeddings[i]);
-  }
-  const tensor::Matrix expected = reference.score_new_rows(resident);
-
   for (std::size_t shards : {1u, 2u, 4u}) {
     for (std::size_t workers : {1u, 2u, 8u}) {
       ScorerOptions options;
@@ -114,37 +106,26 @@ TEST(ShardedCorpus, ScoreNewRowsBitIdenticalAcrossShardAndWorkerCounts) {
       for (std::size_t i = 0; i < entries.size(); ++i) {
         corpus.add(entries[i].name, embeddings[i]);
       }
-      const tensor::Matrix scores = corpus.score_new_rows(resident);
-      ASSERT_EQ(scores.rows(), expected.rows());
-      ASSERT_EQ(scores.cols(), expected.cols());
-      for (std::size_t r = 0; r < scores.rows(); ++r) {
-        for (std::size_t c = 0; c < scores.cols(); ++c) {
-          EXPECT_EQ(scores.at(r, c), expected.at(r, c))
-              << shards << " shards, " << workers << " workers, cell (" << r
-              << ", " << c << ")";
-        }
+      // A tombstoned candidate must be skipped by every shard sweep.
+      corpus.remove(2);
+      for (const float delta : {-2.0F, 0.9F}) {
+        const std::string label = std::to_string(shards) + " shards, " +
+                                  std::to_string(workers) + " workers, δ " +
+                                  std::to_string(delta);
+        oracle::expect_same_screen(corpus.screen_new_rows(resident, delta),
+                                   oracle::screen(corpus, resident, delta),
+                                   label);
       }
-      // Spot-check the pairwise accessor against the reference too.
-      EXPECT_EQ(corpus.score(0, resident), reference.score(0, resident));
+      // Nothing new: an empty screen, not an error.
+      EXPECT_TRUE(corpus.screen_new_rows(corpus.size(), 0.5F).empty());
     }
   }
 }
 
-TEST(ShardedCorpus, TopKAndFlagBitIdenticalAcrossShardAndWorkerCounts) {
+TEST(ShardedCorpus, TopKMatchesOracleAcrossShardAndWorkerCounts) {
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   const auto embeddings = embed_all(model, entries);
-
-  PairwiseScorer reference;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    reference.add(entries[i].name, embeddings[i]);
-  }
-  // Remove one row so live-row filtering is exercised by the merge.
-  reference.remove(1);
-  const std::vector<PairScore> expected_top = reference.top_k(0, 5);
-  const std::vector<PairScore> expected_flagged = reference.flag(-0.5F);
-  ASSERT_FALSE(expected_top.empty());
-  ASSERT_FALSE(expected_flagged.empty());
 
   for (std::size_t shards : {1u, 2u, 4u}) {
     for (std::size_t workers : {1u, 2u, 8u}) {
@@ -154,23 +135,22 @@ TEST(ShardedCorpus, TopKAndFlagBitIdenticalAcrossShardAndWorkerCounts) {
       for (std::size_t i = 0; i < entries.size(); ++i) {
         corpus.add(entries[i].name, embeddings[i]);
       }
+      // Remove one row so live-row filtering is exercised by the merge.
       corpus.remove(1);
-
-      const std::vector<PairScore> top = corpus.top_k(0, 5);
-      ASSERT_EQ(top.size(), expected_top.size());
-      for (std::size_t i = 0; i < top.size(); ++i) {
-        EXPECT_EQ(top[i].a, expected_top[i].a);
-        EXPECT_EQ(top[i].b, expected_top[i].b);
-        EXPECT_EQ(top[i].similarity, expected_top[i].similarity);
+      for (const std::size_t query : {0u, 3u}) {
+        // k below, at, and above the candidate count.
+        const std::size_t candidates = corpus.live_count() - 1;
+        for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                    candidates, std::size_t{99}}) {
+          const std::string label = std::to_string(shards) + " shards, " +
+                                    std::to_string(workers) + " workers, row " +
+                                    std::to_string(query) + ", k " +
+                                    std::to_string(k);
+          oracle::expect_same_ranking(corpus.top_k(query, k),
+                                      oracle::top_k(corpus, query, k), label);
+        }
       }
-
-      const std::vector<PairScore> flagged = corpus.flag(-0.5F);
-      ASSERT_EQ(flagged.size(), expected_flagged.size());
-      for (std::size_t i = 0; i < flagged.size(); ++i) {
-        EXPECT_EQ(flagged[i].a, expected_flagged[i].a);
-        EXPECT_EQ(flagged[i].b, expected_flagged[i].b);
-        EXPECT_EQ(flagged[i].similarity, expected_flagged[i].similarity);
-      }
+      EXPECT_THROW((void)corpus.top_k(1, 3), util::ContractViolation);
     }
   }
 }
@@ -215,9 +195,9 @@ TEST(ShardedCorpus, CompactRenumbersDenselyInInsertionOrderPerShard) {
       EXPECT_EQ(row[k], expected[k]);
     }
   }
-  // And scoring still works against the compacted numbering.
-  EXPECT_EQ(corpus.score(0, 1),
-            cosine_pair(embeddings[1].data(), embeddings[2].data()));
+  // And ranking still works against the compacted numbering.
+  oracle::expect_same_ranking(corpus.top_k(0, 99), oracle::top_k(corpus, 0, 99),
+                              "after compact");
 }
 
 TEST(ShardedCorpus, RejectsMismatchedDimsAndBadIndices) {
@@ -229,7 +209,9 @@ TEST(ShardedCorpus, RejectsMismatchedDimsAndBadIndices) {
   EXPECT_THROW((void)corpus.name(7), util::ContractViolation);
   EXPECT_THROW((void)corpus.row(7), util::ContractViolation);
   EXPECT_THROW(corpus.remove(7), util::ContractViolation);
-  EXPECT_THROW((void)corpus.shard(5), util::ContractViolation);
+  EXPECT_THROW((void)corpus.shard_live_count(5), util::ContractViolation);
+  EXPECT_THROW((void)corpus.screen_new_rows(2, 0.5F), util::ContractViolation);
+  EXPECT_THROW((void)corpus.top_k(7, 1), util::ContractViolation);
   EXPECT_THROW(ShardedCorpus(0), util::ContractViolation);
 }
 

@@ -1,9 +1,9 @@
 // Snapshot + warm-restart tests: the acceptance bar for the durable
 // corpus is twofold. (1) Fidelity — a restored EmbeddingStore /
-// ShardedCorpus / AuditService scores bit-identically to the
-// never-restarted one, cell by cell, across {1, 2, 4} shards × {1, 2,
-// 8} workers, with names, tombstones, pins, the name index, and LRU
-// recency all surviving the round trip. (2) Rejection — every
+// ShardedCorpus / AuditService screens and ranks exactly like the
+// exhaustive oracle over the never-restarted rows, across {1, 2, 4}
+// shards × {1, 2, 8} workers, with names, tombstones, pins, the name
+// index, and LRU recency all surviving the round trip. (2) Rejection — every
 // malformed-snapshot case (bad magic, unsupported version, foreign
 // byte order, dim drift, truncation, manifest/shard disagreement,
 // wrong embedder fingerprint) fails with its *distinct typed*
@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "audit/admission_log.h"
 #include "audit/async_auditor.h"
 #include "audit/audit_service.h"
 #include "core/embedding_store.h"
@@ -29,6 +28,7 @@
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
 #include "data/corpus.h"
+#include "exhaustive_oracle.h"
 #include "gnn/model_io.h"
 
 namespace gnn4ip {
@@ -188,84 +188,63 @@ TEST(SnapshotStore, LoadRejectsTrailingBytesTyped) {
                core::SnapshotTruncatedError);
 }
 
-// ---- The optional QNT8 quantized-tier section ----------------------------
-// Layout for the 3-row dim-4 sample: tag (4) + per-row f32 scales (12) +
-// int8 row block (12) = 28 trailing bytes after the name table.
+// ---- The legacy QNT8 trailer ----------------------------------------------
+// Earlier builds appended a quantized tier after the name table: the
+// tag, one f32 scale per row, then the rows×dim int8 block. This build
+// never writes it; loaders skip it once the tag and the exact length
+// check out.
 
-constexpr std::size_t kSampleQuantSectionSize = 4 + 3 * 4 + 3 * 4;
+/// `bytes` (a shard file of `rows` rows at `dim`) with a legacy trailer
+/// appended. The payload bytes are arbitrary — they fed only the
+/// removed prefilter, so a loader must never interpret them.
+std::string with_legacy_trailer(const std::string& bytes, std::size_t rows,
+                                std::size_t dim) {
+  return bytes + "QNT8" + std::string(rows * (sizeof(float) + dim), '\xAB');
+}
 
-TEST(SnapshotStore, QuantSectionRoundTripsBitForBit) {
-  const core::EmbeddingStore original = sample_store();
+TEST(SnapshotStore, SaveWritesNoQuantTrailer) {
   const std::string bytes = serialized_sample_store();
-  ASSERT_GE(bytes.size(), kSampleQuantSectionSize);
-  const std::size_t tag_at = bytes.size() - kSampleQuantSectionSize;
-  ASSERT_EQ(bytes.substr(tag_at, 4), "QNT8");
-  std::istringstream is(bytes, std::ios::binary);
+  EXPECT_EQ(bytes.find("QNT8"), std::string::npos);
+}
+
+TEST(SnapshotStore, LegacyQuantTrailerIsSkipped) {
+  const core::EmbeddingStore original = sample_store();
+  std::istringstream is(with_legacy_trailer(serialized_sample_store(), 3, 4),
+                        std::ios::binary);
   const core::EmbeddingStore loaded = core::EmbeddingStore::load(is, 4);
+  expect_rows_equal(loaded, original);
   for (std::size_t i = 0; i < original.size(); ++i) {
-    const core::QuantRowView want = original.quant_view(i);
-    const core::QuantRowView got = loaded.quant_view(i);
-    EXPECT_EQ(got.scale, want.scale) << "row " << i;
-    EXPECT_EQ(got.qnorm, want.qnorm) << "row " << i;
-    EXPECT_EQ(got.enorm, want.enorm) << "row " << i;
-    EXPECT_EQ(got.norm, want.norm) << "row " << i;
-    for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(loaded.qrow(i)[k], original.qrow(i)[k])
-          << "row " << i << " cell " << k;
-    }
     EXPECT_EQ(loaded.norm(i), original.norm(i)) << "row " << i;
   }
 }
 
-TEST(SnapshotStore, LegacyFileWithoutQuantSectionLoadsAndRebuildsTier) {
-  // A pre-QNT8 shard file is exactly today's bytes minus the trailing
-  // section; the tier is deterministic from the float rows, so loading
-  // one must produce the identical quantized state.
-  const core::EmbeddingStore original = sample_store();
-  const std::string bytes = serialized_sample_store();
+TEST(SnapshotStore, LoadRejectsMisSizedLegacyTrailerTyped) {
+  // One byte short, or one byte past, the exact trailer length: both
+  // are damage, not a legacy file.
   const std::string legacy =
-      bytes.substr(0, bytes.size() - kSampleQuantSectionSize);
-  std::istringstream is(legacy, std::ios::binary);
-  const core::EmbeddingStore loaded = core::EmbeddingStore::load(is, 4);
-  expect_rows_equal(loaded, original);
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded.quant_view(i).scale, original.quant_view(i).scale);
-    for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(loaded.qrow(i)[k], original.qrow(i)[k]);
-    }
-  }
-}
-
-TEST(SnapshotStore, LoadRejectsCorruptQuantSectionTyped) {
-  const std::string bytes = serialized_sample_store();
-  const std::size_t tag_at = bytes.size() - kSampleQuantSectionSize;
-  // A flipped byte in the scales, and one in the int8 block: both
-  // disagree with the deterministic rebuild from the (intact) float
-  // rows — the poisoned-tier signature.
-  for (const std::size_t victim : {tag_at + 5, tag_at + 4 + 12 + 2}) {
-    std::string corrupt = bytes;
-    corrupt[victim] = static_cast<char>(corrupt[victim] ^ '\x7F');
-    std::istringstream is(corrupt, std::ios::binary);
+      with_legacy_trailer(serialized_sample_store(), 3, 4);
+  for (const std::string& damaged :
+       {legacy.substr(0, legacy.size() - 1), legacy + "x"}) {
+    std::istringstream is(damaged, std::ios::binary);
     EXPECT_THROW((void)core::EmbeddingStore::load(is),
-                 core::SnapshotManifestError)
-        << "corrupt byte at " << victim;
+                 core::SnapshotTruncatedError)
+        << damaged.size() << " bytes";
   }
 }
 
 TEST(SnapshotStore, LoadRejectsForeignTrailingSectionTyped) {
-  // Trailing bytes that are not a QNT8 section — a wrong tag, or a tag
+  // Trailing bytes that are not a QNT8 trailer — a wrong tag, or a tag
   // torn mid-write — are truncation-class damage, not a legacy file.
   const std::string bytes = serialized_sample_store();
-  const std::size_t tag_at = bytes.size() - kSampleQuantSectionSize;
   {
-    std::string corrupt = bytes;
-    corrupt[tag_at] = 'X';
+    std::string corrupt = with_legacy_trailer(bytes, 3, 4);
+    corrupt[bytes.size()] = 'X';
     std::istringstream is(corrupt, std::ios::binary);
     EXPECT_THROW((void)core::EmbeddingStore::load(is),
                  core::SnapshotTruncatedError);
   }
   {
-    std::istringstream is(bytes.substr(0, tag_at + 2), std::ios::binary);
+    std::istringstream is(bytes + "QN", std::ios::binary);
     EXPECT_THROW((void)core::EmbeddingStore::load(is),
                  core::SnapshotTruncatedError);
   }
@@ -316,10 +295,10 @@ TEST(SnapshotCorpus, SaveRestoreRoundTripsRowsNamesAndTombstones) {
   }
 }
 
-TEST(SnapshotCorpus, RestoredScoringBitIdenticalAcrossShardAndWorkerCounts) {
-  // The acceptance criterion: post-restore score_new_rows/top_k/flag
-  // equal the never-restarted corpus cell by cell, for every shard
-  // count × worker count.
+TEST(SnapshotCorpus, RestoredScreeningMatchesOracleAcrossShardAndWorkerCounts) {
+  // The acceptance criterion: post-restore screen_new_rows/top_k equal
+  // the oracle over the never-restarted corpus, for every shard count ×
+  // worker count.
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   ASSERT_GE(entries.size(), 8u);
@@ -336,44 +315,56 @@ TEST(SnapshotCorpus, RestoredScoringBitIdenticalAcrossShardAndWorkerCounts) {
         snapshot_dir("corpus_bitident_" + std::to_string(shards));
     original.save(dir, "fp-bitident");
 
-    const tensor::Matrix expected = original.score_new_rows(resident);
-    const std::vector<core::PairScore> expected_top = original.top_k(0, 5);
-    const std::vector<core::PairScore> expected_flag = original.flag(-0.5F);
-    ASSERT_FALSE(expected_top.empty());
-    ASSERT_FALSE(expected_flag.empty());
-
     for (const std::size_t workers : {1u, 2u, 8u}) {
       core::ScorerOptions options;
       options.num_threads = workers;
       core::ShardedCorpus restored(1, options);
       restored.restore(dir, "fp-bitident");
-
-      const tensor::Matrix scores = restored.score_new_rows(resident);
-      ASSERT_EQ(scores.rows(), expected.rows());
-      ASSERT_EQ(scores.cols(), expected.cols());
-      for (std::size_t r = 0; r < scores.rows(); ++r) {
-        for (std::size_t c = 0; c < scores.cols(); ++c) {
-          EXPECT_EQ(scores.at(r, c), expected.at(r, c))
-              << shards << " shards, " << workers << " workers, cell (" << r
-              << ", " << c << ")";
-        }
-      }
-      const std::vector<core::PairScore> top = restored.top_k(0, 5);
-      ASSERT_EQ(top.size(), expected_top.size());
-      for (std::size_t i = 0; i < top.size(); ++i) {
-        EXPECT_EQ(top[i].a, expected_top[i].a);
-        EXPECT_EQ(top[i].b, expected_top[i].b);
-        EXPECT_EQ(top[i].similarity, expected_top[i].similarity);
-      }
-      const std::vector<core::PairScore> flagged = restored.flag(-0.5F);
-      ASSERT_EQ(flagged.size(), expected_flag.size());
-      for (std::size_t i = 0; i < flagged.size(); ++i) {
-        EXPECT_EQ(flagged[i].a, expected_flag[i].a);
-        EXPECT_EQ(flagged[i].b, expected_flag[i].b);
-        EXPECT_EQ(flagged[i].similarity, expected_flag[i].similarity);
-      }
+      const std::string label = std::to_string(shards) + " shards, " +
+                                std::to_string(workers) + " workers";
+      oracle::expect_same_screen(restored.screen_new_rows(resident, 0.5F),
+                                 oracle::screen(original, resident, 0.5F),
+                                 label);
+      oracle::expect_same_ranking(restored.top_k(0, 5),
+                                  oracle::top_k(original, 0, 5), label);
     }
   }
+}
+
+TEST(SnapshotCorpus, LegacyQuantTrailersRestoreAndScreenBitIdentically) {
+  // A snapshot whose shard files carry the QNT8 trailer earlier builds
+  // wrote restores to the same rows and screens exactly as before.
+  gnn::Hw2Vec model;
+  const auto entries = small_corpus();
+  ASSERT_GE(entries.size(), 8u);
+  const auto embeddings = embed_all(model, entries);
+  const std::size_t resident = entries.size() - 3;
+
+  core::ShardedCorpus original(2);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    (void)original.add(entries[i].name, embeddings[i]);
+  }
+  original.remove(3);
+  const std::string dir = snapshot_dir("corpus_legacy_trailer");
+  original.save(dir, "fp-legacy");
+  for (std::size_t s = 0; s < original.num_shards(); ++s) {
+    const std::string path =
+        (std::filesystem::path(dir) / core::shard_file_name(s)).string();
+    std::istringstream is(slurp(path), std::ios::binary);
+    const core::EmbeddingStore shard = core::EmbeddingStore::load(is);
+    spew(path, with_legacy_trailer(slurp(path), shard.size(), shard.dim()));
+  }
+
+  core::ShardedCorpus restored(1);
+  restored.restore(dir, "fp-legacy");
+  oracle::expect_same_screen(restored.screen_new_rows(resident, 0.5F),
+                             original.screen_new_rows(resident, 0.5F),
+                             "legacy trailer");
+  oracle::expect_same_screen(restored.screen_new_rows(resident, 0.5F),
+                             oracle::screen(original, resident, 0.5F),
+                             "legacy trailer vs oracle");
+  oracle::expect_same_ranking(restored.top_k(0, 99), original.top_k(0, 99),
+                              "legacy trailer top_k");
 }
 
 TEST(SnapshotCorpus, RestoreRejectsWrongFingerprintAndLeavesCorpusAlone) {
@@ -758,58 +749,6 @@ TEST(SnapshotAudit, AsyncQuiesceThenSaveCapturesEverySubmission) {
   for (std::future<ScreenReport>& f : futures) {
     EXPECT_TRUE(f.get().submission.accepted);
   }
-}
-
-/// In-memory AdmissionLog: records every append and where checkpoints
-/// land in the record stream.
-class RecordingAdmissionLog final : public AdmissionLog {
- public:
-  void append(const AdmissionRecord& record) override {
-    records.push_back(record);
-  }
-  void checkpoint(const std::string& snapshot_dir) override {
-    checkpoints.emplace_back(snapshot_dir, records.size());
-  }
-  std::vector<AdmissionRecord> records;
-  std::vector<std::pair<std::string, std::size_t>> checkpoints;
-};
-
-TEST(SnapshotAudit, AdmissionLogSeesTicketOrderedAppendsAndCheckpoints) {
-  gnn::Hw2Vec model;
-  const auto entries = small_corpus();
-  ASSERT_GE(entries.size(), 5u);
-
-  AuditOptions options;
-  options.scorer.delta = -2.0F;
-  AuditService service(model, options);
-  auto log = std::make_shared<RecordingAdmissionLog>();
-  service.set_admission_log(log);
-
-  ASSERT_TRUE(service.add_library(entries[0]).accepted);
-  ASSERT_TRUE(service.add_library(entries[1]).accepted);
-  for (std::size_t i = 2; i < 5; ++i) ASSERT_TRUE(service.submit(entries[i]));
-  (void)service.screen();
-  // Re-admitting a resident name records the replacement.
-  ASSERT_TRUE(service.add_library(entries[1]).accepted);
-
-  const std::string dir = snapshot_dir("admission_log");
-  service.save_corpus(dir);
-
-  ASSERT_EQ(log->records.size(), 6u);
-  EXPECT_TRUE(log->records[0].pinned);
-  EXPECT_TRUE(log->records[1].pinned);
-  EXPECT_FALSE(log->records[2].pinned);
-  EXPECT_FALSE(log->records[0].replaced_existing);
-  EXPECT_TRUE(log->records.back().replaced_existing);
-  EXPECT_EQ(log->records.back().name, entries[1].name);
-  for (std::size_t i = 1; i < log->records.size(); ++i) {
-    EXPECT_LT(log->records[i - 1].ticket, log->records[i].ticket)
-        << "appends must arrive in strictly increasing ticket order";
-  }
-  // The checkpoint marks exactly how much of the log the snapshot holds.
-  ASSERT_EQ(log->checkpoints.size(), 1u);
-  EXPECT_EQ(log->checkpoints[0].first, dir);
-  EXPECT_EQ(log->checkpoints[0].second, 6u);
 }
 
 }  // namespace

@@ -199,6 +199,17 @@ TEST(WireHandshake, WrongVersionIsTyped) {
                net::WireVersionError);
 }
 
+TEST(WireHandshake, V1PeerIsRefusedTyped) {
+  // v2 dropped v1's prefilter byte from Screen/TopK: a v1 peer would
+  // mis-frame every request, so it is refused at Hello, never served.
+  LiveServer live;
+  net::Socket sock = live.connect();
+  const auto v1 = hello_frame(net::kWireMagic, 1);
+  sock.write_all(v1.data(), v1.size());
+  EXPECT_THROW((void)net::expect_frame(sock, MsgType::kHelloAck),
+               net::WireVersionError);
+}
+
 TEST(WireHandshake, ForeignByteOrderIsTyped) {
   LiveServer live;
   net::Socket sock = live.connect();
@@ -286,6 +297,47 @@ TEST(WireStream, UnknownFrameTypeAfterHandshakeIsTyped) {
   sock.write_all(buf.data(), buf.size());
   EXPECT_THROW((void)net::expect_frame(sock, MsgType::kInfoAck),
                net::WireProtocolError);
+}
+
+TEST(WireStream, RetiredFlagFrameTypesAreTyped) {
+  // Types 8 and 9 (v1's all-pairs Flag and CrossFlag requests) are
+  // retired: each gets a typed protocol error, and the server keeps
+  // serving the next client.
+  LiveServer live;
+  for (const std::uint8_t retired : {std::uint8_t{8}, std::uint8_t{9}}) {
+    net::Socket sock = live.connect();
+    handshake(sock);
+    std::vector<std::uint8_t> buf;
+    FrameBuilder b(buf, static_cast<MsgType>(retired));
+    b.put_f32(0.5F);  // v1 Flag's delta, prefilter byte, candidate limit
+    b.put_u8(0);
+    b.put_u64(0);
+    b.finish();
+    sock.write_all(buf.data(), buf.size());
+    EXPECT_THROW((void)net::expect_frame(sock, MsgType::kInfoAck),
+                 net::WireProtocolError)
+        << "frame type " << static_cast<unsigned>(retired);
+  }
+  net::Socket good = live.connect();
+  EXPECT_NO_THROW(handshake(good));
+}
+
+TEST(WireStream, HostileProbeBlockSizeIsTyped) {
+  // nrows × dim × 4 bytes would wrap a 64-bit count: the cursor must
+  // compare in floats and refuse, not read a wrapped-to-zero block.
+  LiveServer live;
+  net::Socket sock = live.connect();
+  handshake(sock);
+  std::vector<std::uint8_t> buf;
+  FrameBuilder b(buf, MsgType::kScreen);
+  b.put_u32(0x80000000u);  // dim
+  b.put_u32(0x80000000u);  // probe count
+  b.put_f32(0.5F);         // delta
+  b.put_u64(0);            // candidate limit (the store is empty)
+  b.finish();
+  sock.write_all(buf.data(), buf.size());
+  EXPECT_THROW((void)net::expect_frame(sock, MsgType::kScreenResult),
+               net::WireTruncatedError);
 }
 
 TEST(WireStream, TruncatedRequestGetsTypedErrorNotHang) {
