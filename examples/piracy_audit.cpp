@@ -153,8 +153,8 @@ int main() {
   // ---- Part three: concurrent intake under eviction pressure ------------
   // The shape a real intake queue has: several producer threads race
   // each other into the bounded queue while the consumer pool screens
-  // and the LRU budget evicts continuously. Interleaving changes which
-  // screened designs are co-resident when a given submission commits
+  // and the max_resident bound evicts continuously. Interleaving changes
+  // which screened designs are co-resident when a given submission commits
   // (so per-run verdict sets differ here, unlike parts one and two
   // where a single producer fixes the ticket order) — but every future
   // resolves, pinned library rows survive every eviction, and the

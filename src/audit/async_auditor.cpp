@@ -29,9 +29,8 @@ std::size_t default_consumer_count() {
 }  // namespace
 
 AsyncAuditor::AsyncAuditor(gnn::Hw2Vec model, const AuditOptions& options,
-                           AsyncOptions async,
-                           std::unique_ptr<EvictionPolicy> policy)
-    : service_(std::move(model), options, std::move(policy)),
+                           AsyncOptions async)
+    : service_(std::move(model), options),
       async_(std::move(async)),
       queue_(async_.queue_capacity) {
   const std::size_t pool_size = async_.num_consumers > 0
@@ -44,10 +43,9 @@ AsyncAuditor::AsyncAuditor(gnn::Hw2Vec model, const AuditOptions& options,
 }
 
 std::unique_ptr<AsyncAuditor> AsyncAuditor::from_model_file(
-    const std::string& path, const AuditOptions& options, AsyncOptions async,
-    std::unique_ptr<EvictionPolicy> policy) {
+    const std::string& path, const AuditOptions& options, AsyncOptions async) {
   return std::make_unique<AsyncAuditor>(gnn::load_model_file(path), options,
-                                        std::move(async), std::move(policy));
+                                        std::move(async));
 }
 
 AsyncAuditor::~AsyncAuditor() { close(); }

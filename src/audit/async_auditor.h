@@ -56,6 +56,7 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,14 +88,12 @@ class AsyncAuditor {
  public:
   /// Takes ownership of the model and stands the daemons up immediately.
   explicit AsyncAuditor(gnn::Hw2Vec model, const AuditOptions& options = {},
-                        AsyncOptions async = {},
-                        std::unique_ptr<EvictionPolicy> policy = nullptr);
+                        AsyncOptions async = {});
 
   /// Deployment path: load weights persisted by gnn::save_model_file.
   [[nodiscard]] static std::unique_ptr<AsyncAuditor> from_model_file(
       const std::string& path, const AuditOptions& options = {},
-      AsyncOptions async = {},
-      std::unique_ptr<EvictionPolicy> policy = nullptr);
+      AsyncOptions async = {});
 
   AsyncAuditor(const AsyncAuditor&) = delete;
   AsyncAuditor& operator=(const AsyncAuditor&) = delete;

@@ -145,24 +145,19 @@ ServiceState read_service_state(const std::filesystem::path& path) {
 
 }  // namespace
 
-AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
-                           std::unique_ptr<EvictionPolicy> policy)
+AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options)
     : AuditService(std::move(model), options,
                    std::make_unique<core::ShardedCorpus>(
                        options.num_shards, options.scorer,
-                       options.shard_budget),
-                   std::move(policy)) {}
+                       options.shard_budget)) {}
 
 AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
-                           std::unique_ptr<core::CorpusBackend> corpus,
-                           std::unique_ptr<EvictionPolicy> policy)
+                           std::unique_ptr<core::CorpusBackend> corpus)
     : options_(options),
       model_(std::move(model)),
       model_fingerprint_(gnn::model_fingerprint(model_)),
       pipeline_(options.pipeline, options.featurize),
       corpus_(std::move(corpus)),
-      policy_(policy ? std::move(policy)
-                     : std::make_unique<LruEvictionPolicy>()),
       queue_(options.queue_capacity) {
   GNN4IP_ENSURE(corpus_ != nullptr,
                 "AuditService: corpus backend must be non-null");
@@ -171,10 +166,9 @@ AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
   options_.num_shards = corpus_->num_shards();
 }
 
-AuditService AuditService::from_model_file(
-    const std::string& path, const AuditOptions& options,
-    std::unique_ptr<EvictionPolicy> policy) {
-  return AuditService(gnn::load_model_file(path), options, std::move(policy));
+AuditService AuditService::from_model_file(const std::string& path,
+                                           const AuditOptions& options) {
+  return AuditService(gnn::load_model_file(path), options);
 }
 
 std::size_t AuditService::reserve_tickets(std::size_t n) {
@@ -197,60 +191,54 @@ void AuditService::commit_end() {
   commit_cv_.notify_all();
 }
 
+void AuditService::forget_evictable(std::size_t index) {
+  const auto it = std::lower_bound(evictable_.begin(), evictable_.end(), index);
+  if (it != evictable_.end() && *it == index) evictable_.erase(it);
+}
+
+void AuditService::drop(std::size_t index) {
+  corpus_->remove(index);
+  forget_evictable(index);
+  index_by_name_.erase(corpus_->name(index));
+}
+
 std::size_t AuditService::admit(const std::string& name,
                                 const tensor::Matrix& embedding) {
+  // Resubmission replaces the resident row; the pin (if any) follows
+  // the name onto the fresh row.
   const auto it = index_by_name_.find(name);
-  if (it != index_by_name_.end()) {
-    // Resubmission replaces the resident row; the pin (if any) follows
-    // the name onto the fresh row.
-    corpus_->remove(it->second);
-    policy_->erase(name);
-    index_by_name_.erase(it);
-  }
+  if (it != index_by_name_.end()) drop(it->second);
   const std::size_t index = corpus_->add(name, embedding);
   index_by_name_[name] = index;
-  policy_->touch(name);
+  // The newest row has the largest index, so appending keeps
+  // evictable_ ascending.
+  if (pinned_.count(name) == 0) evictable_.push_back(index);
   return index;
 }
 
 std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
-  // The helper lambdas below touch state_mu_-guarded fields; the caller
-  // holds state_mu_ exclusively (REQUIRES on this function), but the
-  // analysis examines lambda bodies out of that context, so they opt
-  // out individually.
-  const auto evict =
-      [this](const std::string& victim) GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
-        corpus_->remove(index_by_name_.at(victim));
-        policy_->erase(victim);
-        index_by_name_.erase(victim);
-      };
+  // The victim is the oldest live unpinned row: the front of evictable_.
   if (options_.max_resident > 0) {
-    while (corpus_->live_count() > options_.max_resident) {
-      const std::optional<std::string> victim =
-          policy_->victim([this](const std::string& n)
-                              GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
-                                return pinned_.count(n) == 0;
-                              });
-      if (!victim) break;  // everything left is pinned library IP
-      evict(*victim);
+    while (corpus_->live_count() > options_.max_resident &&
+           !evictable_.empty()) {
+      drop(evictable_.front());
     }
   }
-  // Per-shard budgets, enforced with the same policy order and pinning
-  // rules but restricted to names placed in the over-budget shard: one
-  // hot shard (hash skew, adversarial names) cannot crowd out the rest
-  // of the resident cache.
+  // Per-shard budgets, enforced in the same order and with the same
+  // pinning rules but restricted to rows placed in the over-budget
+  // shard: one hot shard (hash skew, adversarial names) cannot crowd
+  // out the rest of the resident cache. A shard holding only pinned
+  // library IP stays over budget.
   if (corpus_->shard_budget() > 0) {
     for (std::size_t s = 0; s < corpus_->num_shards(); ++s) {
+      std::size_t pos = 0;  // evictable_[pos, ...) not yet ruled out
       while (corpus_->shard_live_count(s) > corpus_->shard_budget()) {
-        const std::optional<std::string> victim =
-            policy_->victim([this, s](const std::string& n)
-                                GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
-                                  return pinned_.count(n) == 0 &&
-                                         corpus_->shard_of(
-                                             index_by_name_.at(n)) == s;
-                                });
-        if (!victim) break;  // the shard holds only pinned library IP
-        evict(*victim);
+        while (pos < evictable_.size() &&
+               corpus_->shard_of(evictable_[pos]) != s) {
+          ++pos;
+        }
+        if (pos == evictable_.size()) break;
+        drop(evictable_[pos]);
       }
     }
   }
@@ -260,12 +248,32 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
   // empty mapping means identity to the callers.
   if (corpus_->live_count() == corpus_->size()) return {};
   const std::vector<std::size_t> mapping = corpus_->compact();
-  // lint:allow(unordered-iter): independent per-entry remap — no
-  // cross-entry arithmetic, so iteration order cannot leak into state.
-  for (auto& [name, index] : index_by_name_) {
-    index = mapping[index];
-    GNN4IP_ENSURE(index != core::ShardedCorpus::kNoIndex,
+  // Rows below the first moved index keep theirs. That index comes from
+  // the mapping, not from this commit's removals: a restored snapshot
+  // may carry older tombstones. The mapping is identity on a prefix and
+  // moves or drops every row after it, so a binary search finds the
+  // boundary.
+  std::size_t first = 0;
+  for (std::size_t hi = mapping.size(); first < hi;) {
+    const std::size_t mid = first + (hi - first) / 2;
+    if (mapping[mid] == mid) {
+      first = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const std::size_t live = corpus_->size();
+  for (std::size_t j = first; j < live; ++j) {
+    const auto entry = index_by_name_.find(corpus_->name(j));
+    GNN4IP_ENSURE(entry != index_by_name_.end(),
                   "AuditService: live entry lost in compaction");
+    entry->second = j;
+  }
+  GNN4IP_ENSURE(index_by_name_.size() == live,
+                "AuditService: name index out of step with the corpus");
+  for (auto it = std::lower_bound(evictable_.begin(), evictable_.end(), first);
+       it != evictable_.end(); ++it) {
+    *it = mapping[*it];
   }
   return mapping;
 }
@@ -296,7 +304,7 @@ Submission AuditService::add_library(std::string name,
   try {
     util::WriterLock state(state_mu_);
     const std::size_t row = admit(s.name, embedding);
-    pinned_.insert(s.name);
+    if (pinned_.insert(s.name).second) forget_evictable(row);
     s.accepted = true;
     const std::vector<std::size_t> mapping = enforce_capacity_and_compact();
     s.corpus_index = mapping.empty() ? row : mapping[row];
@@ -359,32 +367,29 @@ void AuditService::commit_one(const std::string& name,
   // cosine_cell similarities. A same-name row replaced by admit() above
   // is a tombstone here, excluded like any other tombstone.
   if (n > 1) {
-    const std::vector<core::ScreenRow> screened =
+    std::vector<core::ScreenRow> screened =
         corpus_->screen_new_rows(n - 1, options_.scorer.delta);
-    const core::ScreenRow& srow = screened.front();
-    for (const core::ScreenMatch& m : srow.flagged) {
-      Verdict v;
-      v.matched = corpus_->name(m.index);
-      v.corpus_index = m.index;
-      v.similarity = m.similarity;
-      v.flagged = true;
-      report.verdicts.push_back(std::move(v));
-    }
-    if (srow.best) {
-      Verdict v;
-      v.matched = corpus_->name(srow.best->index);
-      v.corpus_index = srow.best->index;
-      v.similarity = srow.best->similarity;
-      v.flagged = srow.best->similarity > options_.scorer.delta;
-      report.best = std::move(v);
-    }
-    std::sort(report.verdicts.begin(), report.verdicts.end(),
-              [](const Verdict& x, const Verdict& y) {
+    core::ScreenRow& srow = screened.front();
+    // Verdict order: descending similarity, ascending corpus index on
+    // ties — a total order, sorted on the small matches before any
+    // verdict (and its name string) exists.
+    std::sort(srow.flagged.begin(), srow.flagged.end(),
+              [](const core::ScreenMatch& x, const core::ScreenMatch& y) {
                 if (x.similarity != y.similarity) {
                   return x.similarity > y.similarity;
                 }
-                return x.corpus_index < y.corpus_index;
+                return x.index < y.index;
               });
+    report.verdicts.reserve(srow.flagged.size());
+    for (const core::ScreenMatch& m : srow.flagged) {
+      report.verdicts.push_back(
+          Verdict{corpus_->name(m.index), m.index, m.similarity, true});
+    }
+    if (srow.best) {
+      report.best = Verdict{corpus_->name(srow.best->index), srow.best->index,
+                            srow.best->similarity,
+                            srow.best->similarity > options_.scorer.delta};
+    }
   }
   report.submission.accepted = true;
   report.submission.corpus_index = row;
@@ -595,23 +600,24 @@ void AuditService::load_corpus(const std::string& dir) {
       }
       pins.insert(p);
     }
-    // Recency rebuild order: ascending global index. In a snapshot,
-    // index order IS admission order (admits append, replacements
-    // re-append, compaction preserves relative order), so touching
-    // survivors in this order reproduces exactly the recency a
-    // never-restarted service would hold — evictions after a warm
-    // restart pick the same victims.
+    // Eviction order: the unpinned residents by ascending global index.
+    // In a snapshot, index order IS admission order (admits append,
+    // replacements re-append, compaction preserves relative order), so
+    // evictions after a warm restart pick the victims a never-restarted
+    // service would.
     std::sort(persisted.entries.begin(), persisted.entries.end());
+    std::vector<std::size_t> evictable;
+    for (const auto& [idx, nm] : persisted.entries) {
+      if (pins.count(nm) == 0) evictable.push_back(idx);
+    }
     util::WriterLock state(state_mu_);
-    // lint:allow(unordered-iter): erases are commutative; order-free.
-    for (const auto& [nm, idx] : index_by_name_) policy_->erase(nm);
     corpus_ = std::move(fresh);
     index_by_name_ = std::move(index);
     pinned_ = std::move(pins);
+    evictable_ = std::move(evictable);
     // The restored corpus adopts the snapshot's shard count; keep the
     // options in sync so callers introspect the truth.
     options_.num_shards = corpus_->num_shards();
-    for (const auto& [idx, nm] : persisted.entries) policy_->touch(nm);
   } catch (...) {
     commit_end();
     throw;
@@ -621,14 +627,20 @@ void AuditService::load_corpus(const std::string& dir) {
 
 void AuditService::pin(const std::string& name) {
   util::WriterLock state(state_mu_);
-  GNN4IP_ENSURE(index_by_name_.count(name) != 0,
+  const auto it = index_by_name_.find(name);
+  GNN4IP_ENSURE(it != index_by_name_.end(),
                 "AuditService::pin: '" + name + "' is not resident");
-  pinned_.insert(name);
+  if (pinned_.insert(name).second) forget_evictable(it->second);
 }
 
 void AuditService::unpin(const std::string& name) {
   util::WriterLock state(state_mu_);
-  pinned_.erase(name);
+  if (pinned_.erase(name) == 0) return;
+  const auto it = index_by_name_.find(name);
+  if (it == index_by_name_.end()) return;
+  evictable_.insert(
+      std::lower_bound(evictable_.begin(), evictable_.end(), it->second),
+      it->second);
 }
 
 bool AuditService::pinned(const std::string& name) const {

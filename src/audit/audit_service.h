@@ -17,9 +17,9 @@
 //
 // Error handling is Result-style per submission: a malformed design
 // yields a Diagnostic in its ScreenReport and never kills the batch.
-// The resident cache is bounded by max_resident with a pluggable
-// EvictionPolicy (LRU by default), plus an optional per-shard budget;
-// pinned library entries are never evicted.
+// The resident cache is bounded by max_resident, plus an optional
+// per-shard budget; the victim is always the oldest unpinned row by
+// admission order, and pinned library entries are never evicted.
 //
 // Commit semantics (the determinism contract): every submission commits
 // *individually*, in admission-ticket order — admit, score against the
@@ -38,7 +38,7 @@
 // featurize + embed) runs fully parallel across consumers on per-call
 // scratch state; the commit phase serializes through a ticket turnstile
 // (tickets from reserve_tickets() commit in order), which is the single
-// serialized commit point guarding the eviction policy and the name
+// serialized commit point guarding the eviction order and the name
 // index. add_library() rides the same turnstile, so growing the pinned
 // library mid-stream is safe too. top_k()/contains()/index_of()/
 // pinned()/index-stable reads take the state lock shared and may run
@@ -54,7 +54,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "audit/eviction.h"
 #include "audit/pipeline.h"
 #include "core/sharded_corpus.h"
 #include "gnn/hw2vec.h"
@@ -65,21 +64,24 @@
 namespace gnn4ip::audit {
 
 struct AuditOptions {
-  /// Scoring knobs shared with the core scoring layers — worker threads,
-  /// kernel block size, and the decision boundary δ live here once
-  /// instead of being re-declared per layer.
+  /// Scoring knobs shared with the core scoring layers — worker threads
+  /// and the decision boundary δ live here once instead of being
+  /// re-declared per layer.
   core::ScorerOptions scorer;
   /// Shards of the resident corpus (deterministic name-hash placement).
   /// Verdicts are bit-identical for any value; more shards buy parallel
   /// scoring fan-out and independent eviction budgets.
   std::size_t num_shards = 1;
-  /// Resident-cache bound (live rows). 0 = unbounded. Pinned library
-  /// entries count toward the bound but are never evicted, so a fully
-  /// pinned corpus may exceed it.
+  /// Resident-cache bound (live rows). 0 = unbounded. Over the bound,
+  /// the oldest unpinned row by admission order is evicted (the service
+  /// never refreshes a row on a screening hit; resubmitting a name makes
+  /// it the newest). Pinned library entries count toward the bound but
+  /// are never evicted, so a fully pinned corpus may exceed it.
   std::size_t max_resident = 0;
   /// Per-shard live-row budget (0 = unbounded). Enforced after
-  /// max_resident with the same policy/pinning rules, so one hot shard
-  /// cannot monopolize the resident cache.
+  /// max_resident with the same order and pinning rules — the victim is
+  /// the hot shard's oldest unpinned row — so one hot shard cannot
+  /// monopolize the resident cache.
   std::size_t shard_budget = 0;
   /// Capacity of the bounded submission queue; submit() refuses work
   /// beyond this until the consumer screens.
@@ -144,9 +146,8 @@ class AuditService {
   /// index within its batch and the finished report, which it consumes.
   using CommitCallback = std::function<void(std::size_t, ScreenReport&&)>;
 
-  /// Takes ownership of a trained model. `policy` defaults to LRU.
-  explicit AuditService(gnn::Hw2Vec model, const AuditOptions& options = {},
-                        std::unique_ptr<EvictionPolicy> policy = nullptr);
+  /// Takes ownership of a trained model.
+  explicit AuditService(gnn::Hw2Vec model, const AuditOptions& options = {});
 
   /// Backend seam: run the same commit turnstile, eviction, and snapshot
   /// layers over a caller-built corpus backend — an in-process
@@ -154,13 +155,11 @@ class AuditService {
   /// `options.num_shards` is overridden by the backend's own shard count
   /// (the backend is the truth); `corpus` must be non-null and empty.
   AuditService(gnn::Hw2Vec model, const AuditOptions& options,
-               std::unique_ptr<core::CorpusBackend> corpus,
-               std::unique_ptr<EvictionPolicy> policy = nullptr);
+               std::unique_ptr<core::CorpusBackend> corpus);
 
   /// Deployment path: load weights persisted by gnn::save_model_file.
   [[nodiscard]] static AuditService from_model_file(
-      const std::string& path, const AuditOptions& options = {},
-      std::unique_ptr<EvictionPolicy> policy = nullptr);
+      const std::string& path, const AuditOptions& options = {});
 
   // ---- Resident library -------------------------------------------------
   /// Compile + embed + admit inline and pin (never evicted). Returns the
@@ -234,7 +233,7 @@ class AuditService {
   void save_corpus(const std::string& dir);
 
   /// Warm restart: replace the resident corpus, name index, pins, and
-  /// eviction recency with a snapshot written by save_corpus(). The
+  /// eviction order with a snapshot written by save_corpus(). The
   /// snapshot must have been written against a model with this
   /// service's fingerprint (core::SnapshotFingerprintError otherwise);
   /// every malformed-snapshot case throws a distinct typed
@@ -252,7 +251,9 @@ class AuditService {
   }
 
   // ---- Pinning & introspection ------------------------------------------
+  /// Protect a resident entry from eviction.
   void pin(const std::string& name);
+  /// Make an entry evictable again, at its admission-order position.
   void unpin(const std::string& name);
   [[nodiscard]] bool pinned(const std::string& name) const;
   [[nodiscard]] bool contains(const std::string& name) const;
@@ -263,7 +264,10 @@ class AuditService {
     util::ReaderLock state(state_mu_);
     return corpus_->live_count();
   }
-  [[nodiscard]] const std::string& name(std::size_t i) const {
+  /// Name of the entry at corpus index `i`: a copy taken under the state
+  /// lock, since a concurrent commit may move or free the corpus's own
+  /// string as soon as the lock is released.
+  [[nodiscard]] std::string name(std::size_t i) const {
     util::ReaderLock state(state_mu_);
     return corpus_->name(i);
   }
@@ -294,10 +298,16 @@ class AuditService {
                   std::size_t prior_count);
 
   /// Admit an embedding under `name`, replacing any resident row of the
-  /// same name. Returns the (pre-compaction) row index. Caller holds
-  /// the commit slot and state_mu_ exclusively.
+  /// same name (a pin follows the name onto the new row). Returns the
+  /// (pre-compaction) row index. Caller holds the commit slot and
+  /// state_mu_ exclusively.
   std::size_t admit(const std::string& name, const tensor::Matrix& embedding)
       GNN4IP_REQUIRES(state_mu_);
+  /// Tombstone the resident row at `index` and forget its name. Caller
+  /// holds state_mu_ exclusively.
+  void drop(std::size_t index) GNN4IP_REQUIRES(state_mu_);
+  /// Remove `index` from evictable_ if it is there.
+  void forget_evictable(std::size_t index) GNN4IP_REQUIRES(state_mu_);
   /// Evict down to max_resident, then down to shard_budget per shard
   /// (never pinned entries), then compact the corpus and remap the name
   /// index. Returns the old→new mapping; empty when nothing was removed
@@ -321,16 +331,21 @@ class AuditService {
   /// the fully-parallel embed phase to hold state_mu_ shared and
   /// serialize against commit slots).
   std::unique_ptr<core::CorpusBackend> corpus_;
-  std::unique_ptr<EvictionPolicy> policy_ GNN4IP_PT_GUARDED_BY(state_mu_);
   util::BoundedQueue<AuditItem> queue_;
 
-  /// Guards index_by_name_/pinned_/policy_: exclusive inside a commit
-  /// slot (mutations are already serialized by the turnstile; the lock
-  /// exists for the readers), shared in top_k/contains/index_of/pinned.
+  /// Guards index_by_name_/pinned_/evictable_: exclusive inside a
+  /// commit slot and in pin/unpin (commit mutations are already
+  /// serialized by the turnstile; the lock exists for the readers),
+  /// shared in top_k/contains/index_of/pinned/name.
   mutable util::SharedMutex state_mu_{util::lock_rank::kState};
   std::unordered_map<std::string, std::size_t> index_by_name_
       GNN4IP_GUARDED_BY(state_mu_);
   std::unordered_set<std::string> pinned_ GNN4IP_GUARDED_BY(state_mu_);
+  /// Corpus indices of the live unpinned rows, ascending — the eviction
+  /// order. Admissions append, compaction preserves relative order and
+  /// the service never refreshes a row on a hit, so ascending index is
+  /// admission order and the front is always the oldest evictable row.
+  std::vector<std::size_t> evictable_ GNN4IP_GUARDED_BY(state_mu_);
 
   /// The admission-ticket turnstile: tickets_issued_ is the next ticket
   /// to hand out, next_commit_ the next allowed to commit. Commits

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 #include "core/cosine_kernels.h"
@@ -51,6 +52,7 @@ void EmbeddingStore::remove(std::size_t i) {
   GNN4IP_ENSURE(!dead_[i], "EmbeddingStore: row already removed");
   dead_[i] = true;
   --live_count_;
+  first_removed_ = std::min(first_removed_, i);
 }
 
 bool EmbeddingStore::live(std::size_t i) const {
@@ -59,10 +61,17 @@ bool EmbeddingStore::live(std::size_t i) const {
 }
 
 std::vector<std::size_t> EmbeddingStore::compact() {
-  std::vector<std::size_t> mapping(names_.size(), kNoIndex);
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (dead_[i]) continue;
+  const std::size_t first = std::min(first_removed_, names_.size());
+  std::vector<std::size_t> mapping(names_.size());
+  std::iota(mapping.begin(),
+            mapping.begin() + static_cast<std::ptrdiff_t>(first),
+            std::size_t{0});
+  std::size_t next = first;
+  for (std::size_t i = first; i < names_.size(); ++i) {
+    if (dead_[i]) {
+      mapping[i] = kNoIndex;
+      continue;
+    }
     mapping[i] = next;
     if (next != i) {
       names_[next] = std::move(names_[i]);
@@ -73,11 +82,15 @@ std::vector<std::size_t> EmbeddingStore::compact() {
     }
     ++next;
   }
+  // resize keeps the capacity, so the next add() appends in place.
   names_.resize(next);
   data_.resize(next * dim_);
   norms_.resize(next);
-  dead_.assign(next, false);
+  std::fill(dead_.begin() + static_cast<std::ptrdiff_t>(first),
+            dead_.begin() + static_cast<std::ptrdiff_t>(next), false);
+  dead_.resize(next);
   live_count_ = next;
+  first_removed_ = kNoIndex;
   return mapping;
 }
 
@@ -155,6 +168,7 @@ EmbeddingStore EmbeddingStore::load(std::istream& is,
     read_bytes(is, &flag, 1, "shard live flags");
     store.dead_[i] = flag == 0;
     counted_live += flag != 0 ? 1 : 0;
+    if (flag == 0) store.first_removed_ = std::min(store.first_removed_, i);
   }
   if (counted_live != live) {
     throw SnapshotManifestError(

@@ -70,9 +70,15 @@ class EmbeddingStore {
   /// Rows not yet removed.
   [[nodiscard]] std::size_t live_count() const { return live_count_; }
 
-  /// Erase every removed row in one pass. Returns the index remapping:
-  /// result[old_index] is the row's new index, or kNoIndex if it was
-  /// removed. No-op (identity mapping) when nothing is removed.
+  /// Lowest removed row not yet erased by compact(); kNoIndex when
+  /// every row is live. Tracked through remove() and load().
+  [[nodiscard]] std::size_t first_removed() const { return first_removed_; }
+
+  /// Erase every removed row in one pass over the rows from
+  /// first_removed() on — the rows below it keep their index. Returns the
+  /// index remapping: result[old_index] is the row's new index, or
+  /// kNoIndex if it was removed. Identity mapping when nothing is
+  /// removed.
   std::vector<std::size_t> compact();
 
   // ---- Persistence (binary shard format v1) -----------------------------
@@ -96,6 +102,7 @@ class EmbeddingStore {
   std::vector<float> norms_;  // fl(row_norm) per row — exact denominators
   std::vector<bool> dead_;    // tombstones; erased by compact()
   std::size_t live_count_ = 0;
+  std::size_t first_removed_ = kNoIndex;
 };
 
 }  // namespace gnn4ip::core

@@ -138,29 +138,25 @@ std::vector<std::size_t> ShardedCorpus::compact() {
   // about to be rewritten.
   util::WriterLock epoch(epoch_mu_);
   util::WriterLock index(index_mu_);
-  // Compact each shard, then renumber the survivors densely in global
-  // insertion order — the numbering a single-shard compact() would have
-  // produced, so the mapping values never depend on the shard count.
-  std::vector<std::vector<std::size_t>> local_maps(shards_.size());
+  // Renumber from the lowest removed global (each shard's lowest
+  // tombstone, mapped through its ascending local→global table), then
+  // let each store erase its own tombstones: both number the survivors
+  // densely in insertion order, so they stay in step — the numbering a
+  // single-shard compact() would have produced, for any shard count.
+  std::size_t first = entries_.size();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    local_maps[s] = shards_[s].compact();
+    const std::size_t local = shards_[s].first_removed();
+    if (local != kNoIndex) first = std::min(first, globals_[s][local]);
   }
-  std::vector<std::size_t> mapping(entries_.size(), kNoIndex);
-  std::vector<EntryRef> survivors;
-  survivors.reserve(live_count_);
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    const EntryRef& e = entries_[g];
-    const std::size_t new_local = local_maps[e.shard][e.local];
-    if (new_local == kNoIndex) continue;
-    mapping[g] = survivors.size();
-    survivors.push_back({e.shard, new_local});
-  }
-  entries_ = std::move(survivors);
+  std::vector<std::size_t> mapping = compact_global_index(
+      entries_, globals_, first,
+      [this](std::size_t, const EntryRef& e) {
+        return shards_[e.shard].live(e.local);
+      });
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    globals_[s].assign(shards_[s].size(), kNoIndex);
-  }
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    globals_[entries_[g].shard][entries_[g].local] = g;
+    if (shards_[s].first_removed() != kNoIndex) (void)shards_[s].compact();
+    GNN4IP_ENSURE(shards_[s].size() == globals_[s].size(),
+                  "ShardedCorpus: shard out of step with the global index");
   }
   live_count_ = entries_.size();
   return mapping;
@@ -180,13 +176,6 @@ std::size_t ShardedCorpus::shard_live_count(std::size_t s) const {
   util::ReaderLock epoch(epoch_mu_);
   util::ReaderLock stripe(*stripes_[s]);
   return shards_[s].live_count();
-}
-
-std::size_t ShardedCorpus::prefix_below(std::size_t s,
-                                        std::size_t end) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(globals_[s].begin(), globals_[s].end(), end) -
-      globals_[s].begin());
 }
 
 std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
@@ -214,7 +203,8 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
   std::vector<std::vector<ScreenRow>> partials(shards_.size());
   fan_out(shards_.size(), [&](std::size_t s) {
     partials[s] =
-        screen_shard(shards_[s], prefix_below(s, first_new), probes, delta);
+        screen_shard(shards_[s], prefix_below(globals_[s], first_new), probes,
+                     delta);
   });
   for (std::size_t r = 0; r < result.size(); ++r) {
     ScreenRow& out = result[r];
@@ -263,8 +253,8 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   fan_out(shards_.size(), [&](std::size_t s) {
     const std::size_t exclude =
         s == query_ref.shard ? query_ref.local : kNoIndex;
-    prefixes[s] = top_k_shard(shards_[s], prefix_below(s, n), query, k,
-                              exclude);
+    prefixes[s] = top_k_shard(shards_[s], prefix_below(globals_[s], n), query,
+                              k, exclude);
   });
   std::vector<PairScore> merged;
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -54,6 +54,7 @@
 #include "core/corpus_backend.h"
 #include "core/cosine_kernels.h"
 #include "core/embedding_store.h"
+#include "core/global_index.h"
 #include "tensor/matrix.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -105,9 +106,11 @@ class ShardedCorpus final : public CorpusBackend {
 
   /// Compact every shard and renumber the global index space densely in
   /// insertion order. Returns result[old_global] = new_global or
-  /// kNoIndex — the same mapping values for any shard count. Takes the
-  /// global epoch: every in-flight reader and admitter completes first,
-  /// so no caller ever observes a half-remapped index space.
+  /// kNoIndex — the same mapping values for any shard count. Rows below
+  /// the lowest removed global keep their index and are not rewritten,
+  /// so the pass costs the rows from there on. Takes the global epoch:
+  /// every in-flight reader and admitter completes first, so no caller
+  /// ever observes a half-remapped index space.
   std::vector<std::size_t> compact() override;
 
   // ---- Shard introspection ----------------------------------------------
@@ -185,12 +188,6 @@ class ShardedCorpus final : public CorpusBackend {
       std::string_view expected_fingerprint) const override;
 
  private:
-  /// Where a global index lives: which shard, and which local row.
-  struct EntryRef {
-    std::size_t shard = 0;
-    std::size_t local = 0;
-  };
-
   /// RAII shared hold of *every* stripe, ascending shard id — the
   /// whole-corpus read lock of the scanning paths. A dynamic lock set
   /// is inexpressible in the capability analysis (hence the _unchecked
@@ -228,12 +225,6 @@ class ShardedCorpus final : public CorpusBackend {
     return shards_[e.shard].row(e.local);
   }
 
-  /// Rows of shard `s` admitted before global index `end`: an
-  /// ascending prefix of its local order (globals_[s] is ascending).
-  /// Callers hold stripe s.
-  [[nodiscard]] std::size_t prefix_below(std::size_t s,
-                                         std::size_t end) const;
-
   ScorerOptions options_;
   std::size_t shard_budget_ = 0;
 
@@ -269,7 +260,8 @@ class ShardedCorpus final : public CorpusBackend {
   std::vector<EntryRef> entries_
       GNN4IP_GUARDED_BY(index_mu_);  // global index -> (shard, local)
   // Per shard: local index -> global index (appended under the shard's
-  // stripe, rebuilt by compact()). Stripe-guarded like shards_ (above).
+  // stripe, renumbered by compact()). Stripe-guarded like shards_
+  // (above).
   std::vector<std::vector<std::size_t>> globals_;
 };
 

@@ -221,9 +221,10 @@ void DistCorpus::remove(std::size_t i) {
   check_reconciled_locked();
   GNN4IP_ENSURE(i < entries_.size(), "DistCorpus: remove out of range");
   GNN4IP_ENSURE(live_[i] != 0, "DistCorpus: row already removed");
-  const EntryRef e = entries_[i];
+  const core::EntryRef e = entries_[i];
   live_[i] = 0;
   --live_count_;
+  first_removed_ = std::min(first_removed_, i);
   --shard_live_[e.shard];
   Channel& ch = shared_->channels[e.shard];
   FrameBuilder b(ch.sendbuf, MsgType::kRemove);
@@ -235,51 +236,32 @@ void DistCorpus::remove(std::size_t i) {
 std::vector<std::size_t> DistCorpus::compact() {
   util::MutexLock lock(shared_->mu);
   check_reconciled_locked();
-  const std::size_t shard_count = globals_.size();
-  // Per-shard dense local renumbering from the mirror's liveness —
-  // exactly the mapping each server's EmbeddingStore::compact derives
-  // from its own tombstones, then the same global renumbering as
-  // ShardedCorpus::compact (insertion order, shard-count-invariant).
-  std::vector<std::vector<std::size_t>> local_maps(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    local_maps[s].assign(globals_[s].size(), kNoIndex);
-    std::size_t next = 0;
-    for (std::size_t local = 0; local < globals_[s].size(); ++local) {
-      if (live_[globals_[s][local]] != 0) local_maps[s][local] = next++;
-    }
+  // The renumbering ShardedCorpus::compact runs, from the lowest
+  // removed global: each server's EmbeddingStore::compact derives the
+  // same local numbering from its own tombstones. The mirror's rows and
+  // names below that global keep their place; the survivors above it
+  // move down in place, so the buffers keep their capacity.
+  const std::size_t first = std::min(first_removed_, entries_.size());
+  std::vector<std::size_t> mapping = core::compact_global_index(
+      entries_, globals_, first,
+      [this](std::size_t g, const core::EntryRef&) { return live_[g] != 0; });
+  for (std::size_t g = first; g < mapping.size(); ++g) {
+    const std::size_t to = mapping[g];
+    if (to == kNoIndex || to == g) continue;
+    std::copy(rows_.begin() + static_cast<std::ptrdiff_t>(g * dim_),
+              rows_.begin() + static_cast<std::ptrdiff_t>((g + 1) * dim_),
+              rows_.begin() + static_cast<std::ptrdiff_t>(to * dim_));
+    names_[to] = std::move(names_[g]);
   }
-  std::vector<std::size_t> mapping(entries_.size(), kNoIndex);
-  std::vector<EntryRef> survivors;
-  survivors.reserve(live_count_);
-  std::vector<float> new_rows;
-  new_rows.reserve(live_count_ * dim_);
-  std::deque<std::string> new_names;
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    const EntryRef& e = entries_[g];
-    const std::size_t new_local = local_maps[e.shard][e.local];
-    if (new_local == kNoIndex) continue;
-    mapping[g] = survivors.size();
-    survivors.push_back({e.shard, new_local});
-    new_rows.insert(new_rows.end(),
-                    rows_.begin() + static_cast<std::ptrdiff_t>(g * dim_),
-                    rows_.begin() +
-                        static_cast<std::ptrdiff_t>((g + 1) * dim_));
-    new_names.push_back(std::move(names_[g]));
-  }
-  entries_ = std::move(survivors);
-  rows_ = std::move(new_rows);
-  names_ = std::move(new_names);
-  live_.assign(entries_.size(), 1);
-  live_count_ = entries_.size();
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    std::size_t kept = 0;
-    for (const std::size_t nl : local_maps[s]) kept += nl != kNoIndex ? 1 : 0;
-    globals_[s].assign(kept, kNoIndex);
-  }
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    globals_[entries_[g].shard][entries_[g].local] = g;
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
+  const std::size_t live = entries_.size();
+  rows_.resize(live * dim_);
+  names_.resize(live);
+  std::fill(live_.begin() + static_cast<std::ptrdiff_t>(first),
+            live_.begin() + static_cast<std::ptrdiff_t>(live), 1);
+  live_.resize(live);
+  live_count_ = live;
+  first_removed_ = kNoIndex;
+  for (std::size_t s = 0; s < globals_.size(); ++s) {
     shard_live_[s] = globals_[s].size();
   }
   for (Channel& ch : shared_->channels) {
@@ -358,9 +340,7 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
   for (std::size_t s = 0; s < shard_count; ++s) {
     // Candidates are this shard's rows admitted before first_new — an
     // ascending prefix of its local order.
-    limits[s] = static_cast<std::size_t>(
-        std::lower_bound(globals_[s].begin(), globals_[s].end(), first_new) -
-        globals_[s].begin());
+    limits[s] = core::prefix_below(globals_[s], first_new);
     Channel& ch = shared_->channels[s];
     flush_locked(ch);
     FrameBuilder b(ch.sendbuf, MsgType::kScreen);
@@ -506,7 +486,7 @@ void DistCorpus::save(const std::string& dir,
   core::CorpusManifest manifest{std::string(model_fingerprint), dim_,
                                 shard_count, {}};
   manifest.order.reserve(entries_.size());
-  for (const EntryRef& e : entries_) manifest.order.push_back(e.shard);
+  for (const core::EntryRef& e : entries_) manifest.order.push_back(e.shard);
   core::write_manifest(root / core::kManifestFileName, manifest);
 }
 
@@ -532,6 +512,7 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
     if (!probe.live(g)) {
       fresh->live_[g] = 0;
       --fresh->live_count_;
+      fresh->first_removed_ = std::min(fresh->first_removed_, g);
       --fresh->shard_live_[fresh->entries_[g].shard];
     }
   }
@@ -575,7 +556,7 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
       b.finish();
     }
     for (std::size_t g = 0; g < fresh->entries_.size(); ++g) {
-      const EntryRef& e = fresh->entries_[g];
+      const core::EntryRef& e = fresh->entries_[g];
       Channel& ch = shared_->channels[e.shard];
       FrameBuilder b(ch.sendbuf, MsgType::kAdmitRows);
       b.put_u32(static_cast<std::uint32_t>(fresh->dim_));

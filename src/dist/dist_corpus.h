@@ -47,6 +47,7 @@
 
 #include "core/corpus_backend.h"
 #include "core/cosine_kernels.h"
+#include "core/global_index.h"
 #include "net/socket.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -150,11 +151,6 @@ class DistCorpus final : public core::CorpusBackend {
     std::vector<Channel> channels;
   };
 
-  struct EntryRef {
-    std::size_t shard = 0;
-    std::size_t local = 0;
-  };
-
   DistCorpus(std::shared_ptr<ChannelSet> channels,
              const core::ScorerOptions& options, std::size_t shard_budget,
              std::string fingerprint);
@@ -190,7 +186,10 @@ class DistCorpus final : public core::CorpusBackend {
   bool unreconciled_ = false;
   std::size_t dim_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<EntryRef> entries_;
+  /// Lowest removed global not yet compacted away; kNoIndex when every
+  /// row is live.
+  std::size_t first_removed_ = kNoIndex;
+  std::vector<core::EntryRef> entries_;
   /// Per shard: local index -> global index, ascending.
   std::vector<std::vector<std::size_t>> globals_;
   /// Row-major size()×dim() float mirror — probe source for every

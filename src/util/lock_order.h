@@ -17,7 +17,7 @@
 //   20  sync     AuditService::sync_mu_                 {drain, reserve} atom
 //   30  queue    util::BoundedQueue<T>::mu_             queue internals
 //   40  commit   AuditService::commit_mu_               the ticket turnstile
-//   50  state    AuditService::state_mu_                names/pins/policy
+//   50  state    AuditService::state_mu_                names/pins/evictable
 //   100 epoch    ShardedCorpus::epoch_mu_               corpus quiesce gate
 //   101 index    ShardedCorpus::index_mu_               global id space
 //   110+s        ShardedCorpus stripe for shard s       per-shard rows

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "audit/async_auditor.h"
@@ -529,22 +531,176 @@ TEST(AsyncAuditor, ConcurrentProducersAllGetReports) {
   EXPECT_EQ(auditor.submitted(), kProducers * kPerProducer);
 }
 
-TEST(LruEvictionPolicy, EvictsColdestEvictableEntry) {
-  LruEvictionPolicy lru;
-  lru.touch("a");
-  lru.touch("b");
-  lru.touch("c");
-  lru.touch("a");  // "b" is now coldest
-  const auto any = [](const std::string&) { return true; };
-  ASSERT_TRUE(lru.victim(any).has_value());
-  EXPECT_EQ(*lru.victim(any), "b");
-  // Pinned-style exclusion: skip "b", evict next-coldest.
-  EXPECT_EQ(*lru.victim([](const std::string& n) { return n != "b"; }), "c");
-  lru.erase("b");
-  EXPECT_EQ(*lru.victim(any), "c");
-  lru.erase("a");
-  lru.erase("c");
-  EXPECT_FALSE(lru.victim(any).has_value());
+// ---- Victim order -------------------------------------------------------
+// Under a max_resident bound the victim is the oldest live unpinned row
+// by admission order. Every design below reuses one set of tensors:
+// which row goes depends only on names, pins and arrival order.
+
+using Names = std::vector<std::string>;
+
+/// Resident names by corpus index: after each commit's compaction the
+/// corpus is dense, so this is admission order.
+Names residents(const AuditService& service) {
+  Names names;
+  for (std::size_t i = 0; i < service.resident(); ++i) {
+    names.push_back(service.name(i));
+  }
+  return names;
+}
+
+/// Submit and screen one design under `name`.
+void screen_as(AuditService& service, const std::string& name,
+               const gnn::GraphTensors& tensors) {
+  ASSERT_TRUE(service.submit(name, tensors));
+  const std::vector<ScreenReport> reports = service.screen();
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_TRUE(reports[0].submission.accepted) << name;
+}
+
+AuditOptions bounded(std::size_t max_resident) {
+  AuditOptions options;
+  options.max_resident = max_resident;
+  return options;
+}
+
+TEST(AuditEviction, VictimsFollowAdmissionOrder) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService service(model, bounded(2));
+  screen_as(service, "a", t);
+  screen_as(service, "b", t);
+  EXPECT_EQ(residents(service), (Names{"a", "b"}));
+  screen_as(service, "c", t);
+  EXPECT_EQ(residents(service), (Names{"b", "c"}));
+  screen_as(service, "d", t);
+  EXPECT_EQ(residents(service), (Names{"c", "d"}));
+}
+
+TEST(AuditEviction, PinnedRowBetweenUnpinnedRowsIsSkipped) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService service(model, bounded(3));
+  screen_as(service, "a", t);
+  ASSERT_TRUE(service.add_library("lib", t).accepted);
+  screen_as(service, "b", t);
+  screen_as(service, "c", t);
+  EXPECT_EQ(residents(service), (Names{"lib", "b", "c"}));
+  screen_as(service, "d", t);
+  EXPECT_EQ(residents(service), (Names{"lib", "c", "d"}));
+}
+
+TEST(AuditEviction, UnpinnedRowIsEvictableAtItsOriginalPosition) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService service(model, bounded(3));
+  screen_as(service, "a", t);
+  ASSERT_TRUE(service.add_library("lib", t).accepted);
+  screen_as(service, "b", t);
+  service.unpin("lib");
+  EXPECT_FALSE(service.pinned("lib"));
+  // "a" is older than "lib", "lib" older than "b": unpinning neither
+  // refreshed "lib" nor made it the oldest.
+  screen_as(service, "c", t);
+  EXPECT_EQ(residents(service), (Names{"lib", "b", "c"}));
+  screen_as(service, "d", t);
+  EXPECT_EQ(residents(service), (Names{"b", "c", "d"}));
+}
+
+TEST(AuditEviction, PinMidStreamProtectsTheRow) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService service(model, bounded(3));
+  screen_as(service, "a", t);
+  screen_as(service, "b", t);
+  screen_as(service, "c", t);
+  service.pin("a");
+  screen_as(service, "d", t);
+  EXPECT_EQ(residents(service), (Names{"a", "c", "d"}));
+  screen_as(service, "e", t);
+  EXPECT_EQ(residents(service), (Names{"a", "d", "e"}));
+}
+
+TEST(AuditEviction, ResubmittedNameBecomesTheNewest) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService service(model, bounded(3));
+  screen_as(service, "a", t);
+  screen_as(service, "b", t);
+  screen_as(service, "c", t);
+  screen_as(service, "a", t);  // replaces the row: nothing evicted
+  EXPECT_EQ(residents(service), (Names{"b", "c", "a"}));
+  screen_as(service, "d", t);
+  EXPECT_EQ(residents(service), (Names{"c", "a", "d"}));
+  screen_as(service, "e", t);
+  EXPECT_EQ(residents(service), (Names{"a", "d", "e"}));
+}
+
+TEST(AuditEviction, ShardBudgetEvictsTheHotShardsOldestUnpinnedRow) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  // Names by placement: "hot" rows share shard 0, "cold" is in shard 1.
+  Names hot;
+  std::string cold;
+  for (std::size_t i = 0; hot.size() < 5 || cold.empty(); ++i) {
+    const std::string name = "n" + std::to_string(i);
+    if (core::ShardedCorpus::placement(name, 2) == 0) {
+      if (hot.size() < 5) hot.push_back(name);
+    } else if (cold.empty()) {
+      cold = name;
+    }
+  }
+  AuditOptions options;
+  options.num_shards = 2;
+  options.shard_budget = 2;
+  AuditService service(model, options);
+  screen_as(service, hot[0], t);
+  screen_as(service, cold, t);
+  screen_as(service, hot[1], t);
+  EXPECT_EQ(residents(service), (Names{hot[0], cold, hot[1]}));
+  screen_as(service, hot[2], t);
+  EXPECT_EQ(residents(service), (Names{cold, hot[1], hot[2]}));
+  ASSERT_TRUE(service.add_library(hot[3], t).accepted);
+  EXPECT_EQ(residents(service), (Names{cold, hot[2], hot[3]}));
+  screen_as(service, hot[4], t);
+  EXPECT_EQ(residents(service), (Names{cold, hot[3], hot[4]}));
+}
+
+TEST(AuditEviction, SameVictimsAfterSaveAndLoad) {
+  gnn::Hw2Vec model;
+  const gnn::GraphTensors t = small_corpus()[0].tensors;
+  AuditService warm(model, bounded(3));
+  screen_as(warm, "a", t);
+  ASSERT_TRUE(warm.add_library("lib", t).accepted);
+  screen_as(warm, "b", t);
+  screen_as(warm, "c", t);
+  warm.pin("c");
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    "gnn4ip_audit_test" / "victim_order";
+  std::filesystem::remove_all(dir);
+  warm.save_corpus(dir.string());
+  AuditService restarted(model, bounded(3));
+  restarted.load_corpus(dir.string());
+  EXPECT_EQ(residents(restarted), (Names{"lib", "b", "c"}));
+
+  // The same steps on both services pick the same victims.
+  const std::vector<std::pair<std::string, Names>> steps = {
+      {"d", {"lib", "c", "d"}},
+      {"unpin lib", {"lib", "c", "d"}},
+      {"e", {"c", "d", "e"}},
+      {"unpin c", {"c", "d", "e"}},
+      {"f", {"d", "e", "f"}},
+  };
+  for (AuditService* service : {&warm, &restarted}) {
+    for (const auto& [step, expected] : steps) {
+      if (step.rfind("unpin ", 0) == 0) {
+        service->unpin(step.substr(6));
+      } else {
+        screen_as(*service, step, t);
+      }
+      EXPECT_EQ(residents(*service), expected) << "after " << step;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -225,7 +225,9 @@ TEST(MultiConsumer, ProducerConsumerChurnWithLiveEvictionAndReaders) {
     });
   }
   // Concurrent reader: top_k on a pinned library entry races commits
-  // and compactions (the state lock's shared path).
+  // and compactions (the state lock's shared path). The pinned first
+  // library entry holds index 0 throughout, and name() hands back a
+  // copy that later commits cannot move or free.
   std::atomic<bool> stop_reader{false};
   std::thread reader([&] {
     while (!stop_reader.load()) {
@@ -234,6 +236,7 @@ TEST(MultiConsumer, ProducerConsumerChurnWithLiveEvictionAndReaders) {
       ASSERT_LE(top.size(), 2u);
       (void)auditor.service().resident();
       (void)auditor.service().contains(entries[1].name);
+      ASSERT_EQ(auditor.service().name(0), entries[0].name);
     }
   });
   for (std::thread& t : producers) t.join();

@@ -13,7 +13,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,10 +21,10 @@
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
 #include "dist/dist_corpus.h"
-#include "dist/shard_server.h"
 #include "exhaustive_oracle.h"
 #include "gnn/model_io.h"
 #include "net/wire_format.h"
+#include "shard_cluster.h"
 
 namespace gnn4ip {
 namespace {
@@ -46,35 +45,6 @@ std::vector<tensor::Matrix> embed_all(gnn::Hw2Vec& model,
   }
   return out;
 }
-
-/// N shard servers on ephemeral loopback ports, each serving on its own
-/// thread until the fixture dies.
-struct Cluster {
-  explicit Cluster(std::size_t count, dist::ShardServerOptions options = {}) {
-    options.poll_ms = 20;
-    for (std::size_t s = 0; s < count; ++s) {
-      servers.push_back(
-          std::make_unique<dist::ShardServer>(0, options));
-    }
-    for (auto& server : servers) {
-      threads.emplace_back([&server] { server->serve(); });
-    }
-  }
-  ~Cluster() {
-    for (auto& server : servers) server->stop();
-    for (std::thread& t : threads) t.join();
-  }
-  [[nodiscard]] std::vector<dist::Endpoint> endpoints() const {
-    std::vector<dist::Endpoint> eps;
-    for (const auto& server : servers) {
-      eps.push_back({"127.0.0.1", server->port()});
-    }
-    return eps;
-  }
-
-  std::vector<std::unique_ptr<dist::ShardServer>> servers;
-  std::vector<std::thread> threads;
-};
 
 std::string snapshot_dir(const std::string& leaf) {
   const std::filesystem::path dir =
