@@ -20,6 +20,7 @@
 #include "core/gnn4ip.h"
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
+#include "data/iscas.h"
 #include "data/rtl_designs.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
@@ -40,10 +41,10 @@ const std::string& medium_rtl() {
   return src;
 }
 
-const std::string& netlist_src() {
-  static const std::string src =
-      data::build_netlist_family("nl_mult4").to_verilog();
-  return src;
+const std::vector<data::IscasBenchmark>& iscas() {
+  static const std::vector<data::IscasBenchmark> benches =
+      data::iscas_benchmarks();
+  return benches;
 }
 
 void BM_ParseSmallRtl(benchmark::State& state) {
@@ -74,12 +75,21 @@ void BM_ExtractDfgMedium(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractDfgMedium);
 
+// The six ISCAS stand-ins in Table III order. The `nets` counter is each
+// one's declaration count, so cost superlinear in declared nets shows
+// across the series.
 void BM_ExtractDfgNetlist(benchmark::State& state) {
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const std::string src = bench.netlist.to_verilog();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dfg::extract_dfg(netlist_src()));
+    benchmark::DoNotOptimize(dfg::extract_dfg(src));
   }
+  state.SetLabel(bench.name);
+  state.counters["nets"] =
+      static_cast<double>(verilog::parse(src).modules.front().nets.size());
 }
-BENCHMARK(BM_ExtractDfgNetlist);
+BENCHMARK(BM_ExtractDfgNetlist)->DenseRange(0, 5);
 
 void BM_Featurize(benchmark::State& state) {
   const graph::Digraph g = dfg::extract_dfg(medium_rtl());

@@ -1,8 +1,9 @@
 #include "dfg/merge.h"
 
-#include <map>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "dfg/node_kind.h"
 #include "util/contract.h"
@@ -23,17 +24,17 @@ class Merger {
       : flat_(flat), drivers_(drivers) {}
 
   Digraph run() {
-    // Pre-create signal nodes for everything declared or driven so that
-    // identifier references resolve to shared vertices.
-    for (const verilog::NetDecl& net : flat_.nets) {
-      (void)signal_node(net.name);
-    }
+    // Registers are collected before the first node exists, so each signal
+    // is classified once, when it is created.
     for (const SignalDriver& driver : drivers_) {
       if (driver.is_register) registers_.insert(driver.signal);
     }
-    // Register kinds are finalized after the scan above.
-    for (auto& [name, id] : signals_) {
-      g_.node(id).kind = static_cast<int>(classify_signal(name));
+    // Pre-create signal nodes for everything declared or driven so that
+    // identifier references resolve to shared vertices. A name's node is
+    // created, and classified, at its first declaration (the one a lookup
+    // by name finds), so a node created later has no declaration.
+    for (const verilog::NetDecl& net : flat_.nets) {
+      (void)signal_node(net.name, &net);
     }
     for (const SignalDriver& driver : drivers_) {
       const NodeId sig = signal_node(driver.signal);
@@ -44,8 +45,8 @@ class Merger {
   }
 
  private:
-  NodeKind classify_signal(const std::string& name) const {
-    const verilog::NetDecl* net = flat_.find_net(name);
+  NodeKind classify_signal(std::string_view name,
+                           const verilog::NetDecl* net) const {
     if (net != nullptr && net->direction.has_value()) {
       switch (*net->direction) {
         case verilog::PortDirection::kInput:
@@ -60,20 +61,21 @@ class Merger {
     return NodeKind::kSignal;
   }
 
-  NodeId signal_node(const std::string& name) {
+  NodeId signal_node(std::string_view name,
+                     const verilog::NetDecl* decl = nullptr) {
     const auto it = signals_.find(name);
     if (it != signals_.end()) return it->second;
-    const NodeId id =
-        g_.add_node(name, static_cast<int>(classify_signal(name)));
+    const NodeId id = g_.add_node(
+        std::string(name), static_cast<int>(classify_signal(name, decl)));
     signals_.emplace(name, id);
     return id;
   }
 
-  NodeId constant_node(const std::string& literal) {
+  NodeId constant_node(std::string_view literal) {
     const auto it = constants_.find(literal);
     if (it != constants_.end()) return it->second;
-    const NodeId id =
-        g_.add_node(literal, static_cast<int>(NodeKind::kConstant));
+    const NodeId id = g_.add_node(std::string(literal),
+                                  static_cast<int>(NodeKind::kConstant));
     constants_.emplace(literal, id);
     return id;
   }
@@ -154,9 +156,12 @@ class Merger {
   const verilog::Module& flat_;
   const std::vector<SignalDriver>& drivers_;
   Digraph g_;
-  std::map<std::string, NodeId> signals_;
-  std::map<std::string, NodeId> constants_;
-  std::set<std::string> registers_;
+  // Lookup only, never iterated, so node ids and edges follow creation
+  // order. Keys view names in `flat_` and `drivers_`, which outlive the
+  // merge.
+  std::unordered_map<std::string_view, NodeId> signals_;
+  std::unordered_map<std::string_view, NodeId> constants_;
+  std::unordered_set<std::string_view> registers_;
 };
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "dfg/node_kind.h"
 #include "util/contract.h"
@@ -79,13 +78,13 @@ GraphTensors featurize(const graph::Digraph& g,
                   "node kind outside DFG vocabulary");
     t.x.at(v, static_cast<std::size_t>(kind)) = 1.0F;
   }
-  std::set<std::pair<std::size_t, std::size_t>> dedup;
+  t.edges.reserve(g.num_edges());
   for (const auto& [src, dst] : g.edges()) {
     if (src == dst) continue;  // self-loops are re-added by normalization
-    dedup.insert({static_cast<std::size_t>(src),
-                  static_cast<std::size_t>(dst)});
+    t.edges.emplace_back(src, dst);
   }
-  t.edges.assign(dedup.begin(), dedup.end());
+  std::sort(t.edges.begin(), t.edges.end());
+  t.edges.erase(std::unique(t.edges.begin(), t.edges.end()), t.edges.end());
   t.adj = normalized_adjacency(t.num_nodes, t.edges, options.symmetrize);
   t.pooled_cache = std::make_shared<PooledAdjCache>();
   return t;

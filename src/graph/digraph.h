@@ -6,8 +6,8 @@
 // edge list into a normalized sparse adjacency.
 //
 // Mutations (adding nodes/edges, removing node subsets) are supported so
-// the trim pass can rewrite graphs in place; `compact()` renumbers node
-// ids densely after removals.
+// the trim pass can rewrite graphs in place; `remove_nodes()` renumbers
+// the surviving node ids densely.
 #pragma once
 
 #include <cstdint>

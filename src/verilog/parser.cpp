@@ -106,6 +106,8 @@ class Parser {
 
   // --- module structure ----------------------------------------------------
   Module parse_module() {
+    net_index_.clear();
+    indexed_nets_ = 0;
     Module mod;
     mod.loc = peek().loc;
     expect_keyword("module");
@@ -309,18 +311,31 @@ class Parser {
   }
 
   /// Non-ANSI style declares the same name twice (header + body, or
-  /// `output Sum;` + `reg Sum;`). Merge attributes instead of duplicating.
-  static void merge_or_append_net(Module& mod, NetDecl net) {
-    for (NetDecl& existing : mod.nets) {
-      if (existing.name != net.name) continue;
-      if (net.direction.has_value()) existing.direction = net.direction;
-      if (net.type != NetType::kWire) existing.type = net.type;
-      if (net.range.has_value()) existing.range = std::move(net.range);
-      existing.is_signed = existing.is_signed || net.is_signed;
-      if (net.init != nullptr) existing.init = std::move(net.init);
+  /// `output Sum;` + `reg Sum;`). Merge attributes into the name's first
+  /// declaration instead of duplicating.
+  void merge_or_append_net(Module& mod, NetDecl net) {
+    NetDecl* existing = first_declaration(mod, net.name);
+    if (existing == nullptr) {
+      mod.nets.push_back(std::move(net));
       return;
     }
-    mod.nets.push_back(std::move(net));
+    if (net.direction.has_value()) existing->direction = net.direction;
+    if (net.type != NetType::kWire) existing->type = net.type;
+    if (net.range.has_value()) existing->range = std::move(net.range);
+    existing->is_signed = existing->is_signed || net.is_signed;
+    if (net.init != nullptr) existing->init = std::move(net.init);
+  }
+
+  /// The first of `mod`'s nets named `name`, or nullptr. Each call first
+  /// extends the name index over the nets appended since the last (the
+  /// ANSI port list included), so a netlist's thousands of declarations
+  /// stay linear.
+  NetDecl* first_declaration(Module& mod, const std::string& name) {
+    for (; indexed_nets_ < mod.nets.size(); ++indexed_nets_) {
+      net_index_.try_emplace(mod.nets[indexed_nets_].name, indexed_nets_);
+    }
+    const auto it = net_index_.find(name);
+    return it == net_index_.end() ? nullptr : &mod.nets[it->second];
   }
 
   void parse_parameter_declaration(Module& mod) {
@@ -790,6 +805,10 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  /// Current module's net name -> position of its first declaration in
+  /// `Module::nets`, covering the first `indexed_nets_` nets.
+  std::unordered_map<std::string, std::size_t> net_index_;
+  std::size_t indexed_nets_ = 0;
 };
 
 }  // namespace

@@ -73,12 +73,7 @@ class Preprocessor {
   }
 
  private:
-  [[nodiscard]] bool emitting() const {
-    for (bool active : cond_stack_) {
-      if (!active) return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool emitting() const { return inactive_levels_ == 0; }
 
   static void skip_line_comment(Cursor& cur, std::string& out) {
     while (!cur.at_end() && cur.peek() != '\n') cur.advance();
@@ -179,16 +174,24 @@ class Preprocessor {
         throw ParseError("`" + name + " requires a macro name", start);
       }
       const bool defined = defines_.count(macro) > 0;
-      cond_stack_.push_back(name == "ifdef" ? defined : !defined);
+      const bool active = name == "ifdef" ? defined : !defined;
+      cond_stack_.push_back(active);
+      if (!active) ++inactive_levels_;
     } else if (name == "else") {
       if (cond_stack_.empty()) {
         throw ParseError("`else without matching `ifdef", start);
+      }
+      if (cond_stack_.back()) {
+        ++inactive_levels_;
+      } else {
+        --inactive_levels_;
       }
       cond_stack_.back() = !cond_stack_.back();
     } else if (name == "endif") {
       if (cond_stack_.empty()) {
         throw ParseError("`endif without matching `ifdef", start);
       }
+      if (!cond_stack_.back()) --inactive_levels_;
       cond_stack_.pop_back();
     } else if (name == "include") {
       skip_spaces(cur);
@@ -240,6 +243,8 @@ class Preprocessor {
   const PreprocessOptions& options_;
   std::map<std::string, std::string> defines_;
   std::vector<bool> cond_stack_;
+  /// Number of false entries in `cond_stack_`; text is emitted at zero.
+  std::size_t inactive_levels_ = 0;
 };
 
 }  // namespace

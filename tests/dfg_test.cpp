@@ -1,13 +1,27 @@
 // DFG pipeline tests: dataflow analysis, merge, trim, end-to-end shapes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "data/corpus.h"
+#include "data/iscas.h"
+#include "data/obfuscate.h"
+#include "data/rtl_designs.h"
 #include "dfg/dataflow.h"
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
+#include "gnn/featurize.h"
+#include "gnn/hw2vec.h"
 #include "graph/algorithms.h"
+#include "tensor/matrix.h"
+#include "util/rng.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
 
@@ -169,6 +183,23 @@ TEST(Dfg, RegisterKindForEdgeTriggered) {
       "  assign y = st;\n"
       "endmodule\n");
   EXPECT_EQ(count_kind(g, NodeKind::kRegister), 1);
+}
+
+TEST(Dfg, RepeatedPortClassifiedByFirstDeclaration) {
+  // `a` is declared input, then output, then reg, and is driven by an
+  // edge-triggered block: its one node takes the first declaration's
+  // direction, which outranks the register drive.
+  const Digraph g = dfg_of(
+      "module m (input clk, input a, output a, input b, output y);\n"
+      "  reg a;\n"
+      "  always @(posedge clk) a <= b;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      /*run_trim=*/false);
+  const NodeId a = g.find_by_name("a");
+  ASSERT_NE(a, graph::kInvalidNode);
+  EXPECT_EQ(kind_of_node(g, a), NodeKind::kInput);
+  EXPECT_EQ(count_kind(g, NodeKind::kRegister), 0);
 }
 
 TEST(Dfg, BlockingAssignSubstitutesWithinBlock) {
@@ -369,6 +400,197 @@ TEST(Dfg, NodeKindVocabularyStable) {
   EXPECT_TRUE(is_signal_kind(NodeKind::kConstant));
   EXPECT_FALSE(is_signal_kind(NodeKind::kAdd));
   EXPECT_TRUE(is_operator_kind(NodeKind::kMux));
+}
+
+// --- byte-for-byte pin of the front end ----------------------------------------
+
+/// FNV-1a, 64-bit, fed fixed-width little-endian values so a hash names the
+/// same bytes on every platform.
+class Fnv1a {
+ public:
+  void byte(std::uint8_t b) { h_ = (h_ ^ b) * 0x100000001b3ULL; }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void f32(float f) { u64(std::bit_cast<std::uint32_t>(f)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Everything the front end hands to scoring: the trimmed DFG (node names
+/// and kinds in id order, edges() in its order), the featurized tensors,
+/// and the embedding.
+std::uint64_t front_end_hash(const std::string& src, gnn::Hw2Vec& model) {
+  const Digraph g = dfg_of(src);
+  Fnv1a h;
+  h.u64(g.num_nodes());
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const graph::Node& node = g.node(static_cast<NodeId>(v));
+    h.str(node.name);
+    h.u64(static_cast<std::uint64_t>(node.kind));
+  }
+  const auto edges = g.edges();
+  h.u64(edges.size());
+  for (const auto& [src_id, dst_id] : edges) {
+    h.u64(static_cast<std::uint64_t>(src_id));
+    h.u64(static_cast<std::uint64_t>(dst_id));
+  }
+  const gnn::GraphTensors t = gnn::featurize(g);
+  for (const float f : t.x.data()) h.f32(f);
+  h.u64(t.edges.size());
+  for (const auto& [src_id, dst_id] : t.edges) {
+    h.u64(src_id);
+    h.u64(dst_id);
+  }
+  for (const std::size_t offset : t.adj->row_offsets()) h.u64(offset);
+  for (const std::size_t col : t.adj->col_indices()) h.u64(col);
+  for (const float f : t.adj->values()) h.f32(f);
+  const tensor::Matrix embedding = model.embed_inference(t);
+  for (const float f : embedding.data()) h.f32(f);
+  return h.value();
+}
+
+/// The in-tree generator corpus: each ISCAS stand-in as generated and once
+/// obfuscated, every structural netlist family, and every RTL family in
+/// each of its styles.
+std::vector<std::pair<std::string, std::string>> golden_designs() {
+  std::vector<std::pair<std::string, std::string>> designs;
+  std::uint64_t seed = 1;
+  for (const data::IscasBenchmark& bench : data::iscas_benchmarks()) {
+    designs.emplace_back("iscas/" + bench.name, bench.netlist.to_verilog());
+    util::Rng rng(seed++);
+    designs.emplace_back("iscas_obf/" + bench.name,
+                         data::obfuscate(bench.netlist, {}, rng).to_verilog());
+  }
+  for (const std::string& family : data::netlist_family_names()) {
+    designs.emplace_back("netlist/" + family,
+                         data::build_netlist_family(family).to_verilog());
+  }
+  for (const data::RtlFamily& family : data::rtl_families()) {
+    for (int style = 0; style < family.num_styles; ++style) {
+      designs.emplace_back(
+          "rtl/" + family.name + "/" + std::to_string(style),
+          family.generate({.style = style, .seed = 7}));
+    }
+  }
+  return designs;
+}
+
+// Recorded before the front end's declaration lookups were hash-indexed;
+// any change to these constants means a verdict may have changed.
+const std::map<std::string, std::uint64_t> kGoldenHashes = {
+    {"iscas/c432", 0xb98df000edaac910ULL},
+    {"iscas_obf/c432", 0xea545eadbe3cb65fULL},
+    {"iscas/c499", 0x810957363da7bc1fULL},
+    {"iscas_obf/c499", 0x9b915d2b89c38451ULL},
+    {"iscas/c880", 0x1bb4921435e00decULL},
+    {"iscas_obf/c880", 0x659fedcb48ad5d89ULL},
+    {"iscas/c1355", 0x9470ffc2a258be1ULL},
+    {"iscas_obf/c1355", 0x1625053f96cdc4dfULL},
+    {"iscas/c1908", 0x747d295a0947a6c4ULL},
+    {"iscas_obf/c1908", 0x1c15725ac38486faULL},
+    {"iscas/c6288", 0xdd49e600256f889aULL},
+    {"iscas_obf/c6288", 0x5265bb9cbcfc3a09ULL},
+    {"netlist/nl_adder8", 0x9b5eea0e271fd8c7ULL},
+    {"netlist/nl_sub8", 0xa381dfd81db66e06ULL},
+    {"netlist/nl_alu4", 0xe4835f48ad79f4bbULL},
+    {"netlist/nl_mult4", 0xeb6f12327b57cdebULL},
+    {"netlist/nl_parity16", 0xcc591af3356ab529ULL},
+    {"netlist/nl_cmp8", 0xa7f03fe179ca0642ULL},
+    {"netlist/nl_dec3to8", 0xf94e8c992d9b553cULL},
+    {"netlist/nl_mux8", 0x32e97441f371bcb8ULL},
+    {"netlist/nl_gray8", 0xe48cb48b5300edc6ULL},
+    {"netlist/nl_prio8", 0x443d05b7cbb6afa5ULL},
+    {"netlist/nl_ham12", 0x77fbb6bacdab9104ULL},
+    {"rtl/adder/0", 0x27eb35400c3e7dc3ULL},
+    {"rtl/adder/1", 0x447913145f3d7589ULL},
+    {"rtl/adder/2", 0xcfda51b1ff13e82bULL},
+    {"rtl/alu/0", 0x7a4df5f09c810fccULL},
+    {"rtl/alu/1", 0x7a4df5f09c810fccULL},
+    {"rtl/counter/0", 0x18bc0fb0ec270919ULL},
+    {"rtl/counter/1", 0xd76d33d2b9a94c18ULL},
+    {"rtl/gray_counter/0", 0xd0e0a283bbbcb971ULL},
+    {"rtl/gray_counter/1", 0x946216d40fbbc58ULL},
+    {"rtl/lfsr/0", 0x11dd7a4074d69588ULL},
+    {"rtl/lfsr/1", 0xc53aa4f0a6ac1864ULL},
+    {"rtl/crc8/0", 0xfa90a9b4eac0a25fULL},
+    {"rtl/crc8/1", 0x54c1cd37b6c42f60ULL},
+    {"rtl/parity/0", 0x68d1a669c46fdf4cULL},
+    {"rtl/parity/1", 0xb941350c00be9df3ULL},
+    {"rtl/shift_reg/0", 0x943909f5e44af0dfULL},
+    {"rtl/shift_reg/1", 0x4dd961761b4e916aULL},
+    {"rtl/fifo_ctrl/0", 0xa1918c0f8a88addULL},
+    {"rtl/fifo_ctrl/1", 0x5a9c55c470c812a8ULL},
+    {"rtl/uart_tx/0", 0x9d112ed8953a119bULL},
+    {"rtl/uart_tx/1", 0x5ae4958f2d538cb1ULL},
+    {"rtl/uart_rx/0", 0xa6036d9554b66cb1ULL},
+    {"rtl/uart_rx/1", 0x7f2b4a58b732e5b5ULL},
+    {"rtl/spi_master/0", 0xb32f0c9bab858134ULL},
+    {"rtl/spi_master/1", 0x9769510a80ee4416ULL},
+    {"rtl/pwm/0", 0xdf7390eafca4a096ULL},
+    {"rtl/pwm/1", 0x2bc7ca5b53663e8cULL},
+    {"rtl/traffic_fsm/0", 0xcd731ae37cd969a6ULL},
+    {"rtl/traffic_fsm/1", 0xfff2175c1c128d15ULL},
+    {"rtl/seq_detector/0", 0x21a362dacfa6142aULL},
+    {"rtl/seq_detector/1", 0x9503647bd9309130ULL},
+    {"rtl/multiplier/0", 0x8e5ca0f2d41ba004ULL},
+    {"rtl/multiplier/1", 0x6ed6a4065f8323deULL},
+    {"rtl/hamming_enc/0", 0x277ba4a6aa833c43ULL},
+    {"rtl/hamming_enc/1", 0x3512b8694394b624ULL},
+    {"rtl/fpa/0", 0x38a3482d9c83f55ULL},
+    {"rtl/fpa/1", 0x5544dfc3687eb173ULL},
+    {"rtl/aes_round/0", 0x67c673a1b8a9bd3bULL},
+    {"rtl/aes_round/1", 0x22be4b76d9defcdaULL},
+    {"rtl/mips_single/0", 0xf3ca5ccf4d5dfc91ULL},
+    {"rtl/mips_single/1", 0xf3ca5ccf4d5dfc91ULL},
+    {"rtl/mips_pipeline/0", 0xaaa053e38ac15e67ULL},
+    {"rtl/mips_pipeline/1", 0xaaa053e38ac15e67ULL},
+    {"rtl/mips_multicycle/0", 0x981047ab43f42758ULL},
+    {"rtl/mips_multicycle/1", 0x981047ab43f42758ULL},
+    {"rtl/barrel_shifter/0", 0xeaed6c2bd0afbd43ULL},
+    {"rtl/barrel_shifter/1", 0x284c4564bd090141ULL},
+    {"rtl/bcd_counter/0", 0x908ec7c1867eff39ULL},
+    {"rtl/bcd_counter/1", 0x7552b92ef06d5f4eULL},
+    {"rtl/johnson_counter/0", 0xc079b980115f1345ULL},
+    {"rtl/johnson_counter/1", 0x6ebd96352ab19415ULL},
+    {"rtl/clock_divider/0", 0x9a95b4773803f37ULL},
+    {"rtl/clock_divider/1", 0xd0ecb1b7329e8dd1ULL},
+    {"rtl/debouncer/0", 0x7f04ef40a5a7c940ULL},
+    {"rtl/debouncer/1", 0xf2653c096579943fULL},
+    {"rtl/majority_voter/0", 0x6ac724834b5b862fULL},
+    {"rtl/majority_voter/1", 0xfbda6a93b7be4f0ULL},
+    {"rtl/popcount/0", 0x77fa51b4cfe6e3acULL},
+    {"rtl/popcount/1", 0x90d0ea01d6c01375ULL},
+    {"rtl/divider/0", 0x6468553bf9cde99cULL},
+    {"rtl/divider/1", 0xae4eb6c80922dd7aULL},
+    {"rtl/rr_arbiter/0", 0xa62258d631654313ULL},
+    {"rtl/rr_arbiter/1", 0x75fcbd99d4bc33b9ULL},
+    {"rtl/moving_average/0", 0xdb14902a1d463787ULL},
+    {"rtl/moving_average/1", 0x6ee3f7d5737fe82aULL},
+    {"rtl/sqrt/0", 0xf03445bc3e838661ULL},
+    {"rtl/sqrt/1", 0xb9c862f4026632e9ULL},
+};
+
+TEST(FrontEndGolden, DfgTensorsAndEmbeddingsByteIdentical) {
+  gnn::Hw2Vec model;  // default config, weight seed 1
+  const auto designs = golden_designs();
+  EXPECT_EQ(designs.size(), kGoldenHashes.size());
+  for (const auto& [label, src] : designs) {
+    const std::uint64_t hash = front_end_hash(src, model);
+    const auto it = kGoldenHashes.find(label);
+    if (it == kGoldenHashes.end()) {
+      ADD_FAILURE() << "no golden hash: {\"" << label << "\", 0x" << std::hex
+                    << hash << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(hash, it->second) << label;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Verilog frontend tests: preprocessor, lexer, parser, elaboration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "verilog/elaborate.h"
@@ -78,6 +79,58 @@ TEST(Preprocess, MacroInsideDisabledRegionNotDefined) {
       "`ifdef NOPE\n`define HIDDEN 1\n`endif\nwire x;";
   EXPECT_NO_THROW(preprocess(src));
   EXPECT_THROW(preprocess(src + "\n`HIDDEN"), ParseError);
+}
+
+TEST(Preprocess, DeepConditionalNestingExactOutput) {
+  // 12,000 nested levels cycling through a taken `ifdef, an `ifndef whose
+  // `else is taken and an `ifdef whose `else is taken; the innermost level
+  // holds an untaken region with a nested `else that must stay dark.
+  // Directive lines keep only their newline.
+  constexpr int kDepth = 12000;
+  std::string src = "`define ON\n";
+  std::string want = "\n";
+  const auto line = [&](const std::string& text, bool emitted) {
+    src += text + "\n";
+    want += (emitted ? text : std::string()) + "\n";
+  };
+  for (int i = 0; i < kDepth; ++i) {
+    const std::string wire = "wire w" + std::to_string(i) + ";";
+    switch (i % 3) {
+      case 0:
+        line("`ifdef ON", false);
+        break;
+      case 1:
+        line("`ifndef ON", false);
+        line("wire dead" + std::to_string(i) + ";", false);
+        line("`else", false);
+        break;
+      default:
+        line("`ifdef OFF", false);
+        line("wire dead" + std::to_string(i) + ";", false);
+        line("`else", false);
+        break;
+    }
+    line(wire, true);
+  }
+  line("`ifdef OFF", false);
+  line("`ifdef ON", false);
+  line("wire hidden_then;", false);
+  line("`else", false);
+  line("wire hidden_else;", false);
+  line("`endif", false);
+  line("`else", false);
+  line("wire innermost;", true);
+  line("`endif", false);
+  for (int i = 0; i < kDepth; ++i) line("`endif", false);
+  line("wire after;", true);
+  // Compared by hand: gtest's diff of two ~300 KB strings would not fit
+  // in memory.
+  const std::string out = preprocess(src);
+  const auto first_diff =
+      std::mismatch(out.begin(), out.end(), want.begin(), want.end());
+  EXPECT_TRUE(out == want) << "sizes " << out.size() << " vs " << want.size()
+                           << ", first difference at byte "
+                           << (first_diff.first - out.begin());
 }
 
 // --- lexer -------------------------------------------------------------------
@@ -161,6 +214,81 @@ TEST(Parser, ParsesNonAnsiModule) {
   EXPECT_EQ(*y->direction, PortDirection::kOutput);
   ASSERT_EQ(m.always_blocks.size(), 1u);
   EXPECT_EQ(m.always_blocks[0].sensitivity.size(), 2u);
+}
+
+TEST(Parser, RedeclaredNetMergesIntoOneDecl) {
+  const Design d = parse(
+      "module m (a, y);\n"
+      "  input a;\n"
+      "  output [3:0] y;\n"
+      "  reg y;\n"
+      "  always @(a) y = a;\n"
+      "endmodule\n");
+  const Module& m = d.modules[0];
+  ASSERT_EQ(m.nets.size(), 2u);
+  const NetDecl& y = m.nets[1];
+  EXPECT_EQ(y.name, "y");
+  EXPECT_EQ(y.type, NetType::kReg);
+  ASSERT_TRUE(y.direction.has_value());
+  EXPECT_EQ(*y.direction, PortDirection::kOutput);
+  EXPECT_TRUE(y.range.has_value());
+}
+
+TEST(Parser, SameNetNamesInTwoModulesStaySeparate) {
+  // The second module declares the first one's names in another order, so
+  // a declaration lookup that leaked across modules would merge into the
+  // wrong net.
+  const Design d = parse(
+      "module first (input a, output y);\n"
+      "  wire t;\n"
+      "  assign t = ~a;\n"
+      "  assign y = t;\n"
+      "endmodule\n"
+      "module second (t, a);\n"
+      "  input t;\n"
+      "  output a;\n"
+      "  reg a;\n"
+      "  wire y;\n"
+      "  always @(t) a = t;\n"
+      "endmodule\n");
+  ASSERT_EQ(d.modules.size(), 2u);
+  const Module& first = d.modules[0];
+  ASSERT_EQ(first.nets.size(), 3u);
+  EXPECT_EQ(first.nets[0].name, "a");
+  EXPECT_EQ(first.nets[0].type, NetType::kWire);
+  EXPECT_EQ(*first.nets[0].direction, PortDirection::kInput);
+  EXPECT_EQ(first.nets[1].name, "y");
+  EXPECT_EQ(*first.nets[1].direction, PortDirection::kOutput);
+  EXPECT_EQ(first.nets[2].name, "t");
+  EXPECT_FALSE(first.nets[2].direction.has_value());
+
+  const Module& second = d.modules[1];
+  ASSERT_EQ(second.nets.size(), 3u);
+  EXPECT_EQ(second.nets[0].name, "t");
+  EXPECT_EQ(second.nets[0].type, NetType::kWire);
+  EXPECT_EQ(*second.nets[0].direction, PortDirection::kInput);
+  EXPECT_EQ(second.nets[1].name, "a");
+  EXPECT_EQ(second.nets[1].type, NetType::kReg);
+  EXPECT_EQ(*second.nets[1].direction, PortDirection::kOutput);
+  EXPECT_EQ(second.nets[2].name, "y");
+  EXPECT_FALSE(second.nets[2].direction.has_value());
+}
+
+TEST(Parser, RepeatedAnsiPortMergesIntoFirstDecl) {
+  const Design d = parse(
+      "module m (input a, output a, input b, output y);\n"
+      "  reg a;\n"
+      "  assign y = a & b;\n"
+      "endmodule\n");
+  const Module& m = d.modules[0];
+  ASSERT_EQ(m.nets.size(), 4u);
+  EXPECT_EQ(m.nets[0].name, "a");
+  EXPECT_EQ(m.nets[0].type, NetType::kReg);
+  EXPECT_EQ(*m.nets[0].direction, PortDirection::kInput);
+  EXPECT_EQ(m.nets[1].name, "a");
+  EXPECT_EQ(m.nets[1].type, NetType::kWire);
+  EXPECT_EQ(*m.nets[1].direction, PortDirection::kOutput);
+  EXPECT_EQ(m.find_net("a"), &m.nets[0]);
 }
 
 TEST(Parser, ParsesPaperAdderExample) {
