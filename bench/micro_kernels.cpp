@@ -212,27 +212,6 @@ BENCHMARK(BM_EmbedCorpus)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Cold-cache variant of the single-thread corpus embed: the pooled
-// adjacency memo is reset every iteration, so this is the cost of a
-// one-shot audit of a never-seen corpus (BM_EmbedCorpus above reports
-// the warm steady state of a resident corpus).
-void BM_EmbedCorpusCold(benchmark::State& state) {
-  std::vector<train::GraphEntry> entries = scoring_corpus();  // own copy
-  gnn::Hw2Vec model;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (train::GraphEntry& e : entries) {
-      e.tensors.pooled_cache = std::make_shared<gnn::PooledAdjCache>();
-    }
-    state.ResumeTiming();
-    for (const train::GraphEntry& e : entries) {
-      benchmark::DoNotOptimize(model.embed_inference(e.tensors));
-    }
-  }
-  state.counters["designs"] = static_cast<double>(entries.size());
-}
-BENCHMARK(BM_EmbedCorpusCold)->Unit(benchmark::kMillisecond);
-
 // The full audit-service loop per batch across worker counts: 8 designs
 // are submitted (pre-featurized GraphEntry path), then one screen()
 // embeds them in parallel, screens them against the 56 pinned residents

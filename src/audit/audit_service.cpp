@@ -156,7 +156,7 @@ AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
     : options_(options),
       model_(std::move(model)),
       model_fingerprint_(gnn::model_fingerprint(model_)),
-      pipeline_(options.pipeline, options.featurize),
+      pipeline_(options.pipeline),
       corpus_(std::move(corpus)),
       queue_(options.queue_capacity) {
   GNN4IP_ENSURE(corpus_ != nullptr,

@@ -87,7 +87,6 @@ struct AuditOptions {
   /// beyond this until the consumer screens.
   std::size_t queue_capacity = 256;
   dfg::PipelineOptions pipeline;
-  gnn::FeaturizeOptions featurize;
 };
 
 /// One design handed to screen_batch(): either Verilog source to

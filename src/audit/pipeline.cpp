@@ -5,12 +5,11 @@
 namespace gnn4ip::audit {
 
 CompileResult compile_rtl(const std::string& verilog_source,
-                          const dfg::PipelineOptions& pipeline,
-                          const gnn::FeaturizeOptions& featurize) {
+                          const dfg::PipelineOptions& pipeline) {
   CompileResult result;
   try {
     result.design.dfg = dfg::extract_dfg(verilog_source, pipeline);
-    result.design.tensors = gnn::featurize(result.design.dfg, featurize);
+    result.design.tensors = gnn::featurize(result.design.dfg);
     result.ok = true;
   } catch (const verilog::ParseError& e) {
     result.error = {e.message(), e.location()};

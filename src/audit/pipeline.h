@@ -53,19 +53,17 @@ struct CompileResult {
 /// only internal library bugs (util::ContractViolation) still throw.
 [[nodiscard]] CompileResult compile_rtl(
     const std::string& verilog_source,
-    const dfg::PipelineOptions& pipeline = {},
-    const gnn::FeaturizeOptions& featurize = {});
+    const dfg::PipelineOptions& pipeline = {});
 
 /// Reusable compile stage with fixed options — the form AuditService
 /// holds, and the unit a batch fan-out parallelizes over.
 class Pipeline {
  public:
-  explicit Pipeline(const dfg::PipelineOptions& pipeline = {},
-                    const gnn::FeaturizeOptions& featurize = {})
-      : pipeline_(pipeline), featurize_(featurize) {}
+  explicit Pipeline(const dfg::PipelineOptions& pipeline = {})
+      : pipeline_(pipeline) {}
 
   [[nodiscard]] CompileResult compile(const std::string& verilog_source) const {
-    return compile_rtl(verilog_source, pipeline_, featurize_);
+    return compile_rtl(verilog_source, pipeline_);
   }
 
   /// Compile a batch in parallel (0 threads = shared pool). Results are
@@ -77,13 +75,9 @@ class Pipeline {
   [[nodiscard]] const dfg::PipelineOptions& pipeline_options() const {
     return pipeline_;
   }
-  [[nodiscard]] const gnn::FeaturizeOptions& featurize_options() const {
-    return featurize_;
-  }
 
  private:
   dfg::PipelineOptions pipeline_;
-  gnn::FeaturizeOptions featurize_;
 };
 
 }  // namespace gnn4ip::audit

@@ -8,24 +8,22 @@
 namespace gnn4ip {
 
 train::GraphEntry make_graph_entry(const data::CorpusItem& item,
-                                   const dfg::PipelineOptions& pipeline,
-                                   const gnn::FeaturizeOptions& featurize) {
+                                   const dfg::PipelineOptions& pipeline) {
   train::GraphEntry entry;
   entry.name = item.name;
   entry.design = item.design;
   const graph::Digraph g = dfg::extract_dfg(item.verilog, pipeline);
-  entry.tensors = gnn::featurize(g, featurize);
+  entry.tensors = gnn::featurize(g);
   return entry;
 }
 
 std::vector<train::GraphEntry> make_graph_entries(
     const std::vector<data::CorpusItem>& items,
-    const dfg::PipelineOptions& pipeline,
-    const gnn::FeaturizeOptions& featurize) {
+    const dfg::PipelineOptions& pipeline) {
   std::vector<train::GraphEntry> entries;
   entries.reserve(items.size());
   for (const data::CorpusItem& item : items) {
-    entries.push_back(make_graph_entry(item, pipeline, featurize));
+    entries.push_back(make_graph_entry(item, pipeline));
   }
   return entries;
 }
@@ -48,7 +46,7 @@ train::EvalResult PiracyDetector::train_on(
 
 tensor::Matrix PiracyDetector::embed(const std::string& verilog_source) {
   const graph::Digraph g = dfg::extract_dfg(verilog_source, config_.pipeline);
-  const gnn::GraphTensors tensors = gnn::featurize(g, config_.featurize);
+  const gnn::GraphTensors tensors = gnn::featurize(g);
   return model_.embed_inference(tensors);
 }
 

@@ -7,45 +7,21 @@
 #include "util/contract.h"
 
 namespace gnn4ip::gnn {
+namespace {
 
-std::shared_ptr<const tensor::Csr> PooledAdjCache::find(
-    const std::vector<std::size_t>& kept) const {
-  util::MutexLock lock(mu_);
-  const auto it = entries_.find(kept);
-  return it == entries_.end() ? nullptr : it->second;
-}
-
-void PooledAdjCache::insert(const std::vector<std::size_t>& kept,
-                            std::shared_ptr<const tensor::Csr> adj) {
-  util::MutexLock lock(mu_);
-  if (entries_.size() >= kMaxEntries &&
-      entries_.find(kept) == entries_.end()) {
-    return;  // full: keep the resident (typically inference-stable) keys
-  }
-  entries_[kept] = std::move(adj);
-}
-
-std::size_t PooledAdjCache::size() const {
-  util::MutexLock lock(mu_);
-  return entries_.size();
-}
-
+/// Â = A + Aᵀ + I, normalized D̂^{-1/2} Â D̂^{-1/2}. `edges` are in range
+/// (the Digraph checked them) and `num_nodes` > 0 (featurize checked it).
 std::shared_ptr<const tensor::Csr> normalized_adjacency(
     std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>& edges,
-    bool symmetrize) {
-  GNN4IP_ENSURE(num_nodes > 0, "normalized_adjacency on empty graph");
-  // Structural entries of Â: self-loops + edges (+ reverses), then
-  // sort/unique — cheaper than a node-per-entry ordered set on the
-  // per-forward pooled-subgraph path.
+    const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
+  // Structural entries of Â: self-loops + edges + reverses, then
+  // sort/unique — cheaper than a node-per-entry ordered set.
   std::vector<std::pair<std::size_t, std::size_t>> entries;
-  entries.reserve(num_nodes + edges.size() * (symmetrize ? 2 : 1));
+  entries.reserve(num_nodes + edges.size() * 2);
   for (std::size_t v = 0; v < num_nodes; ++v) entries.emplace_back(v, v);
   for (const auto& [src, dst] : edges) {
-    GNN4IP_ENSURE(src < num_nodes && dst < num_nodes,
-                  "edge endpoint out of range");
     entries.emplace_back(src, dst);
-    if (symmetrize) entries.emplace_back(dst, src);
+    entries.emplace_back(dst, src);
   }
   std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
@@ -65,12 +41,12 @@ std::shared_ptr<const tensor::Csr> normalized_adjacency(
       tensor::Csr::from_triplets(num_nodes, num_nodes, std::move(triplets)));
 }
 
-GraphTensors featurize(const graph::Digraph& g,
-                       const FeaturizeOptions& options) {
+}  // namespace
+
+GraphTensors featurize(const graph::Digraph& g) {
   GNN4IP_ENSURE(g.num_nodes() > 0, "featurize on empty graph");
   GraphTensors t;
   t.num_nodes = g.num_nodes();
-  t.symmetrize = options.symmetrize;
   t.x = tensor::Matrix(g.num_nodes(), dfg::kNodeKindCount);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const int kind = g.node(static_cast<graph::NodeId>(v)).kind;
@@ -85,8 +61,7 @@ GraphTensors featurize(const graph::Digraph& g,
   }
   std::sort(t.edges.begin(), t.edges.end());
   t.edges.erase(std::unique(t.edges.begin(), t.edges.end()), t.edges.end());
-  t.adj = normalized_adjacency(t.num_nodes, t.edges, options.symmetrize);
-  t.pooled_cache = std::make_shared<PooledAdjCache>();
+  t.adj = normalized_adjacency(t.num_nodes, t.edges);
   return t;
 }
 

@@ -1,17 +1,12 @@
 // Conversion of a DFG into GNN tensors: one-hot node features X⁽⁰⁾
 // (node kind vocabulary, paper §III-C "directly converting the node's
 // name to its corresponding one-hot vector") and the symmetric-normalized
-// adjacency D̂^{-1/2} Â D̂^{-1/2} with Â = A + I of Eq. 5.
+// adjacency D̂^{-1/2} Â D̂^{-1/2} with Â = A + Aᵀ + I of Eq. 5.
 //
-// Both normalized adjacencies a forward pass needs are cached per
-// graph: the full-graph operator is built once at featurize time, and
-// the pooled-subgraph operator (SAGPool re-induces and re-normalizes
-// the kept nodes) is memoized in PooledAdjCache keyed by the kept set —
-// so a forward pass multiplies by cached normalized CSRs instead of
-// renormalizing.
+// The normalized operator is built once at featurize time; every GCN
+// layer and the SAGPool scorer of a forward pass multiply by it.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -19,63 +14,21 @@
 #include "graph/digraph.h"
 #include "tensor/csr.h"
 #include "tensor/matrix.h"
-#include "util/thread_annotations.h"
 
 namespace gnn4ip::gnn {
 
-struct FeaturizeOptions {
-  /// Treat edges as undirected for message propagation (Â gains both
-  /// directions). GCN's spectral derivation assumes symmetric adjacency;
-  /// disabling restricts propagation to consumer→producer direction.
-  bool symmetrize = true;
-};
-
-/// Thread-safe memo of pooled (re-induced, re-normalized) adjacencies,
-/// keyed by the sorted kept-node set. At inference the SAGPool top-k
-/// selection is a pure function of the fixed weights, so every embed of
-/// the same graph re-derives the same kept set and the renormalization
-/// is paid once per graph instead of once per forward pass. The memo is
-/// bounded: during training the kept set drifts with the scorer weights,
-/// and unbounded growth would just cache stale selections.
-class PooledAdjCache {
- public:
-  [[nodiscard]] std::shared_ptr<const tensor::Csr> find(
-      const std::vector<std::size_t>& kept) const;
-  void insert(const std::vector<std::size_t>& kept,
-              std::shared_ptr<const tensor::Csr> adj);
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  static constexpr std::size_t kMaxEntries = 64;
-  // Innermost rank: taken from inside pool workers during an embed
-  // fan-out, so it must outrank every pool lock.
-  mutable util::Mutex mu_{util::lock_rank::kFeaturize};
-  std::map<std::vector<std::size_t>, std::shared_ptr<const tensor::Csr>>
-      entries_ GNN4IP_GUARDED_BY(mu_);
-};
-
-/// Tensors for one graph. `edges` is the (deduplicated, self-loop-free)
-/// directed edge list used to rebuild pooled adjacencies after top-k
-/// filtering. Copies share the pooled-adjacency memo (shared_ptr), so a
-/// corpus entry passed around by value keeps its cache.
+/// Tensors for one graph. `edges` is the deduplicated, self-loop-free
+/// directed edge list Â was built from.
 struct GraphTensors {
   tensor::Matrix x;  // N × kNodeKindCount
   std::shared_ptr<const tensor::Csr> adj;
   std::vector<std::pair<std::size_t, std::size_t>> edges;
   std::size_t num_nodes = 0;
-  bool symmetrize = true;
-  std::shared_ptr<PooledAdjCache> pooled_cache;
 };
 
 /// Build tensors from a DFG whose node kinds are dfg::NodeKind values.
-[[nodiscard]] GraphTensors featurize(const graph::Digraph& g,
-                                     const FeaturizeOptions& options = {});
-
-/// Â = A (+ Aᵀ if symmetrize) + I, normalized D̂^{-1/2} Â D̂^{-1/2}.
-/// Exposed separately because SAGPool re-normalizes induced subgraphs.
-[[nodiscard]] std::shared_ptr<const tensor::Csr> normalized_adjacency(
-    std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>& edges,
-    bool symmetrize);
+/// Edges propagate both ways: GCN's spectral derivation assumes a
+/// symmetric adjacency.
+[[nodiscard]] GraphTensors featurize(const graph::Digraph& g);
 
 }  // namespace gnn4ip::gnn

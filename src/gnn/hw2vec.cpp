@@ -33,16 +33,17 @@ tensor::Var Hw2Vec::embed(tensor::Tape& tape, const GraphTensors& g,
   tensor::Var x = tape.constant(g.x);
   // Message-propagation phase (Eq. 5), dropout after every GCN layer.
   for (std::size_t l = 0; l < convs_.size(); ++l) {
+    // Eq. 5's σ on every hidden layer but not the last: with ReLU there
+    // the graph embedding is confined to the positive orthant, where
+    // cosine similarity saturates near +1 and same/different pairs
+    // cannot separate (embedding collapse).
     const bool last = l + 1 == convs_.size();
-    const bool apply_relu = !last || config_.relu_last_layer;
-    x = convs_[l].forward(tape, g.adj, x, apply_relu);
+    x = convs_[l].forward(tape, g.adj, x, /*apply_relu=*/!last);
     x = tape.dropout(x, config_.dropout, dropout_rng, training);
   }
-  // Attention-based top-k pooling (pooled adjacency served from the
-  // graph's cache when the kept set recurs).
-  SagPool::Result pooled = pool_.forward(tape, g, x);
-  // Read-out phase (Eq. 3).
-  return apply_readout(tape, pooled.x, config_.readout);
+  // Attention-based top-k pooling, then the read-out phase (Eq. 3) over
+  // the kept node rows.
+  return apply_readout(tape, pool_.forward(tape, g, x).x, config_.readout);
 }
 
 tensor::Matrix Hw2Vec::embed_inference(const GraphTensors& g) {

@@ -25,13 +25,6 @@ struct Hw2VecConfig {
   float pool_ratio = 0.5F;       // paper §IV: top-k ratio 0.5
   Readout readout = Readout::kMax;  // paper §IV: max-pooling readout
   float dropout = 0.1F;          // paper §IV: dropout 0.1 after each GCN
-  bool symmetrize_adjacency = true;
-  /// Apply ReLU after the final GCN layer. Off by default: with ReLU the
-  /// graph embedding is confined to the positive orthant, where cosine
-  /// similarity saturates near +1 and same/different pairs cannot
-  /// separate (embedding collapse). Eq. 5's σ is kept on all hidden
-  /// layers; see EXPERIMENTS.md for the ablation.
-  bool relu_last_layer = false;
   std::uint64_t seed = 1;        // weight-init seed
 };
 

@@ -8,6 +8,10 @@
 namespace gnn4ip::gnn {
 namespace {
 
+/// The config line's seventh column. featurize always symmetrizes; the
+/// column stays so every model's text and fingerprint are unchanged.
+constexpr int kSymmetrizeColumn = 1;
+
 [[noreturn]] void malformed(const std::string& detail) {
   throw std::runtime_error("malformed hw2vec-model stream: " + detail);
 }
@@ -22,7 +26,7 @@ void save_model(std::ostream& os, Hw2Vec& model) {
   os << kModelMagic << " v" << kModelFormatVersion << '\n';
   os << "config " << c.input_dim << ' ' << c.hidden_dim << ' '
      << c.num_layers << ' ' << c.pool_ratio << ' ' << to_string(c.readout)
-     << ' ' << c.dropout << ' ' << (c.symmetrize_adjacency ? 1 : 0) << '\n';
+     << ' ' << c.dropout << ' ' << kSymmetrizeColumn << '\n';
   const std::vector<tensor::Parameter*> params = model.parameters();
   os << "params " << params.size() << '\n';
   for (tensor::Parameter* p : params) {
@@ -79,8 +83,11 @@ Hw2Vec load_model(std::istream& is) {
         tag != "config") {
       malformed("bad config line");
     }
+    if (symmetrize != kSymmetrizeColumn) {
+      malformed("<symmetrize> column is " + std::to_string(symmetrize) +
+                ", not 1: featurize always symmetrizes");
+    }
     config.readout = readout_from_string(readout_name);
-    config.symmetrize_adjacency = symmetrize != 0;
   }
   Hw2Vec model(config);
   const std::vector<tensor::Parameter*> params = model.parameters();

@@ -3,7 +3,7 @@
 // Text format v2 (line oriented, locale-independent):
 //   hw2vec-model v2                          (magic + format version)
 //   config <input_dim> <hidden_dim> <num_layers> <pool_ratio> <readout>
-//          <dropout> <symmetrize>
+//          <dropout> <symmetrize>           (symmetrize is always 1)
 //   params <count>                           (must match the config)
 //   param <rows> <cols>
 //   <row values...>            (rows lines)
@@ -12,9 +12,10 @@
 //
 // Values are written with 9 significant digits, enough to round-trip
 // float exactly. load_model rejects streams whose magic is missing,
-// whose version differs from kModelFormatVersion, whose parameter count
-// or shapes disagree with the config (config drift), or that end before
-// the sentinel — each with a distinct std::runtime_error message.
+// whose version differs from kModelFormatVersion, whose symmetrize
+// column is not 1, whose parameter count or shapes disagree with the
+// config (config drift), or that end before the sentinel — each with a
+// distinct std::runtime_error message.
 #pragma once
 
 #include <iosfwd>

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "gnn/featurize.h"
 #include "util/contract.h"
 
 namespace gnn4ip::gnn {
@@ -27,54 +26,29 @@ SagPool::Result SagPool::forward(tensor::Tape& tape, const GraphTensors& g,
   tensor::Var gate = tape.tanh_op(alpha);
 
   // Top-k selection on the raw scores (selection itself is
-  // non-differentiable; gradients flow through the tanh gate).
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(ratio_ * static_cast<float>(n))));
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  // non-differentiable; gradients flow through the tanh gate). Order is
+  // score descending, then index ascending: on ties the lowest indices
+  // survive, the set a stable sort by score alone keeps.
+  const auto wanted =
+      static_cast<std::size_t>(std::ceil(ratio_ * static_cast<float>(n)));
+  const std::size_t k = std::clamp<std::size_t>(wanted, 1, n);
   const tensor::Matrix& scores = alpha.value();
-  std::stable_sort(order.begin(), order.end(),
-                   [&scores](std::size_t a, std::size_t b) {
-                     return scores.at(a, 0) > scores.at(b, 0);
-                   });
-  std::vector<std::size_t> kept(order.begin(),
-                                order.begin() + static_cast<long>(k));
-  // Preserve original node order within the pooled graph so pooled
-  // adjacency construction is deterministic.
+  const auto before = [&scores](std::size_t a, std::size_t b) {
+    const float sa = scores.at(a, 0);
+    const float sb = scores.at(b, 0);
+    return sa > sb || (sa == sb && a < b);
+  };
+  std::vector<std::size_t> kept(n);
+  std::iota(kept.begin(), kept.end(), 0);
+  std::nth_element(kept.begin(), kept.begin() + static_cast<long>(k),
+                   kept.end(), before);
+  kept.resize(k);
   std::sort(kept.begin(), kept.end());
 
-  // Gather and gate the surviving rows.
+  // Gather (in original node order) and gate the surviving rows.
   tensor::Var x_kept = tape.select_rows(x, kept);
   tensor::Var gate_kept = tape.select_rows(gate, kept);
-  tensor::Var x_pool = tape.scale_rows(x_kept, gate_kept);
-
-  // Re-induce edges on the kept set. The re-normalized pooled operator
-  // is a pure function of (graph, kept), so serve it from the graph's
-  // memo when the same kept set recurs instead of renormalizing.
-  std::vector<std::size_t> remap(n, static_cast<std::size_t>(-1));
-  for (std::size_t i = 0; i < kept.size(); ++i) remap[kept[i]] = i;
-  std::vector<std::pair<std::size_t, std::size_t>> pooled_edges;
-  for (const auto& [src, dst] : g.edges) {
-    const std::size_t s = remap[src];
-    const std::size_t d = remap[dst];
-    if (s != static_cast<std::size_t>(-1) &&
-        d != static_cast<std::size_t>(-1)) {
-      pooled_edges.emplace_back(s, d);
-    }
-  }
-
-  Result result;
-  result.x = x_pool;
-  if (g.pooled_cache) result.adj = g.pooled_cache->find(kept);
-  if (!result.adj) {
-    result.adj =
-        normalized_adjacency(kept.size(), pooled_edges, g.symmetrize);
-    if (g.pooled_cache) g.pooled_cache->insert(kept, result.adj);
-  }
-  result.edges = std::move(pooled_edges);
-  result.kept = std::move(kept);
-  return result;
+  return {tape.scale_rows(x_kept, gate_kept), std::move(kept)};
 }
 
 }  // namespace gnn4ip::gnn

@@ -2,15 +2,12 @@
 //
 // A single-output GCN predicts a score per node:
 //   α = SCORE(X_prop, A_prop)
-// The top ⌈ratio·N⌉ nodes by α are kept; the surviving node features are
-// gated by tanh(α) so the scorer receives gradient, and the adjacency is
-// re-induced on the kept nodes. The re-normalized pooled operator is
-// served from the graph's PooledAdjCache when the same kept set recurs
-// (always, at inference), instead of being rebuilt every forward pass.
+// The top ⌈ratio·N⌉ nodes by α are kept, and the surviving node features
+// are gated by tanh(α) so the scorer receives gradient. Unlike Lee et
+// al.'s layer, no pooled adjacency is returned: nothing propagates after
+// the pool, and the readout (Eq. 3) reads only the kept rows.
 #pragma once
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "gnn/featurize.h"
@@ -26,15 +23,12 @@ class SagPool {
   SagPool(std::size_t dim, float ratio, util::Rng& rng);
 
   struct Result {
-    tensor::Var x;                               // pooled node embeddings
-    std::shared_ptr<const tensor::Csr> adj;      // pooled, re-normalized
-    std::vector<std::pair<std::size_t, std::size_t>> edges;  // pooled edges
-    std::vector<std::size_t> kept;               // original node indices
+    tensor::Var x;                  // pooled node embeddings
+    std::vector<std::size_t> kept;  // original node indices, ascending
   };
 
-  /// Pool the propagated node embeddings `x` (one row per node of `g`).
-  /// Reads the graph structure — adjacency, edge list, symmetrize flag,
-  /// pooled-adjacency memo — from `g`.
+  /// Pool the propagated node embeddings `x` (one row per node of `g`);
+  /// the scorer propagates over `g.adj`.
   [[nodiscard]] Result forward(tensor::Tape& tape, const GraphTensors& g,
                                tensor::Var x);
 

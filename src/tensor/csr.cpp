@@ -13,8 +13,8 @@ Csr Csr::from_triplets(std::size_t rows, std::size_t cols,
                   "triplet index out of range");
   }
   // Sort by (row, col) and merge-sum duplicates in place. This is the
-  // construction hot path (one CSR per graph plus one per pooled
-  // subgraph), so no node-per-cell containers.
+  // construction hot path (one CSR per featurized graph), so no
+  // node-per-cell containers.
   std::sort(triplets.begin(), triplets.end(),
             [](const Triplet& a, const Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;

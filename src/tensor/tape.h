@@ -111,8 +111,8 @@ class Tape {
   // --- linear algebra --------------------------------------------------
   Var matmul(Var a, Var b);
   /// Sparse constant × dense variable (adjacency propagation). The tape
-  /// shares ownership of `s` because pooled adjacencies are constructed
-  /// mid-forward and must outlive the backward pass.
+  /// shares ownership of `s`, so the operator outlives the backward pass
+  /// whatever happens to the caller's copy.
   Var spmm(std::shared_ptr<const Csr> s, Var x);
   Var add(Var a, Var b);
   /// a (N×C) + bias (1×C) broadcast over rows.

@@ -18,6 +18,7 @@
 //   30  queue    util::BoundedQueue<T>::mu_             queue internals
 //   40  commit   AuditService::commit_mu_               the ticket turnstile
 //   50  state    AuditService::state_mu_                names/pins/evictable
+//   60  dist     DistCorpus::ChannelSet::mu             wire + row mirror
 //   100 epoch    ShardedCorpus::epoch_mu_               corpus quiesce gate
 //   101 index    ShardedCorpus::index_mu_               global id space
 //   110+s        ShardedCorpus stripe for shard s       per-shard rows
@@ -25,12 +26,10 @@
 //   2^24+1 pool-batch  ThreadPool::batch_mu_            one batch at a time
 //   2^24+2 pool-work   ThreadPool::mu_                  worker wakeups
 //   2^25   progress    AsyncAuditor::progress_mu_       submitted/reported
-//   2^25+1 featurize   gnn::PooledAdjCache::mu_         pooled-adj memo
 //
-// The pool/progress/featurize block sits above every corpus rank
-// because scans fan out to the pool *while holding stripes*, and the
-// featurize cache is touched from inside pool workers. A rank of -1
-// (the default) opts a lock out of validation entirely.
+// The pool/progress block sits above every corpus rank because scans
+// fan out to the pool *while holding stripes*. A rank of -1 (the
+// default) opts a lock out of validation entirely.
 //
 // When the build defines GNN4IP_LOCK_ORDER (CMake -DGNN4IP_LOCK_ORDER=ON,
 // default ON whenever GNN4IP_SANITIZE is enabled), the wrappers call
@@ -83,7 +82,6 @@ inline constexpr LockRank kPoolSpawn{1 << 24, "corpus-pool-spawn"};
 inline constexpr LockRank kPoolBatch{(1 << 24) + 1, "pool-batch"};
 inline constexpr LockRank kPoolWork{(1 << 24) + 2, "pool-work"};
 inline constexpr LockRank kProgress{1 << 25, "auditor-progress"};
-inline constexpr LockRank kFeaturize{(1 << 25) + 1, "featurize-cache"};
 }  // namespace lock_rank
 
 #ifdef GNN4IP_LOCK_ORDER

@@ -39,10 +39,14 @@ class Preprocessor {
     defines_ = options.defines;
   }
 
+  /// Conditionals balance within each file: `base` is the depth of
+  /// `cond_stack_` when this file starts, which its `else/`endif may not
+  /// pop below and at which it must end.
   std::string run(const std::string& source, int depth) {
     if (depth > options_.max_include_depth) {
       throw ParseError("maximum `include depth exceeded", {1, 1});
     }
+    const std::size_t base = cond_stack_.size();
     Cursor cur;
     cur.text = &source;
     std::string out;
@@ -56,7 +60,7 @@ class Preprocessor {
       } else if (c == '"') {
         copy_string_literal(cur, out);
       } else if (c == '`') {
-        handle_directive(cur, out, depth);
+        handle_directive(cur, out, depth, base);
       } else {
         if (emitting()) {
           out.push_back(c);
@@ -66,7 +70,7 @@ class Preprocessor {
         cur.advance();
       }
     }
-    if (!cond_stack_.empty()) {
+    if (cond_stack_.size() != base) {
       throw ParseError("unterminated `ifdef/`ifndef", cur.loc());
     }
     return out;
@@ -147,7 +151,8 @@ class Preprocessor {
     return text;
   }
 
-  void handle_directive(Cursor& cur, std::string& out, int depth) {
+  void handle_directive(Cursor& cur, std::string& out, int depth,
+                        std::size_t base) {
     const SourceLocation start = cur.loc();
     cur.advance();  // '`'
     const std::string name = read_identifier(cur);
@@ -178,7 +183,7 @@ class Preprocessor {
       cond_stack_.push_back(active);
       if (!active) ++inactive_levels_;
     } else if (name == "else") {
-      if (cond_stack_.empty()) {
+      if (cond_stack_.size() == base) {
         throw ParseError("`else without matching `ifdef", start);
       }
       if (cond_stack_.back()) {
@@ -188,7 +193,7 @@ class Preprocessor {
       }
       cond_stack_.back() = !cond_stack_.back();
     } else if (name == "endif") {
-      if (cond_stack_.empty()) {
+      if (cond_stack_.size() == base) {
         throw ParseError("`endif without matching `ifdef", start);
       }
       if (!cond_stack_.back()) --inactive_levels_;

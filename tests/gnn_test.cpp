@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dfg/node_kind.h"
@@ -59,15 +61,11 @@ TEST(Featurize, NormalizedAdjacencyRowsAreFinite) {
   }
 }
 
-TEST(Featurize, SymmetrizeControlsOffDiagonal) {
-  GraphTensors sym = featurize(tiny_graph(), {.symmetrize = true});
-  GraphTensors asym = featurize(tiny_graph(), {.symmetrize = false});
-  const tensor::Matrix ds = sym.adj->to_dense();
-  const tensor::Matrix da = asym.adj->to_dense();
-  // Edge 1->2 exists; reverse only in symmetric mode.
-  EXPECT_GT(ds.at(2, 1), 0.0F);
-  EXPECT_FLOAT_EQ(da.at(2, 1), 0.0F);
-  EXPECT_GT(da.at(1, 2), 0.0F);
+TEST(Featurize, EdgesPropagateBothWays) {
+  const tensor::Matrix dense = featurize(tiny_graph()).adj->to_dense();
+  // Only edge 1->2 exists; Â holds it and its reverse.
+  EXPECT_GT(dense.at(1, 2), 0.0F);
+  EXPECT_GT(dense.at(2, 1), 0.0F);
 }
 
 TEST(Featurize, NormalizationMatchesEq5ByHand) {
@@ -138,7 +136,6 @@ TEST(SagPool, KeepsCeilRatioNodes) {
   const SagPool::Result r = pool.forward(tape, t, h);
   EXPECT_EQ(r.kept.size(), 2u);  // ceil(0.5 * 4)
   EXPECT_EQ(r.x.value().rows(), 2u);
-  EXPECT_EQ(r.adj->rows(), 2u);
 }
 
 TEST(SagPool, RatioOneKeepsAll) {
@@ -153,48 +150,22 @@ TEST(SagPool, RatioOneKeepsAll) {
   EXPECT_EQ(r.kept.size(), 4u);
 }
 
-TEST(SagPool, PooledEdgesAreInduced) {
-  util::Rng rng(5);
-  SagPool pool(4, 0.75F, rng);  // keep 3 of 4
-  GcnLayer embed(static_cast<std::size_t>(dfg::kNodeKindCount), 4, rng);
-  const GraphTensors t = featurize(tiny_graph());
-  tensor::Tape tape;
-  tensor::Var x = tape.constant(t.x);
-  tensor::Var h = embed.forward(tape, t.adj, x);
-  const SagPool::Result r = pool.forward(tape, t, h);
-  // Every pooled edge's endpoints must be within range.
-  for (const auto& [s, d] : r.edges) {
-    EXPECT_LT(s, r.kept.size());
-    EXPECT_LT(d, r.kept.size());
+TEST(SagPool, TiesKeepLowestIndices) {
+  // 64 isolated nodes of one kind score exactly alike; top-k must keep
+  // the lowest indices, as a stable sort by score would.
+  graph::Digraph g;
+  for (int i = 0; i < 64; ++i) {
+    g.add_node("n" + std::to_string(i),
+               static_cast<int>(dfg::NodeKind::kInput));
   }
-}
-
-TEST(SagPool, PooledAdjacencyServedFromCacheOnRepeat) {
-  util::Rng rng(8);
-  SagPool pool(4, 0.5F, rng);
-  GcnLayer embed(static_cast<std::size_t>(dfg::kNodeKindCount), 4, rng);
-  const GraphTensors t = featurize(tiny_graph());
-  ASSERT_NE(t.pooled_cache, nullptr);
-  EXPECT_EQ(t.pooled_cache->size(), 0u);
-
+  const GraphTensors t = featurize(g);
+  util::Rng rng(9);
+  SagPool pool(static_cast<std::size_t>(dfg::kNodeKindCount), 0.5F, rng);
   tensor::Tape tape;
-  tensor::Var x = tape.constant(t.x);
-  tensor::Var h = embed.forward(tape, t.adj, x);
-  const SagPool::Result r1 = pool.forward(tape, t, h);
-  EXPECT_EQ(t.pooled_cache->size(), 1u);
-  // Same weights, same graph -> same kept set -> the cached CSR object
-  // itself is returned, and no new entry appears.
-  const SagPool::Result r2 = pool.forward(tape, t, h);
-  EXPECT_EQ(t.pooled_cache->size(), 1u);
-  EXPECT_EQ(r1.adj.get(), r2.adj.get());
-  EXPECT_EQ(r1.kept, r2.kept);
-  // A cache-less GraphTensors still works (computed directly).
-  GraphTensors bare = t;
-  bare.pooled_cache = nullptr;
-  const SagPool::Result r3 = pool.forward(tape, bare, h);
-  EXPECT_EQ(r3.kept, r1.kept);
-  EXPECT_EQ(tensor::max_abs_diff(r3.adj->to_dense(), r1.adj->to_dense()),
-            0.0F);
+  const SagPool::Result r = pool.forward(tape, t, tape.constant(t.x));
+  std::vector<std::size_t> want(32);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(r.kept, want);
 }
 
 TEST(SagPool, InvalidRatioRejected) {

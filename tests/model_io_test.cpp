@@ -62,6 +62,32 @@ TEST(ModelIo, HeaderCarriesMagicAndVersion) {
   EXPECT_EQ(text.substr(0, expected.size()), expected);
 }
 
+TEST(ModelIo, DefaultModelTextPinned) {
+  // The default model's config line (symmetrize column included) and
+  // weights: a change to either re-keys every corpus snapshot, and
+  // snapshots written by another fingerprint are refused on load.
+  Hw2Vec model;
+  EXPECT_EQ(model_fingerprint(model), "41572bdc26c14750");
+}
+
+TEST(ModelIo, RejectsUnsupportedSymmetrize) {
+  Hw2Vec model;
+  std::string text = saved_model_text(model);
+  const std::size_t config = text.find("\nconfig ");
+  ASSERT_NE(config, std::string::npos);
+  const std::size_t eol = text.find('\n', config + 1);
+  ASSERT_EQ(text.substr(eol - 2, 2), " 1");
+  text[eol - 1] = '0';
+  std::istringstream is(text);
+  try {
+    (void)load_model(is);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("symmetrize"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ModelIo, RejectsMissingMagic) {
   Hw2Vec model;
   std::istringstream is(with_header(saved_model_text(model), "weights v2"));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "verilog/elaborate.h"
@@ -61,6 +62,45 @@ TEST(Preprocess, UnknownIncludeThrows) {
 
 TEST(Preprocess, UnterminatedIfdefThrows) {
   EXPECT_THROW(preprocess("`ifdef FOO\nwire a;\n"), ParseError);
+}
+
+/// Options resolving exactly one include, "inc.vh", to `text`.
+PreprocessOptions one_include(const std::string& text) {
+  PreprocessOptions opts;
+  opts.resolver = [text](const std::string& path) {
+    return path == "inc.vh" ? std::optional<std::string>(text) : std::nullopt;
+  };
+  return opts;
+}
+
+TEST(Preprocess, IncludeInsideTakenIfdefExactOutput) {
+  const PreprocessOptions opts =
+      one_include("`ifdef USE_INC\nwire a;\n`else\nwire b;\n`endif\n");
+  const std::string src =
+      "`define USE_INC\n`ifdef USE_INC\n`include \"inc.vh\"\n`endif\nwire x;";
+  EXPECT_EQ(preprocess(src, opts), "\n\n\nwire a;\n\n\n\n\n\nwire x;");
+}
+
+TEST(Preprocess, StrayEndifInIncludedFileThrows) {
+  // The included `endif may not close the includer's `ifdef.
+  const PreprocessOptions opts = one_include("wire a;\n`endif\n");
+  try {
+    (void)preprocess("`define ON\n`ifdef ON\n`include \"inc.vh\"\n`endif\n",
+                     opts);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.message(), "`endif without matching `ifdef");
+    EXPECT_EQ(e.location().line, 2);  // line 2 of inc.vh
+  }
+}
+
+TEST(Preprocess, UnterminatedIfdefInIncludedFileThrows) {
+  // The includer's `endif may not close the included file's `ifdef.
+  const PreprocessOptions opts = one_include("`ifdef ON\nwire a;\n");
+  EXPECT_THROW((void)preprocess("`include \"inc.vh\"\n`endif\n", opts),
+               ParseError);
+  EXPECT_THROW((void)preprocess("`include \"inc.vh\"\nwire x;\n", opts),
+               ParseError);
 }
 
 TEST(Preprocess, UndefRemovesMacro) {
