@@ -91,6 +91,30 @@ void BM_ExtractDfgNetlist(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractDfgNetlist)->DenseRange(0, 5);
 
+// `t = a;` and then n x `t = t ^ b;` in one `always @(*)` block. The
+// `stmts` counter is n, so time per statement shows whether symbolic
+// dataflow and merge stay linear in the length of the chain.
+void BM_ExtractDfgChain(benchmark::State& state) {
+  std::string src =
+      "module chain (input a, input b, output y);\n"
+      "  reg t;\n"
+      "  always @(*) begin\n"
+      "    t = a;\n";
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    src += "    t = t ^ b;\n";
+  }
+  src += "  end\n  assign y = t;\nendmodule\n";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dfg::extract_dfg(src));
+  }
+  state.counters["stmts"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_ExtractDfgChain)
+    ->Arg(2500)
+    ->Arg(10000)
+    ->Arg(40000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Featurize(benchmark::State& state) {
   const graph::Digraph g = dfg::extract_dfg(medium_rtl());
   for (auto _ : state) {

@@ -19,43 +19,37 @@ using verilog::Stmt;
 using verilog::StmtKind;
 using verilog::StmtPtr;
 
-/// Symbolic value environment for one procedural block.
+/// Symbolic value environment for one procedural block. Values are shared
+/// immutable trees, so copying an environment copies pointers only.
 struct ProcEnv {
   // Current values as seen by *blocking* reads.
   std::map<std::string, ExprPtr> blocking;
   // Values scheduled by non-blocking assignments (committed at block end).
   std::map<std::string, ExprPtr> nonblocking;
-
-  [[nodiscard]] ProcEnv clone() const {
-    ProcEnv copy;
-    for (const auto& [k, v] : blocking) copy.blocking[k] = v->clone();
-    for (const auto& [k, v] : nonblocking) copy.nonblocking[k] = v->clone();
-    return copy;
-  }
 };
 
 /// Substitute blocking-assigned signals with their current trees so later
-/// reads inside the same block see updated values.
-ExprPtr subst(const Expr& e, const std::map<std::string, ExprPtr>& env) {
-  if (e.kind == ExprKind::kIdentifier) {
-    const auto it = env.find(e.text);
-    if (it != env.end()) return it->second->clone();
-    return e.clone();
+/// reads inside the same block see updated values. An identifier's
+/// current value is returned as is, and `e` itself when nothing under it
+/// changed, so a value costs the statement that built it, not its depth.
+ExprPtr subst(const ExprPtr& e, const std::map<std::string, ExprPtr>& env) {
+  if (e->kind == ExprKind::kIdentifier) {
+    const auto it = env.find(e->text);
+    return it == env.end() ? e : it->second;
   }
-  auto copy = std::make_unique<Expr>();
-  copy->kind = e.kind;
-  copy->text = e.text;
-  copy->op_unary = e.op_unary;
-  copy->op_binary = e.op_binary;
-  copy->loc = e.loc;
-  for (const ExprPtr& child : e.operands) {
-    copy->operands.push_back(child == nullptr ? nullptr : subst(*child, env));
+  std::shared_ptr<Expr> copy;  // made at the first operand that changes
+  for (std::size_t i = 0; i < e->operands.size(); ++i) {
+    ExprPtr value = subst(e->operands[i], env);
+    if (value == e->operands[i]) continue;
+    if (copy == nullptr) copy = std::make_shared<Expr>(*e);
+    copy->operands[i] = std::move(value);
   }
+  if (copy == nullptr) return e;
   return copy;
 }
 
 ExprPtr make_ternary(ExprPtr cond, ExprPtr when_true, ExprPtr when_false) {
-  auto e = std::make_unique<Expr>();
+  auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kTernary;
   e->loc = cond->loc;
   e->operands.push_back(std::move(cond));
@@ -88,15 +82,15 @@ void lvalue_targets(const Expr& lhs, std::vector<const Expr*>& out) {
 
 /// Collect index expressions on the LHS (they are data dependencies of the
 /// driven signal even though they are not the "value").
-void lvalue_index_exprs(const Expr& lhs, std::vector<const Expr*>& out) {
+void lvalue_index_exprs(const Expr& lhs, std::vector<ExprPtr>& out) {
   switch (lhs.kind) {
     case ExprKind::kBitSelect:
-      out.push_back(lhs.operands[1].get());
+      out.push_back(lhs.operands[1]);
       lvalue_index_exprs(*lhs.operands[0], out);
       return;
     case ExprKind::kPartSelect:
-      out.push_back(lhs.operands[1].get());
-      out.push_back(lhs.operands[2].get());
+      out.push_back(lhs.operands[1]);
+      out.push_back(lhs.operands[2]);
       lvalue_index_exprs(*lhs.operands[0], out);
       return;
     case ExprKind::kConcat:
@@ -137,20 +131,20 @@ class ProceduralAnalyzer {
   void exec_assign(const Stmt& s, ProcEnv& env) {
     GNN4IP_ENSURE(s.lhs != nullptr && s.rhs != nullptr,
                   "assignment missing operands");
-    ExprPtr value = subst(*s.rhs, env.blocking);
+    ExprPtr value = subst(s.rhs, env.blocking);
     std::vector<const Expr*> targets;
     lvalue_targets(*s.lhs, targets);
-    std::vector<const Expr*> indices;
+    std::vector<ExprPtr> indices;
     lvalue_index_exprs(*s.lhs, indices);
     // Index expressions on the LHS become extra dependencies: wrap the
     // value in a concat so they stay attached to the driven signal.
     if (!indices.empty()) {
-      auto wrapper = std::make_unique<Expr>();
+      auto wrapper = std::make_shared<Expr>();
       wrapper->kind = ExprKind::kConcat;
       wrapper->loc = s.loc;
       wrapper->operands.push_back(std::move(value));
-      for (const Expr* idx : indices) {
-        wrapper->operands.push_back(subst(*idx, env.blocking));
+      for (const ExprPtr& idx : indices) {
+        wrapper->operands.push_back(subst(idx, env.blocking));
       }
       value = std::move(wrapper);
     }
@@ -163,29 +157,20 @@ class ProceduralAnalyzer {
       if (it != store.end() && partial_write) {
         // Partial (indexed) writes update only a slice, so earlier
         // assignments to other bits remain live: merge both trees.
-        auto merged = std::make_unique<Expr>();
+        auto merged = std::make_shared<Expr>();
         merged->kind = ExprKind::kConcat;
         merged->loc = s.loc;
         merged->operands.push_back(std::move(it->second));
-        merged->operands.push_back(value->clone());
+        merged->operands.push_back(value);
         it->second = std::move(merged);
       } else {
-        store[targets[i]->text] = value->clone();
+        store[targets[i]->text] = value;
       }
     }
   }
 
-  static ExprPtr current_value(const ProcEnv& env, const std::string& name,
-                               const std::map<std::string, ExprPtr>& store) {
-    const auto it = store.find(name);
-    if (it != store.end()) return it->second->clone();
-    (void)env;
-    // Not assigned on this path: the signal holds its previous value.
-    return verilog::make_identifier(name);
-  }
-
-  void merge_branches(ProcEnv& env, const Expr& cond, const ProcEnv& then_env,
-                      const ProcEnv& else_env) {
+  void merge_branches(ProcEnv& env, const ExprPtr& cond,
+                      const ProcEnv& then_env, const ProcEnv& else_env) {
     auto merge_store = [&cond](std::map<std::string, ExprPtr>& base,
                                const std::map<std::string, ExprPtr>& then_s,
                                const std::map<std::string, ExprPtr>& else_s) {
@@ -197,12 +182,13 @@ class ProceduralAnalyzer {
                                 const std::map<std::string, ExprPtr>& fallback)
             -> ExprPtr {
           const auto it = store.find(name);
-          if (it != store.end()) return it->second->clone();
+          if (it != store.end()) return it->second;
           const auto fb = fallback.find(name);
-          if (fb != fallback.end()) return fb->second->clone();
+          if (fb != fallback.end()) return fb->second;
+          // Not assigned on this path: the signal holds its previous value.
           return verilog::make_identifier(name);
         };
-        base[name] = make_ternary(cond.clone(), value_in(then_s, base),
+        base[name] = make_ternary(cond, value_in(then_s, base),
                                   value_in(else_s, base));
       }
     };
@@ -213,17 +199,17 @@ class ProceduralAnalyzer {
   void exec_if(const Stmt& s, ProcEnv& env) {
     GNN4IP_ENSURE(s.cond != nullptr && s.children.size() == 2,
                   "malformed if statement");
-    ExprPtr cond = subst(*s.cond, env.blocking);
-    ProcEnv then_env = env.clone();
+    const ExprPtr cond = subst(s.cond, env.blocking);
+    ProcEnv then_env = env;
     if (s.children[0] != nullptr) exec(*s.children[0], then_env);
-    ProcEnv else_env = env.clone();
+    ProcEnv else_env = env;
     if (s.children[1] != nullptr) exec(*s.children[1], else_env);
-    merge_branches(env, *cond, then_env, else_env);
+    merge_branches(env, cond, then_env, else_env);
   }
 
   void exec_case(const Stmt& s, ProcEnv& env) {
     GNN4IP_ENSURE(s.cond != nullptr, "case without subject");
-    const ExprPtr subject = subst(*s.cond, env.blocking);
+    const ExprPtr subject = subst(s.cond, env.blocking);
 
     // Execute every arm against a copy of the incoming environment.
     struct Arm {
@@ -240,20 +226,19 @@ class ProceduralAnalyzer {
       Arm arm;
       // Multi-label arms: subject == l1 || subject == l2 || ...
       for (const ExprPtr& label : item.labels) {
-        ExprPtr eq = verilog::make_binary(verilog::BinaryOp::kEq,
-                                          subject->clone(),
-                                          subst(*label, env.blocking));
+        ExprPtr eq = verilog::make_binary(verilog::BinaryOp::kEq, subject,
+                                          subst(label, env.blocking));
         arm.condition = arm.condition == nullptr
                             ? std::move(eq)
                             : verilog::make_binary(verilog::BinaryOp::kLogOr,
                                                    std::move(arm.condition),
                                                    std::move(eq));
       }
-      arm.env = env.clone();
+      arm.env = env;
       if (item.body != nullptr) exec(*item.body, arm.env);
       arms.push_back(std::move(arm));
     }
-    ProcEnv default_env = env.clone();
+    ProcEnv default_env = env;
     if (default_item != nullptr && default_item->body != nullptr) {
       exec(*default_item->body, default_env);
     }
@@ -262,8 +247,8 @@ class ProceduralAnalyzer {
     // default branch and each arm wraps it in a mux.
     ProcEnv result = std::move(default_env);
     for (auto it = arms.rbegin(); it != arms.rend(); ++it) {
-      ProcEnv merged = env.clone();
-      merge_branches(merged, *it->condition, it->env, result);
+      ProcEnv merged = env;
+      merge_branches(merged, it->condition, it->env, result);
       result = std::move(merged);
     }
     env = std::move(result);
@@ -281,24 +266,20 @@ std::vector<SignalDriver> analyze_dataflow(const Module& flat) {
   for (const verilog::ContinuousAssign& ca : flat.assigns) {
     std::vector<const Expr*> targets;
     lvalue_targets(*ca.lhs, targets);
-    std::vector<const Expr*> indices;
+    std::vector<ExprPtr> indices;
     lvalue_index_exprs(*ca.lhs, indices);
+    ExprPtr tree = ca.rhs;
+    if (!indices.empty()) {
+      auto wrapper = std::make_shared<Expr>();
+      wrapper->kind = ExprKind::kConcat;
+      wrapper->loc = ca.loc;
+      wrapper->operands.push_back(std::move(tree));
+      wrapper->operands.insert(wrapper->operands.end(), indices.begin(),
+                               indices.end());
+      tree = std::move(wrapper);
+    }
     for (const Expr* target : targets) {
-      SignalDriver driver;
-      driver.signal = target->text;
-      if (indices.empty()) {
-        driver.tree = ca.rhs->clone();
-      } else {
-        auto wrapper = std::make_unique<Expr>();
-        wrapper->kind = ExprKind::kConcat;
-        wrapper->loc = ca.loc;
-        wrapper->operands.push_back(ca.rhs->clone());
-        for (const Expr* idx : indices) {
-          wrapper->operands.push_back(idx->clone());
-        }
-        driver.tree = std::move(wrapper);
-      }
-      drivers.push_back(std::move(driver));
+      drivers.push_back({target->text, tree});
     }
   }
 
@@ -307,35 +288,20 @@ std::vector<SignalDriver> analyze_dataflow(const Module& flat) {
     const bool inverterish =
         gate.gate_type == "not" || gate.gate_type == "buf";
     // not/buf: (out1 [, out2, ...], in); others: (out, in1, in2, ...).
-    std::vector<const Expr*> outputs;
-    std::vector<const Expr*> inputs;
-    if (inverterish) {
-      for (std::size_t i = 0; i + 1 < gate.terminals.size(); ++i) {
-        outputs.push_back(gate.terminals[i].get());
-      }
-      inputs.push_back(gate.terminals.back().get());
-    } else {
-      outputs.push_back(gate.terminals.front().get());
-      for (std::size_t i = 1; i < gate.terminals.size(); ++i) {
-        inputs.push_back(gate.terminals[i].get());
-      }
+    const auto split = inverterish ? gate.terminals.end() - 1
+                                   : gate.terminals.begin() + 1;
+    auto op_expr = std::make_shared<Expr>();
+    op_expr->loc = gate.loc;
+    op_expr->kind = ExprKind::kGateOp;
+    op_expr->text = gate.gate_type;
+    op_expr->operands.assign(split, gate.terminals.end());
+    const ExprPtr tree = std::move(op_expr);
+    std::vector<const Expr*> targets;
+    for (auto out = gate.terminals.begin(); out != split; ++out) {
+      lvalue_targets(**out, targets);
     }
-    for (const Expr* out : outputs) {
-      std::vector<const Expr*> targets;
-      lvalue_targets(*out, targets);
-      for (const Expr* target : targets) {
-        SignalDriver driver;
-        driver.signal = target->text;
-        auto op_expr = std::make_unique<Expr>();
-        op_expr->loc = gate.loc;
-        op_expr->kind = ExprKind::kGateOp;
-        op_expr->text = gate.gate_type;
-        for (const Expr* in : inputs) {
-          op_expr->operands.push_back(in->clone());
-        }
-        driver.tree = std::move(op_expr);
-        drivers.push_back(std::move(driver));
-      }
+    for (const Expr* target : targets) {
+      drivers.push_back({target->text, tree});
     }
   }
 
@@ -352,11 +318,7 @@ std::vector<SignalDriver> analyze_dataflow(const Module& flat) {
     auto emit = [&drivers, edge_triggered](
                     const std::map<std::string, ExprPtr>& store) {
       for (const auto& [name, tree] : store) {
-        SignalDriver driver;
-        driver.signal = name;
-        driver.tree = tree->clone();
-        driver.is_register = edge_triggered;
-        drivers.push_back(std::move(driver));
+        drivers.push_back({name, tree, edge_triggered});
       }
     };
     emit(env.blocking);

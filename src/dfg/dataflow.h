@@ -18,8 +18,9 @@ namespace gnn4ip::dfg {
 
 /// One signal's data-flow tree. `tree` is an AST expression whose
 /// identifiers refer to other signals; control flow has been lowered to
-/// ternaries (`is_case_merge` marks trees produced by case statements so
-/// merge can label them kBranch instead of kMux).
+/// ternaries, and merge turns every ternary, from an `if` or a `case`,
+/// into a kMux node. Trees share subtrees with each other and with the
+/// module; merge expands a shared subtree once per use.
 struct SignalDriver {
   std::string signal;
   verilog::ExprPtr tree;

@@ -4,6 +4,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "dfg/node_kind.h"
 #include "util/contract.h"
@@ -15,7 +16,6 @@ using graph::Digraph;
 using graph::NodeId;
 using verilog::Expr;
 using verilog::ExprKind;
-using verilog::ExprPtr;
 
 class Merger {
  public:
@@ -84,73 +84,69 @@ class Merger {
     return g_.add_node(to_string(kind), static_cast<int>(kind));
   }
 
-  /// Convert an expression tree to DFG nodes; returns the root node.
-  NodeId convert(const Expr& e) {
+  /// An operator whose operands are being converted.
+  struct Frame {
+    const Expr* e;
+    NodeId op;
+    std::size_t next;  // operands[next] is converted next
+  };
+
+  static NodeKind operator_kind(const Expr& e) {
     switch (e.kind) {
+      case ExprKind::kUnary: return kind_of(e.op_unary);
+      case ExprKind::kBinary: return kind_of(e.op_binary);
+      case ExprKind::kTernary: return NodeKind::kMux;
+      case ExprKind::kConcat: return NodeKind::kConcat;
+      case ExprKind::kRepeat: return NodeKind::kRepeat;
+      case ExprKind::kBitSelect: return NodeKind::kBitSelect;
+      case ExprKind::kPartSelect: return NodeKind::kPartSelect;
+      case ExprKind::kGateOp: return kind_of_gate(e.text, e.loc);
       case ExprKind::kIdentifier:
-        return signal_node(e.text);
       case ExprKind::kNumber:
       case ExprKind::kString:
-        return constant_node(e.text);
-      case ExprKind::kUnary: {
-        // Unary plus is a no-op: skip the node entirely.
-        if (e.op_unary == verilog::UnaryOp::kPlus) {
-          return convert(*e.operands[0]);
-        }
-        const NodeId op = operator_node(kind_of(e.op_unary));
-        g_.add_edge(op, convert(*e.operands[0]));
-        return op;
-      }
-      case ExprKind::kBinary: {
-        const NodeId op = operator_node(kind_of(e.op_binary));
-        g_.add_edge(op, convert(*e.operands[0]));
-        g_.add_edge(op, convert(*e.operands[1]));
-        return op;
-      }
-      case ExprKind::kTernary: {
-        const NodeId op = operator_node(NodeKind::kMux);
-        for (const ExprPtr& child : e.operands) {
-          g_.add_edge(op, convert(*child));
-        }
-        return op;
-      }
-      case ExprKind::kConcat: {
-        const NodeId op = operator_node(NodeKind::kConcat);
-        for (const ExprPtr& child : e.operands) {
-          g_.add_edge(op, convert(*child));
-        }
-        return op;
-      }
-      case ExprKind::kRepeat: {
-        const NodeId op = operator_node(NodeKind::kRepeat);
-        for (const ExprPtr& child : e.operands) {
-          g_.add_edge(op, convert(*child));
-        }
-        return op;
-      }
-      case ExprKind::kBitSelect: {
-        const NodeId op = operator_node(NodeKind::kBitSelect);
-        g_.add_edge(op, convert(*e.operands[0]));
-        g_.add_edge(op, convert(*e.operands[1]));
-        return op;
-      }
-      case ExprKind::kPartSelect: {
-        const NodeId op = operator_node(NodeKind::kPartSelect);
-        for (const ExprPtr& child : e.operands) {
-          g_.add_edge(op, convert(*child));
-        }
-        return op;
-      }
-      case ExprKind::kGateOp: {
-        const NodeId op = operator_node(kind_of_gate(e.text, e.loc));
-        for (const ExprPtr& child : e.operands) {
-          g_.add_edge(op, convert(*child));
-        }
-        return op;
-      }
+        break;
     }
     GNN4IP_ENSURE(false, "unhandled expression kind in merge");
+    return NodeKind::kSignal;
+  }
+
+  /// Start converting `e`: a signal or constant resolves to its node at
+  /// once; an operator gets a new node, pushed to `stack_` so its
+  /// operands follow, and kInvalidNode is returned.
+  NodeId open(const Expr* e) {
+    // Unary plus is a no-op: skip the node entirely.
+    while (e->kind == ExprKind::kUnary &&
+           e->op_unary == verilog::UnaryOp::kPlus) {
+      e = e->operands[0].get();
+    }
+    if (e->kind == ExprKind::kIdentifier) return signal_node(e->text);
+    if (e->kind == ExprKind::kNumber || e->kind == ExprKind::kString) {
+      return constant_node(e->text);
+    }
+    stack_.push_back({e, operator_node(operator_kind(*e)), 0});
     return graph::kInvalidNode;
+  }
+
+  /// Convert an expression tree to DFG nodes; returns the root node. A
+  /// shared subtree is expanded once per use. The walk keeps its own
+  /// stack, since a blocking-assign chain nests one level per statement;
+  /// as in a recursive walk, an operator node is created before its
+  /// operands and gets its edges in operand order, each added once that
+  /// operand's subtree is done.
+  NodeId convert(const Expr& root) {
+    NodeId done = open(&root);
+    while (!stack_.empty()) {
+      Frame& top = stack_.back();
+      if (done != graph::kInvalidNode) g_.add_edge(top.op, done);
+      if (top.next == top.e->operands.size()) {
+        done = top.op;
+        stack_.pop_back();
+      } else {
+        const Expr* operand = top.e->operands[top.next++].get();
+        done = open(operand);
+      }
+    }
+    return done;
   }
 
   const verilog::Module& flat_;
@@ -162,6 +158,7 @@ class Merger {
   std::unordered_map<std::string_view, NodeId> signals_;
   std::unordered_map<std::string_view, NodeId> constants_;
   std::unordered_set<std::string_view> registers_;
+  std::vector<Frame> stack_;
 };
 
 }  // namespace

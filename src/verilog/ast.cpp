@@ -52,22 +52,8 @@ const char* to_string(BinaryOp op) {
   return "?";
 }
 
-ExprPtr Expr::clone() const {
-  auto copy = std::make_unique<Expr>();
-  copy->kind = kind;
-  copy->text = text;
-  copy->op_unary = op_unary;
-  copy->op_binary = op_binary;
-  copy->loc = loc;
-  copy->operands.reserve(operands.size());
-  for (const ExprPtr& child : operands) {
-    copy->operands.push_back(child == nullptr ? nullptr : child->clone());
-  }
-  return copy;
-}
-
 ExprPtr make_identifier(std::string name, SourceLocation loc) {
-  auto e = std::make_unique<Expr>();
+  auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kIdentifier;
   e->text = std::move(name);
   e->loc = loc;
@@ -75,24 +61,24 @@ ExprPtr make_identifier(std::string name, SourceLocation loc) {
 }
 
 ExprPtr make_number(std::string literal, SourceLocation loc) {
-  auto e = std::make_unique<Expr>();
+  auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kNumber;
   e->text = std::move(literal);
   e->loc = loc;
   return e;
 }
 
-ExprPtr make_unary(UnaryOp op, ExprPtr a) {
-  auto e = std::make_unique<Expr>();
+ExprPtr make_unary(UnaryOp op, ExprPtr a, SourceLocation loc) {
+  auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kUnary;
   e->op_unary = op;
-  e->loc = a == nullptr ? SourceLocation{} : a->loc;
+  e->loc = loc;
   e->operands.push_back(std::move(a));
   return e;
 }
 
 ExprPtr make_binary(BinaryOp op, ExprPtr a, ExprPtr b) {
-  auto e = std::make_unique<Expr>();
+  auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kBinary;
   e->op_binary = op;
   e->loc = a == nullptr ? SourceLocation{} : a->loc;
@@ -258,37 +244,6 @@ std::string to_verilog(const Expr& e) {
     }
   }
   return os.str();
-}
-
-StmtPtr Stmt::clone() const {
-  auto copy = std::make_unique<Stmt>();
-  copy->kind = kind;
-  copy->cond = cond == nullptr ? nullptr : cond->clone();
-  copy->lhs = lhs == nullptr ? nullptr : lhs->clone();
-  copy->rhs = rhs == nullptr ? nullptr : rhs->clone();
-  copy->casex = casex;
-  copy->loc = loc;
-  copy->children.reserve(children.size());
-  for (const StmtPtr& child : children) {
-    copy->children.push_back(child == nullptr ? nullptr : child->clone());
-  }
-  copy->case_items.reserve(case_items.size());
-  for (const CaseItem& item : case_items) {
-    CaseItem ci;
-    for (const ExprPtr& label : item.labels) {
-      ci.labels.push_back(label->clone());
-    }
-    ci.body = item.body == nullptr ? nullptr : item.body->clone();
-    copy->case_items.push_back(std::move(ci));
-  }
-  return copy;
-}
-
-Range Range::clone() const {
-  Range r;
-  r.msb = msb == nullptr ? nullptr : msb->clone();
-  r.lsb = lsb == nullptr ? nullptr : lsb->clone();
-  return r;
 }
 
 const NetDecl* Module::find_net(const std::string& net_name) const {

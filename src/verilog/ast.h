@@ -58,7 +58,10 @@ enum class ExprKind {
 };
 
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/// Expressions are immutable once built, so a subtree is shared wherever
+/// it appears (symbolic dataflow and elaboration reuse nodes rather than
+/// copying them).
+using ExprPtr = std::shared_ptr<const Expr>;
 
 struct Expr {
   ExprKind kind = ExprKind::kNumber;
@@ -67,13 +70,11 @@ struct Expr {
   BinaryOp op_binary = BinaryOp::kAdd;
   std::vector<ExprPtr> operands;
   SourceLocation loc;
-
-  [[nodiscard]] ExprPtr clone() const;
 };
 
 [[nodiscard]] ExprPtr make_identifier(std::string name, SourceLocation loc = {});
 [[nodiscard]] ExprPtr make_number(std::string literal, SourceLocation loc = {});
-[[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr a);
+[[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr a, SourceLocation loc);
 [[nodiscard]] ExprPtr make_binary(BinaryOp op, ExprPtr a, ExprPtr b);
 
 /// Try to evaluate to a 64-bit constant given parameter bindings
@@ -116,8 +117,6 @@ struct Stmt {
   std::vector<CaseItem> case_items;
   bool casex = false;            // kCase: casex/casez variant
   SourceLocation loc;
-
-  [[nodiscard]] StmtPtr clone() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -131,8 +130,6 @@ enum class NetType { kWire, kReg, kInteger, kSupply0, kSupply1, kTri };
 struct Range {
   ExprPtr msb;
   ExprPtr lsb;
-
-  [[nodiscard]] Range clone() const;
 };
 
 /// Declaration of one or more nets sharing direction/type/range is split

@@ -1,9 +1,7 @@
 #include "verilog/elaborate.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/contract.h"
@@ -17,42 +15,42 @@ using ParamEnv = std::vector<std::pair<std::string, long long>>;
 /// Per-module-inlining context: how identifiers get rewritten.
 struct RewriteContext {
   std::string prefix;                 // "" for top, "u1." style otherwise
-  const std::unordered_set<std::string>* net_names = nullptr;
   const ParamEnv* params = nullptr;
 };
 
-std::string prefixed(const RewriteContext& ctx, const std::string& name) {
-  return ctx.prefix.empty() ? name : ctx.prefix + name;
+std::string prefixed(const RewriteContext& ctx, std::string_view name) {
+  std::string out = ctx.prefix;
+  out += name;
+  return out;
 }
 
-ExprPtr rewrite_expr(const Expr& e, const RewriteContext& ctx);
-
-ExprPtr rewrite_children(const Expr& e, const RewriteContext& ctx) {
-  auto copy = std::make_unique<Expr>();
-  copy->kind = e.kind;
-  copy->text = e.text;
-  copy->op_unary = e.op_unary;
-  copy->op_binary = e.op_binary;
-  copy->loc = e.loc;
-  for (const ExprPtr& child : e.operands) {
-    copy->operands.push_back(child == nullptr ? nullptr
-                                              : rewrite_expr(*child, ctx));
-  }
-  return copy;
-}
-
-ExprPtr rewrite_expr(const Expr& e, const RewriteContext& ctx) {
-  if (e.kind != ExprKind::kIdentifier) return rewrite_children(e, ctx);
-  // Parameter use -> constant.
-  for (const auto& [name, value] : *ctx.params) {
-    if (name == e.text) {
-      return make_number(std::to_string(value), e.loc);
+/// `e` with parameters folded to constants and nets prefixed. Returns `e`
+/// itself when nothing under it changes, so a flat top module shares its
+/// expressions instead of rebuilding them.
+ExprPtr rewrite_expr(const ExprPtr& e, const RewriteContext& ctx) {
+  if (e == nullptr || (ctx.prefix.empty() && ctx.params->empty())) return e;
+  if (e->kind == ExprKind::kIdentifier) {
+    // Parameter use -> constant.
+    for (const auto& [name, value] : *ctx.params) {
+      if (name == e->text) {
+        return make_number(std::to_string(value), e->loc);
+      }
     }
+    // Known or implicit net -> prefixed name. Identifiers that are not
+    // declared are implicit wires; they are registered by the caller
+    // before rewriting, so every non-parameter identifier is a net.
+    if (ctx.prefix.empty()) return e;
+    return make_identifier(prefixed(ctx, e->text), e->loc);
   }
-  // Known or implicit net -> prefixed name. Identifiers that are not
-  // declared are implicit wires; they are registered by the caller before
-  // rewriting, so at this point every non-parameter identifier is a net.
-  return make_identifier(prefixed(ctx, e.text), e.loc);
+  std::shared_ptr<Expr> copy;  // made at the first operand that changes
+  for (std::size_t i = 0; i < e->operands.size(); ++i) {
+    ExprPtr child = rewrite_expr(e->operands[i], ctx);
+    if (child == e->operands[i]) continue;
+    if (copy == nullptr) copy = std::make_shared<Expr>(*e);
+    copy->operands[i] = std::move(child);
+  }
+  if (copy == nullptr) return e;
+  return copy;
 }
 
 StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
@@ -60,9 +58,9 @@ StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
   copy->kind = s.kind;
   copy->casex = s.casex;
   copy->loc = s.loc;
-  copy->cond = s.cond == nullptr ? nullptr : rewrite_expr(*s.cond, ctx);
-  copy->lhs = s.lhs == nullptr ? nullptr : rewrite_expr(*s.lhs, ctx);
-  copy->rhs = s.rhs == nullptr ? nullptr : rewrite_expr(*s.rhs, ctx);
+  copy->cond = rewrite_expr(s.cond, ctx);
+  copy->lhs = rewrite_expr(s.lhs, ctx);
+  copy->rhs = rewrite_expr(s.rhs, ctx);
   for (const StmtPtr& child : s.children) {
     copy->children.push_back(child == nullptr ? nullptr
                                               : rewrite_stmt(*child, ctx));
@@ -70,7 +68,7 @@ StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
   for (const CaseItem& item : s.case_items) {
     CaseItem ci;
     for (const ExprPtr& label : item.labels) {
-      ci.labels.push_back(rewrite_expr(*label, ctx));
+      ci.labels.push_back(rewrite_expr(label, ctx));
     }
     ci.body = item.body == nullptr ? nullptr : rewrite_stmt(*item.body, ctx);
     copy->case_items.push_back(std::move(ci));
@@ -78,15 +76,18 @@ StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
   return copy;
 }
 
-/// Collect every identifier that appears in expression position.
-void collect_identifiers(const Expr& e, std::set<std::string>& out) {
+/// Collect every identifier that appears in expression position. The views
+/// point into the module's own expressions.
+void collect_identifiers(const Expr& e,
+                         std::unordered_set<std::string_view>& out) {
   if (e.kind == ExprKind::kIdentifier) out.insert(e.text);
   for (const ExprPtr& child : e.operands) {
     if (child != nullptr) collect_identifiers(*child, out);
   }
 }
 
-void collect_identifiers(const Stmt& s, std::set<std::string>& out) {
+void collect_identifiers(const Stmt& s,
+                         std::unordered_set<std::string_view>& out) {
   if (s.cond != nullptr) collect_identifiers(*s.cond, out);
   if (s.lhs != nullptr) collect_identifiers(*s.lhs, out);
   if (s.rhs != nullptr) collect_identifiers(*s.rhs, out);
@@ -160,10 +161,9 @@ class Elaborator {
 
     const ParamEnv env = resolve_params(m, param_overrides);
 
-    // Gather declared plus implicit nets.
-    std::unordered_set<std::string> net_names;
-    for (const NetDecl& net : m.nets) net_names.insert(net.name);
-    std::set<std::string> used;
+    // Identifiers used but neither declared nor parameters are implicit
+    // nets, declared after the explicit ones in name order.
+    std::unordered_set<std::string_view> used;
     for (const ContinuousAssign& ca : m.assigns) {
       collect_identifiers(*ca.lhs, used);
       collect_identifiers(*ca.rhs, used);
@@ -182,24 +182,13 @@ class Elaborator {
         if (conn.actual != nullptr) collect_identifiers(*conn.actual, used);
       }
     }
-    auto is_param = [&env](const std::string& name) {
-      return std::any_of(env.begin(), env.end(),
-                         [&name](const auto& kv) { return kv.first == name; });
-    };
-    std::vector<NetDecl> implicit;
-    for (const std::string& name : used) {
-      if (net_names.count(name) == 0 && !is_param(name)) {
-        NetDecl net;
-        net.name = name;
-        net.type = NetType::kWire;
-        implicit.push_back(std::move(net));
-        net_names.insert(name);
-      }
-    }
+    for (const NetDecl& net : m.nets) used.erase(net.name);
+    for (const auto& param : env) used.erase(param.first);
+    std::vector<std::string_view> implicit(used.begin(), used.end());
+    std::sort(implicit.begin(), implicit.end());
 
     RewriteContext ctx;
     ctx.prefix = prefix;
-    ctx.net_names = &net_names;
     ctx.params = &env;
 
     // Nets.
@@ -211,24 +200,21 @@ class Elaborator {
       copy.loc = net.loc;
       if (keep_ports) copy.direction = net.direction;
       if (net.range.has_value()) {
-        Range r;
-        r.msb = rewrite_expr(*net.range->msb, ctx);
-        r.lsb = rewrite_expr(*net.range->lsb, ctx);
-        copy.range = std::move(r);
+        copy.range = Range{rewrite_expr(net.range->msb, ctx),
+                           rewrite_expr(net.range->lsb, ctx)};
       }
       out.nets.push_back(std::move(copy));
       if (net.init != nullptr) {
         ContinuousAssign ca;
         ca.loc = net.loc;
         ca.lhs = make_identifier(prefixed(ctx, net.name), net.loc);
-        ca.rhs = rewrite_expr(*net.init, ctx);
+        ca.rhs = rewrite_expr(net.init, ctx);
         out.assigns.push_back(std::move(ca));
       }
     }
-    for (const NetDecl& net : implicit) {
+    for (const std::string_view name : implicit) {
       NetDecl copy;
-      copy.name = prefixed(ctx, net.name);
-      copy.type = NetType::kWire;
+      copy.name = prefixed(ctx, name);
       out.nets.push_back(std::move(copy));
     }
 
@@ -236,8 +222,8 @@ class Elaborator {
     for (const ContinuousAssign& ca : m.assigns) {
       ContinuousAssign copy;
       copy.loc = ca.loc;
-      copy.lhs = rewrite_expr(*ca.lhs, ctx);
-      copy.rhs = rewrite_expr(*ca.rhs, ctx);
+      copy.lhs = rewrite_expr(ca.lhs, ctx);
+      copy.rhs = rewrite_expr(ca.rhs, ctx);
       out.assigns.push_back(std::move(copy));
     }
     for (const AlwaysBlock& ab : m.always_blocks) {
@@ -248,8 +234,7 @@ class Elaborator {
       for (const SensitivityItem& item : ab.sensitivity) {
         SensitivityItem si;
         si.edge = item.edge;
-        si.signal = item.signal == nullptr ? nullptr
-                                           : rewrite_expr(*item.signal, ctx);
+        si.signal = rewrite_expr(item.signal, ctx);
         copy.sensitivity.push_back(std::move(si));
       }
       copy.body = ab.body == nullptr ? nullptr : rewrite_stmt(*ab.body, ctx);
@@ -262,7 +247,7 @@ class Elaborator {
           gate.instance_name.empty() ? "" : prefixed(ctx, gate.instance_name);
       copy.loc = gate.loc;
       for (const ExprPtr& t : gate.terminals) {
-        copy.terminals.push_back(rewrite_expr(*t, ctx));
+        copy.terminals.push_back(rewrite_expr(t, ctx));
       }
       out.gates.push_back(std::move(copy));
     }
@@ -339,7 +324,7 @@ class Elaborator {
         if (conn->actual == nullptr) continue;  // explicitly unconnected
         ContinuousAssign ca;
         ca.loc = inst.loc;
-        ExprPtr actual = rewrite_expr(*conn->actual, ctx);
+        ExprPtr actual = rewrite_expr(conn->actual, ctx);
         ExprPtr formal = make_identifier(child_prefix + port_name, inst.loc);
         switch (*port->direction) {
           case PortDirection::kInput:

@@ -104,6 +104,27 @@ class Parser {
     return false;
   }
 
+  /// One level of expression or statement nesting, held while the
+  /// parser recurses into it; the level past kMaxNestingDepth throws at
+  /// the token that opens it.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : depth_(parser.depth_) {
+      if (depth_ == kMaxNestingDepth) {
+        throw ParseError("nesting deeper than " +
+                             std::to_string(kMaxNestingDepth) + " levels",
+                         parser.peek().loc);
+      }
+      ++depth_;
+    }
+    ~DepthGuard() { --depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    int& depth_;
+  };
+
   // --- module structure ----------------------------------------------------
   Module parse_module() {
     net_index_.clear();
@@ -193,7 +214,7 @@ class Parser {
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
-      if (range.has_value()) net.range = range->clone();
+      net.range = range;
       mod.port_order.push_back(net.name);
       mod.nets.push_back(std::move(net));
     } while (accept_punct(","));
@@ -301,7 +322,7 @@ class Parser {
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
-      if (range.has_value()) net.range = range->clone();
+      net.range = range;
       if (accept_punct("=")) {
         net.init = parse_expression();
       }
@@ -415,6 +436,7 @@ class Parser {
 
   // --- statements -----------------------------------------------------------
   StmtPtr parse_statement() {
+    const DepthGuard guard(*this);
     auto stmt = std::make_unique<Stmt>();
     stmt->loc = peek().loc;
     skip_optional_delay();
@@ -578,12 +600,7 @@ class Parser {
       ModuleInstance inst;
       inst.loc = peek().loc;
       inst.module_name = module_name;
-      for (const PortConnection& p : params) {
-        PortConnection copy;
-        copy.port_name = p.port_name;
-        copy.actual = p.actual == nullptr ? nullptr : p.actual->clone();
-        inst.parameter_overrides.push_back(std::move(copy));
-      }
+      inst.parameter_overrides = params;
       inst.instance_name = expect_identifier("instance name");
       if (peek().is_punct("[")) {
         throw ParseError("instance arrays are not supported", peek().loc);
@@ -617,12 +634,15 @@ class Parser {
   }
 
   // --- expressions ----------------------------------------------------------
-  ExprPtr parse_expression() { return parse_ternary(); }
+  ExprPtr parse_expression() {
+    const DepthGuard guard(*this);
+    return parse_ternary();
+  }
 
   ExprPtr parse_ternary() {
     ExprPtr cond = parse_binary(1);
     if (!accept_punct("?")) return cond;
-    auto expr = std::make_unique<Expr>();
+    auto expr = std::make_shared<Expr>();
     expr->kind = ExprKind::kTernary;
     expr->loc = cond->loc;
     ExprPtr then_val = parse_expression();
@@ -667,12 +687,10 @@ class Parser {
       else if (t.text == "~^" || t.text == "^~") op = UnaryOp::kRedXnor;
       else matched = false;
       if (matched) {
+        const DepthGuard guard(*this);
         const SourceLocation loc = t.loc;
         advance();
-        ExprPtr operand = parse_unary();
-        ExprPtr e = make_unary(op, std::move(operand));
-        e->loc = loc;
-        return e;
+        return make_unary(op, parse_unary(), loc);
       }
     }
     return parse_postfix();
@@ -685,7 +703,7 @@ class Parser {
       ExprPtr first = parse_expression();
       if (accept_punct(":")) {
         ExprPtr second = parse_expression();
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kPartSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -695,7 +713,7 @@ class Parser {
       } else if (accept_punct("+:")) {
         // Indexed part select base[start +: width] — treat like part select.
         ExprPtr width = parse_expression();
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kPartSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -703,7 +721,7 @@ class Parser {
         sel->operands.push_back(std::move(width));
         base = std::move(sel);
       } else {
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kBitSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -723,7 +741,7 @@ class Parser {
       return e;
     }
     if (t.kind == TokenKind::kString) {
-      auto e = std::make_unique<Expr>();
+      auto e = std::make_shared<Expr>();
       e->kind = ExprKind::kString;
       e->text = t.text;
       e->loc = t.loc;
@@ -747,14 +765,14 @@ class Parser {
       ExprPtr first = parse_expression();
       if (peek().is_punct("{")) {
         advance();
-        auto rep = std::make_unique<Expr>();
+        auto rep = std::make_shared<Expr>();
         rep->kind = ExprKind::kRepeat;
         rep->loc = t.loc;
         rep->operands.push_back(std::move(first));
         // Replication body is a concatenation list: {N{a, b, ...}}.
         ExprPtr body = parse_expression();
         if (peek().is_punct(",")) {
-          auto inner = std::make_unique<Expr>();
+          auto inner = std::make_shared<Expr>();
           inner->kind = ExprKind::kConcat;
           inner->loc = body->loc;
           inner->operands.push_back(std::move(body));
@@ -768,7 +786,7 @@ class Parser {
         expect_punct("}");
         return rep;
       }
-      auto concat = std::make_unique<Expr>();
+      auto concat = std::make_shared<Expr>();
       concat->kind = ExprKind::kConcat;
       concat->loc = t.loc;
       concat->operands.push_back(std::move(first));
@@ -785,9 +803,10 @@ class Parser {
   /// concatenation of lvalues.
   ExprPtr parse_lvalue() {
     if (peek().is_punct("{")) {
+      const DepthGuard guard(*this);
       const Token& open = peek();
       advance();
-      auto concat = std::make_unique<Expr>();
+      auto concat = std::make_shared<Expr>();
       concat->kind = ExprKind::kConcat;
       concat->loc = open.loc;
       do {
@@ -805,6 +824,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // DepthGuards alive
   /// Current module's net name -> position of its first declaration in
   /// `Module::nets`, covering the first `indexed_nets_` nets.
   std::unordered_map<std::string, std::size_t> net_index_;

@@ -2,7 +2,7 @@
 //
 // parse() runs the preprocessor, lexer, and parser; parse_tokens() starts
 // from an existing token stream. Both throw ParseError on malformed or
-// unsupported input.
+// unsupported input, including nesting deeper than kMaxNestingDepth.
 #pragma once
 
 #include <string>
@@ -13,6 +13,11 @@
 #include "verilog/token.h"
 
 namespace gnn4ip::verilog {
+
+/// Deepest nesting the parser accepts, counting each expression,
+/// statement, prefix operator and lvalue concatenation that it recurses
+/// into. Deeper input is a ParseError, not a stack overflow.
+inline constexpr int kMaxNestingDepth = 1000;
 
 /// Preprocess + lex + parse a Verilog source buffer.
 [[nodiscard]] Design parse(const std::string& source,

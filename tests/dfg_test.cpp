@@ -224,6 +224,28 @@ TEST(Dfg, BlockingAssignSubstitutesWithinBlock) {
   EXPECT_TRUE(saw_and);
 }
 
+TEST(Dfg, SharedValueExpandsOncePerUse) {
+  // t's value is one shared expression, read twice by y; merge still
+  // expands it at every use, so the DFG is what copying it would give.
+  const Digraph g = dfg_of(
+      "module m (input a, input b, output reg y);\n"
+      "  reg t;\n"
+      "  always @(*) begin\n"
+      "    t = a ^ b;\n"
+      "    y = t & t;\n"
+      "  end\n"
+      "endmodule\n");
+  // a, b, y, t; t's xor; y's and over two xors of its own.
+  EXPECT_EQ(g.num_nodes(), 8u);
+  EXPECT_EQ(g.num_edges(), 10u);
+  EXPECT_EQ(count_kind(g, NodeKind::kXor), 3);
+  EXPECT_EQ(count_kind(g, NodeKind::kAnd), 1);
+  const NodeId and_node = g.out_neighbors(g.find_by_name("y")).front();
+  const auto operands = g.out_neighbors(and_node);
+  ASSERT_EQ(operands.size(), 2u);
+  EXPECT_NE(operands[0], operands[1]);
+}
+
 TEST(Dfg, CaseBecomesMuxChainWithEq) {
   const Digraph g = dfg_of(
       "module m (input [1:0] s, input a, input b, input c, output reg y);\n"

@@ -4,6 +4,7 @@
 // a valid graph).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "data/rtl_designs.h"
@@ -97,6 +98,136 @@ TEST(Robustness, DeepExpressionNesting) {
                           "  assign y = " + expr + ";\nendmodule\n";
   const graph::Digraph g = dfg::extract_dfg(src);
   EXPECT_GT(g.num_nodes(), 200u);
+}
+
+// `t = a;` and then n x `t = t ^ b;` in one `always @(*)` block. Each
+// statement's value shares the one before it, so the DFG (a, b, t, y and
+// one xor per statement) must build in time linear in n, and merge must
+// not recurse on the value's depth of n levels.
+TEST(Robustness, ChainedBlockingAssignsStayLinear) {
+  for (const int n : {10'000, 40'000}) {
+    std::string src =
+        "module m (input a, input b, output y);\n"
+        "  reg t;\n"
+        "  always @(*) begin\n"
+        "    t = a;\n";
+    for (int i = 0; i < n; ++i) src += "    t = t ^ b;\n";
+    src += "  end\n  assign y = t;\nendmodule\n";
+    const auto start = std::chrono::steady_clock::now();
+    const graph::Digraph g = dfg::extract_dfg(src);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(g.num_nodes(), static_cast<std::size_t>(n) + 4);
+    // ~15 ms per 10,000 statements in Release; the bound leaves room for
+    // sanitizer builds.
+    EXPECT_LT(elapsed.count(), 2.0 * n / 10'000) << n << " statements";
+  }
+}
+
+// --- parser nesting bound ----------------------------------------------------
+//
+// Each source below nests exactly `depth` levels as the parser counts
+// them: one per expression, statement, prefix operator and lvalue
+// concatenation it recurses into.
+
+std::string module_with(const std::string& body) {
+  return "module m (input a, input b, input c, output y);\n" + body +
+         "endmodule\n";
+}
+
+/// `assign y = (((a ^ b) ^ b) ... ^ b);`: the right-hand side is a level
+/// and each parenthesis one more.
+std::string nested_parentheses(int depth) {
+  std::string expr = "a";
+  for (int level = 1; level < depth; ++level) expr = "(" + expr + " ^ b)";
+  return module_with("  assign y = " + expr + ";\n");
+}
+
+/// `assign y = ~ ~ ... ~ a;`: the right-hand side and each `~`.
+std::string not_chain(int depth) {
+  std::string expr;
+  for (int level = 1; level < depth; ++level) expr += "~ ";
+  return module_with("  assign y = " + expr + "a;\n");
+}
+
+/// `assign y = c ? a : c ? a : ... : b;`: the right-hand side and each
+/// else-arm.
+std::string ternary_else_chain(int depth) {
+  std::string expr;
+  for (int level = 1; level < depth; ++level) expr += "c ? a : ";
+  return module_with("  assign y = " + expr + "b;\n");
+}
+
+/// `assign {{...{y}...}} = a;`: each brace.
+std::string lvalue_concats(int depth) {
+  const auto n = static_cast<std::size_t>(depth);
+  return module_with("  assign " + std::string(n, '{') + "y" +
+                     std::string(n, '}') + " = a;\n");
+}
+
+/// `always @(*) if (c) begin if (c) begin ... y = a; end ... end`: each
+/// `if` and `begin`, then the innermost assignment and its right-hand
+/// side.
+std::string nested_statements(int depth) {
+  std::string body = "  always @(*)\n";
+  std::string ends;
+  for (int level = 2; level < depth; ++level) {
+    if (level % 2 == 0) {
+      body += "if (c) ";
+    } else {
+      body += "begin ";
+      ends += " end";
+    }
+  }
+  return module_with(body + "y = a;" + ends + "\n");
+}
+
+struct NestedSource {
+  const char* name;
+  std::string (*build)(int depth);
+};
+
+class NestingBoundTest : public ::testing::TestWithParam<NestedSource> {};
+
+TEST_P(NestingBoundTest, ExtractsAtTheBound) {
+  const graph::Digraph g =
+      dfg::extract_dfg(GetParam().build(verilog::kMaxNestingDepth));
+  const graph::NodeId y = g.find_by_name("y");
+  ASSERT_NE(y, graph::kInvalidNode);
+  EXPECT_EQ(g.out_degree(y), 1u);  // its driver
+}
+
+TEST_P(NestingBoundTest, OneLevelDeeperThrows) {
+  EXPECT_THROW(
+      (void)verilog::parse(GetParam().build(verilog::kMaxNestingDepth + 1)),
+      verilog::ParseError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Constructs, NestingBoundTest,
+    ::testing::Values(NestedSource{"parentheses", nested_parentheses},
+                      NestedSource{"not_chain", not_chain},
+                      NestedSource{"ternary_else_chain", ternary_else_chain},
+                      NestedSource{"lvalue_concats", lvalue_concats},
+                      NestedSource{"statements", nested_statements}),
+    [](const ::testing::TestParamInfo<NestedSource>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(Robustness, HundredThousandParenthesesAreAParseError) {
+  const std::string parens(100'000, '(');
+  const std::string src = module_with(
+      "  assign y = " + parens + "a" + std::string(parens.size(), ')') +
+      ";\n");
+  try {
+    (void)verilog::parse(src);
+    FAIL() << "100,000 nested parentheses parsed";
+  } catch (const verilog::ParseError& e) {
+    // Thrown at the parenthesis that opens the first level too many:
+    // the right-hand side starts at column 14 and is level 1.
+    EXPECT_EQ(e.location().line, 2);
+    EXPECT_EQ(e.location().column, 14 + verilog::kMaxNestingDepth);
+  }
 }
 
 TEST(Robustness, ManyModulesManyInstances) {

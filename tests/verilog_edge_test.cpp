@@ -14,7 +14,7 @@ ExprPtr parse_expr(const std::string& text) {
   const Design d =
       parse("module t (output [31:0] y);\n  assign y = " + text +
             ";\nendmodule\n");
-  return d.modules[0].assigns[0].rhs->clone();
+  return d.modules[0].assigns[0].rhs;
 }
 
 // --- precedence --------------------------------------------------------------
