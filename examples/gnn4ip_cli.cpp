@@ -300,7 +300,7 @@ int cmd_audit(const std::vector<std::string>& args) {
     // re-push otherwise).
     auto corpus = dist::DistCorpus::connect(
         dist::parse_endpoints(connect_spec), fingerprint, options.scorer,
-        options.shard_budget, /*allow_resident=*/!load_dir.empty());
+        /*allow_resident=*/!load_dir.empty());
     owned_service = std::make_unique<audit::AuditService>(
         std::move(model), options, std::move(corpus));
   } else {

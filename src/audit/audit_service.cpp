@@ -148,8 +148,7 @@ ServiceState read_service_state(const std::filesystem::path& path) {
 AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options)
     : AuditService(std::move(model), options,
                    std::make_unique<core::ShardedCorpus>(
-                       options.num_shards, options.scorer,
-                       options.shard_budget)) {}
+                       options.num_shards, options.scorer)) {}
 
 AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
                            std::unique_ptr<core::CorpusBackend> corpus)
@@ -157,8 +156,8 @@ AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
       model_(std::move(model)),
       model_fingerprint_(gnn::model_fingerprint(model_)),
       pipeline_(options.pipeline),
-      corpus_(std::move(corpus)),
-      queue_(options.queue_capacity) {
+      queue_(options.queue_capacity),
+      corpus_(std::move(corpus)) {
   GNN4IP_ENSURE(corpus_ != nullptr,
                 "AuditService: corpus backend must be non-null");
   // The backend is the truth for the shard layout; keep the options in
@@ -229,10 +228,10 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
   // shard: one hot shard (hash skew, adversarial names) cannot crowd
   // out the rest of the resident cache. A shard holding only pinned
   // library IP stays over budget.
-  if (corpus_->shard_budget() > 0) {
+  if (options_.shard_budget > 0) {
     for (std::size_t s = 0; s < corpus_->num_shards(); ++s) {
       std::size_t pos = 0;  // evictable_[pos, ...) not yet ruled out
-      while (corpus_->shard_live_count(s) > corpus_->shard_budget()) {
+      while (corpus_->shard_live_count(s) > options_.shard_budget) {
         while (pos < evictable_.size() &&
                corpus_->shard_of(evictable_[pos]) != s) {
           ++pos;
@@ -423,12 +422,19 @@ std::vector<ScreenReport> AuditService::screen_batch(
     // this call's own scratch state: designs are independent, each
     // worker writes only its own slot, and the per-worker tape is reset
     // per graph — embeddings (hence every score below) are
-    // bit-identical for any worker count. This phase takes no locks and
+    // bit-identical for any worker count. This phase holds no locks and
     // no tickets, so K consumers embed disjoint batches fully in
     // parallel. A malformed design lands a Diagnostic in its own report
-    // and never touches its batch-mates.
+    // and never touches its batch-mates. The fan-out runs on a copy of
+    // the corpus pointer, so a concurrent load_corpus() cannot free the
+    // worker pool under it; the copy is dropped when the phase ends.
     std::vector<tensor::Matrix> embeddings(batch.size());
-    corpus_->fan_out(batch.size(), [&](std::size_t i) {
+    std::shared_ptr<const core::CorpusBackend> corpus;
+    {
+      util::ReaderLock state(state_mu_);
+      corpus = corpus_;
+    }
+    corpus->fan_out(batch.size(), [&](std::size_t i) {
       static thread_local tensor::Tape tape;
       AuditItem& item = batch[i];
       reports[i].submission.name = item.name;
@@ -444,6 +450,7 @@ std::vector<ScreenReport> AuditService::screen_batch(
       // Deferred to the commit slot: accepted is the "admitted" flag,
       // and admission happens under the ticket.
     });
+    corpus.reset();
 
     // Phase 2 — commit each item under its ticket. The turnstile
     // serializes commits across every consumer in global ticket order,
@@ -563,8 +570,11 @@ void AuditService::load_corpus(const std::string& dir) {
     // service's own state is only touched in the no-throw swap below.
     ServiceState persisted = read_service_state(
         std::filesystem::path(dir) / core::kServiceFileName);
-    std::unique_ptr<core::CorpusBackend> fresh =
-        corpus_->restored(dir, model_fingerprint_);
+    std::unique_ptr<core::CorpusBackend> fresh;
+    {
+      util::ReaderLock state(state_mu_);
+      fresh = corpus_->restored(dir, model_fingerprint_);
+    }
     // Cross-validate the service file against the restored corpus: the
     // name index must be a bijection onto the live rows.
     if (persisted.entries.size() != fresh->live_count()) {

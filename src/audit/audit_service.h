@@ -240,7 +240,10 @@ class AuditService {
   /// screening and top_k are bit-identical to the never-restarted
   /// service — rows round-trip as exact bytes and the restored corpus
   /// adopts the snapshot's shard count (options().num_shards follows).
-  /// Runs as one serialized commit, like save_corpus().
+  /// Runs as one serialized commit, like save_corpus(), and is safe
+  /// concurrently with screening consumers and producers: a batch
+  /// already embedding keeps the corpus it started on alive until its
+  /// embed phase ends, and commits against the restored one.
   void load_corpus(const std::string& dir);
 
   /// Fingerprint of the owned model (gnn::model_fingerprint), as
@@ -277,9 +280,14 @@ class AuditService {
   [[nodiscard]] const AuditOptions& options() const { return options_; }
   [[nodiscard]] gnn::Hw2Vec& model() { return model_; }
   /// The resident corpus backend (tests and benches compare against the
-  /// raw core scoring paths through this). The reference is replaced —
-  /// not mutated — by load_corpus(); re-fetch it after a warm restart.
-  [[nodiscard]] const core::CorpusBackend& corpus() const { return *corpus_; }
+  /// raw core scoring paths through this). Unsynchronized: read it only
+  /// while no commit or load_corpus() can run — tests and examples read
+  /// it after quiesce. The reference is replaced, not mutated, by
+  /// load_corpus(); re-fetch it after a warm restart.
+  [[nodiscard]] const core::CorpusBackend& corpus() const
+      GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
+    return *corpus_;
+  }
 
  private:
   /// Block until `ticket` is the next to commit (turnstile entry).
@@ -320,23 +328,22 @@ class AuditService {
   /// Computed once at construction; snapshots record and validate it.
   std::string model_fingerprint_;
   Pipeline pipeline_;
-  /// Owned indirectly so load_corpus() can build + validate a fresh
-  /// corpus off to the side and swap it in only once every typed check
-  /// has passed (ShardedCorpus itself is immovable — it owns mutexes).
-  /// The pointer is reassigned only by load_corpus, inside a commit
-  /// slot and under state_mu_ exclusive; the corpus object itself does
-  /// its own internal locking, so screen_batch's expensive phase reads
-  /// the pointer lock-free (not GUARDED_BY — annotating it would force
-  /// the fully-parallel embed phase to hold state_mu_ shared and
-  /// serialize against commit slots).
-  std::unique_ptr<core::CorpusBackend> corpus_;
   util::BoundedQueue<AuditItem> queue_;
 
-  /// Guards index_by_name_/pinned_/evictable_: exclusive inside a
-  /// commit slot and in pin/unpin (commit mutations are already
+  /// The one lock of the resident corpus and the service state around
+  /// it (corpus_, index_by_name_, pinned_, evictable_): exclusive inside
+  /// a commit slot and in pin/unpin (commit mutations are already
   /// serialized by the turnstile; the lock exists for the readers),
-  /// shared in top_k/contains/index_of/pinned/name.
+  /// shared in top_k/contains/index_of/pinned/name/resident. The corpus
+  /// takes no lock of its own on its rows, so every corpus call holds
+  /// this one.
   mutable util::SharedMutex state_mu_{util::lock_rank::kState};
+  /// Shared so load_corpus() can build + validate a fresh corpus off to
+  /// the side and swap it in only once every typed check has passed,
+  /// while screen_batch's embed phase, which copies the pointer under
+  /// state_mu_ shared and then fans out on it with no lock held, keeps
+  /// the corpus it started on alive across that swap.
+  std::shared_ptr<core::CorpusBackend> corpus_ GNN4IP_GUARDED_BY(state_mu_);
   std::unordered_map<std::string, std::size_t> index_by_name_
       GNN4IP_GUARDED_BY(state_mu_);
   std::unordered_set<std::string> pinned_ GNN4IP_GUARDED_BY(state_mu_);

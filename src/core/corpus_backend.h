@@ -15,9 +15,16 @@
 //
 // The contract is behavioural, not just syntactic: both implementations
 // compute every shard's partials with the sweeps of core/shard_sweep.h
-// and merge them under the same fixed tie-breaks (descending similarity,
-// then ascending index) — that is what keeps verdicts bit-identical
-// across implementations, shard counts, and process counts.
+// and combine them with its merges (fixed tie-breaks: descending
+// similarity, then ascending index) — that is what keeps verdicts
+// bit-identical across implementations, shard counts, and process
+// counts.
+//
+// Synchronization is the caller's, as for a standard container: const
+// members may run concurrently with each other, and a mutation (add,
+// remove, compact) must exclude every other call. audit::AuditService
+// holds its state lock shared around reads and exclusively around
+// commits. fan_out() reads no corpus state and is safe at any time.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +88,6 @@ class CorpusBackend {
   [[nodiscard]] virtual std::size_t num_shards() const = 0;
   [[nodiscard]] virtual std::size_t shard_of(std::size_t i) const = 0;
   [[nodiscard]] virtual std::size_t shard_live_count(std::size_t s) const = 0;
-  [[nodiscard]] virtual std::size_t shard_budget() const = 0;
 
   // ---- Scoring (bit-identical across implementations) -------------------
   [[nodiscard]] virtual std::vector<ScreenRow> screen_new_rows(
@@ -98,8 +104,8 @@ class CorpusBackend {
   /// Every malformed-snapshot case throws a distinct typed SnapshotError
   /// before any state (local or remote) is touched; the caller swaps the
   /// returned corpus in only after its own cross-checks pass. The
-  /// receiver's configuration (ScorerOptions, shard budget, and for the
-  /// distributed corpus its shard connections) carries over.
+  /// receiver's configuration (ScorerOptions, and for the distributed
+  /// corpus its shard connections) carries over.
   [[nodiscard]] virtual std::unique_ptr<CorpusBackend> restored(
       const std::string& dir, std::string_view expected_fingerprint) const = 0;
 

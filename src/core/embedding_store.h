@@ -8,15 +8,13 @@
 // reports the old→new index remapping.
 //
 // The store holds no scoring logic and no locks — it is the shard
-// unit, guarded *externally* by whoever owns it: ShardedCorpus holds
-// one SharedMutex stripe per store (rank 110+shard in the global lock
-// order, src/util/lock_order.h) and every access to shards_[s] happens
-// under stripes_[s]. That per-element guard is outside what the static
-// capability analysis can express, which is why none of these fields
-// carry GNN4IP_GUARDED_BY — the runtime lock-order validator covers
-// the stripes instead. core/shard_sweep.h scores probe rows against
-// one store; ShardedCorpus owns K stores and merges across them, and
-// dist::ShardServer serves one store over the wire.
+// unit, with a standard container's contract: const members may
+// overlap, and a mutation excludes every other call. Its owner
+// provides that: ShardedCorpus passes its own contract down (in the
+// audit stack, AuditService's state lock), and dist::ShardServer
+// serves one connection at a time. core/shard_sweep.h scores probe
+// rows against one store; ShardedCorpus owns K stores and merges
+// across them, and dist::ShardServer serves one store over the wire.
 //
 // The store is also the unit of persistence: save()/load() round-trip
 // the rows, names, and tombstones through the binary shard format of

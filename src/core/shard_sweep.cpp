@@ -64,4 +64,62 @@ std::vector<ScreenMatch> top_k_shard(const EmbeddingStore& store,
   return cands;
 }
 
+std::vector<ScreenRow> merge_screen(
+    const std::vector<std::vector<ScreenRow>>& partials,
+    const std::vector<std::vector<std::size_t>>& globals) {
+  GNN4IP_ENSURE(!partials.empty() && partials.size() == globals.size(),
+                "merge_screen: need one partial set per shard");
+  std::vector<ScreenRow> merged(partials.front().size());
+  for (std::size_t s = 0; s < partials.size(); ++s) {
+    GNN4IP_ENSURE(partials[s].size() == merged.size(),
+                  "merge_screen: shards disagree on the probe count");
+    for (std::size_t r = 0; r < merged.size(); ++r) {
+      const ScreenRow& p = partials[s][r];
+      ScreenRow& out = merged[r];
+      out.scanned += p.scanned;
+      out.rescored += p.rescored;
+      for (const ScreenMatch& m : p.flagged) {
+        out.flagged.push_back({globals[s][m.index], m.similarity});
+      }
+      if (!p.best) continue;
+      const ScreenMatch best{globals[s][p.best->index], p.best->similarity};
+      if (!out.best || best.similarity > out.best->similarity ||
+          (best.similarity == out.best->similarity &&
+           best.index < out.best->index)) {
+        out.best = best;
+      }
+    }
+  }
+  for (ScreenRow& out : merged) {
+    std::sort(out.flagged.begin(), out.flagged.end(),
+              [](const ScreenMatch& x, const ScreenMatch& y) {
+                return x.index < y.index;
+              });
+  }
+  return merged;
+}
+
+std::vector<PairScore> merge_top_k(
+    const std::vector<std::vector<ScreenMatch>>& prefixes,
+    const std::vector<std::vector<std::size_t>>& globals, std::size_t query,
+    std::size_t k) {
+  GNN4IP_ENSURE(prefixes.size() == globals.size(),
+                "merge_top_k: need one prefix per shard");
+  std::vector<PairScore> merged;
+  for (std::size_t s = 0; s < prefixes.size(); ++s) {
+    for (const ScreenMatch& m : prefixes[s]) {
+      merged.push_back({query, globals[s][m.index], m.similarity});
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const PairScore& x, const PairScore& y) {
+              if (x.similarity != y.similarity) {
+                return x.similarity > y.similarity;
+              }
+              return x.b < y.b;
+            });
+  merged.resize(std::min(k, merged.size()));
+  return merged;
+}
+
 }  // namespace gnn4ip::core

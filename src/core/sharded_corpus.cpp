@@ -14,17 +14,11 @@
 namespace gnn4ip::core {
 
 ShardedCorpus::ShardedCorpus(std::size_t num_shards,
-                             const ScorerOptions& options,
-                             std::size_t shard_budget)
-    : options_(options), shard_budget_(shard_budget) {
+                             const ScorerOptions& options)
+    : options_(options) {
   GNN4IP_ENSURE(num_shards > 0, "ShardedCorpus: need at least one shard");
   shards_.resize(num_shards);
   globals_.resize(num_shards);
-  stripes_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    stripes_.push_back(
-        std::make_unique<util::SharedMutex>(util::lock_rank::stripe(s)));
-  }
 }
 
 std::size_t ShardedCorpus::placement(std::string_view name,
@@ -40,20 +34,9 @@ std::size_t ShardedCorpus::placement(std::string_view name,
   return static_cast<std::size_t>(h % num_shards);
 }
 
-ShardedCorpus::StripeGuard ShardedCorpus::lock_all_stripes_shared() const {
-  return StripeGuard(stripes_);
-}
-
 std::size_t ShardedCorpus::add(std::string name,
                                const tensor::Matrix& embedding) {
   GNN4IP_ENSURE(!embedding.empty(), "ShardedCorpus: empty embedding");
-  util::ReaderLock epoch(epoch_mu_);
-  // The admission ticket: whoever wins index_mu_ next gets the next
-  // global id, so interleaved admissions from several consumers fold
-  // into one deterministic insertion order. The placed shard's stripe
-  // nests inside (index before stripe everywhere), blocking only that
-  // shard's readers for the append.
-  util::WriterLock index(index_mu_);
   if (dim_ == 0) {
     dim_ = embedding.size();
   } else {
@@ -64,80 +47,35 @@ std::size_t ShardedCorpus::add(std::string name,
   }
   const std::size_t s = placement(name, shards_.size());
   const std::size_t global = entries_.size();
-  {
-    util::WriterLock stripe(*stripes_[s]);
-    const std::size_t local = shards_[s].add(std::move(name), embedding);
-    entries_.push_back({s, local});
-    globals_[s].push_back(global);
-  }
+  const std::size_t local = shards_[s].add(std::move(name), embedding);
+  entries_.push_back({s, local});
+  globals_[s].push_back(global);
   ++live_count_;
   return global;
 }
 
-std::size_t ShardedCorpus::size() const {
-  util::ReaderLock index(index_mu_);
-  return entries_.size();
-}
-
-std::size_t ShardedCorpus::dim() const {
-  util::ReaderLock index(index_mu_);
-  return dim_;
-}
-
-std::size_t ShardedCorpus::live_count() const {
-  util::ReaderLock index(index_mu_);
-  return live_count_;
-}
-
 const std::string& ShardedCorpus::name(std::size_t i) const {
-  util::ReaderLock epoch(epoch_mu_);
-  util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: index out of range");
-  // Names are stable between compacts (EmbeddingStore::add never moves
-  // the std::string storage of earlier names), so returning the
-  // reference after dropping the locks is safe until the next compact().
   return shards_[entries_[i].shard].name(entries_[i].local);
 }
 
 std::span<const float> ShardedCorpus::row(std::size_t i) const {
-  util::ReaderLock epoch(epoch_mu_);
-  util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: row index out of range");
-  const EntryRef e = entries_[i];
-  util::ReaderLock stripe(*stripes_[e.shard]);
-  return row_nolock(e);
+  return shards_[entries_[i].shard].row(entries_[i].local);
 }
 
 void ShardedCorpus::remove(std::size_t i) {
-  util::ReaderLock epoch(epoch_mu_);
-  util::WriterLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: remove out of range");
-  const EntryRef e = entries_[i];
-  {
-    util::WriterLock stripe(*stripes_[e.shard]);
-    shards_[e.shard].remove(e.local);
-  }
+  shards_[entries_[i].shard].remove(entries_[i].local);
   --live_count_;
 }
 
 bool ShardedCorpus::live(std::size_t i) const {
-  util::ReaderLock epoch(epoch_mu_);
-  util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: index out of range");
-  const EntryRef e = entries_[i];
-  util::ReaderLock stripe(*stripes_[e.shard]);
-  return shards_[e.shard].live(e.local);
+  return shards_[entries_[i].shard].live(entries_[i].local);
 }
 
 std::vector<std::size_t> ShardedCorpus::compact() {
-  // The global epoch: exclusive over every reader and admitter, so the
-  // dense renumbering below can never be observed half-applied. The
-  // index lock is still needed on top: size()/dim()/live_count()/
-  // shard_of() read under index_mu_ alone (they never touch row data,
-  // so they skip the epoch), and entries_/live_count_/globals_ are
-  // about to be rewritten.
-  util::WriterLock epoch(epoch_mu_);
-  util::WriterLock index(index_mu_);
   // Renumber from the lowest removed global (each shard's lowest
   // tombstone, mapped through its ascending local→global table), then
   // let each store erase its own tombstones: both number the survivors
@@ -163,42 +101,25 @@ std::vector<std::size_t> ShardedCorpus::compact() {
 }
 
 std::size_t ShardedCorpus::shard_of(std::size_t i) const {
-  util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: index out of range");
   return entries_[i].shard;
 }
 
 std::size_t ShardedCorpus::shard_live_count(std::size_t s) const {
   GNN4IP_ENSURE(s < shards_.size(), "ShardedCorpus: shard out of range");
-  // Epoch shared: compact() rewrites the shard stores under the epoch
-  // alone (it already excludes every stripe holder), so a bare stripe
-  // lock would race with it.
-  util::ReaderLock epoch(epoch_mu_);
-  util::ReaderLock stripe(*stripes_[s]);
   return shards_[s].live_count();
 }
 
 std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
                                                       float delta) const {
-  util::ReaderLock epoch(epoch_mu_);
-  // Snapshot the query rows' addresses under index_mu_, then scan under
-  // the shard stripes (the index lock is off-limits while the stripes
-  // are held — admitters take index before stripe).
-  std::vector<EntryRef> query_refs;
-  {
-    util::ReaderLock index(index_mu_);
-    GNN4IP_ENSURE(first_new <= entries_.size(),
-                  "screen_new_rows: first_new past the corpus end");
-    query_refs.assign(entries_.begin() +
-                          static_cast<std::ptrdiff_t>(first_new),
-                      entries_.end());
-  }
-  std::vector<ScreenRow> result(query_refs.size());
-  if (query_refs.empty()) return result;
-  const StripeGuard stripes = lock_all_stripes_shared();
+  GNN4IP_ENSURE(first_new <= entries_.size(),
+                "screen_new_rows: first_new past the corpus end");
+  if (first_new == entries_.size()) return {};
   std::vector<std::span<const float>> probes;
-  probes.reserve(query_refs.size());
-  for (const EntryRef& e : query_refs) probes.push_back(row_nolock(e));
+  probes.reserve(entries_.size() - first_new);
+  for (std::size_t g = first_new; g < entries_.size(); ++g) {
+    probes.push_back(row(g));
+  }
   // Candidates are each shard's rows admitted before first_new.
   std::vector<std::vector<ScreenRow>> partials(shards_.size());
   fan_out(shards_.size(), [&](std::size_t s) {
@@ -206,71 +127,25 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
         screen_shard(shards_[s], prefix_below(globals_[s], first_new), probes,
                      delta);
   });
-  for (std::size_t r = 0; r < result.size(); ++r) {
-    ScreenRow& out = result[r];
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const ScreenRow& p = partials[s][r];
-      out.scanned += p.scanned;
-      out.rescored += p.rescored;
-      for (const ScreenMatch& m : p.flagged) {
-        out.flagged.push_back({globals_[s][m.index], m.similarity});
-      }
-      if (!p.best) continue;
-      const ScreenMatch best{globals_[s][p.best->index], p.best->similarity};
-      if (!out.best || best.similarity > out.best->similarity ||
-          (best.similarity == out.best->similarity &&
-           best.index < out.best->index)) {
-        out.best = best;
-      }
-    }
-    std::sort(out.flagged.begin(), out.flagged.end(),
-              [](const ScreenMatch& x, const ScreenMatch& y) {
-                return x.index < y.index;
-              });
-  }
-  return result;
+  return merge_screen(partials, globals_);
 }
 
 std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
                                             std::size_t k) const {
-  util::ReaderLock epoch(epoch_mu_);
-  EntryRef query_ref;
-  std::size_t n = 0;
-  {
-    util::ReaderLock index(index_mu_);
-    GNN4IP_ENSURE(i < entries_.size(), "top_k: row index out of range");
-    query_ref = entries_[i];
-    n = entries_.size();
-  }
-  const StripeGuard stripes = lock_all_stripes_shared();
+  GNN4IP_ENSURE(i < entries_.size(), "top_k: row index out of range");
+  const EntryRef query_ref = entries_[i];
   GNN4IP_ENSURE(shards_[query_ref.shard].live(query_ref.local),
                 "top_k: row has been removed");
-  const std::span<const float> query = row_nolock(query_ref);
+  const std::span<const float> query = row(i);
   // Each shard's top-min(k) prefix, in its local order (= global order
-  // within the shard); the global top-k is a subset of their union, so
-  // merging under the same total order and truncating is exact.
+  // within the shard); the global top-k is a subset of their union.
   std::vector<std::vector<ScreenMatch>> prefixes(shards_.size());
   fan_out(shards_.size(), [&](std::size_t s) {
     const std::size_t exclude =
         s == query_ref.shard ? query_ref.local : kNoIndex;
-    prefixes[s] = top_k_shard(shards_[s], prefix_below(globals_[s], n), query,
-                              k, exclude);
+    prefixes[s] = top_k_shard(shards_[s], shards_[s].size(), query, k, exclude);
   });
-  std::vector<PairScore> merged;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (const ScreenMatch& m : prefixes[s]) {
-      merged.push_back({i, globals_[s][m.index], m.similarity});
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const PairScore& x, const PairScore& y) {
-              if (x.similarity != y.similarity) {
-                return x.similarity > y.similarity;
-              }
-              return x.b < y.b;
-            });
-  merged.resize(std::min(k, merged.size()));
-  return merged;
+  return merge_top_k(prefixes, globals_, i, k);
 }
 
 void ShardedCorpus::fan_out(
@@ -299,15 +174,6 @@ void ShardedCorpus::fan_out(
 
 void ShardedCorpus::save(const std::string& dir,
                          std::string_view model_fingerprint) const {
-  // Epoch exclusive: every operation (reads, admissions, compaction)
-  // holds the epoch shared, so an exclusive hold is a full quiesce of
-  // the corpus — the snapshot is one consistent instant. The index lock
-  // is redundant under that quiesce (no writer can be inside it), but
-  // dim_/entries_ are read below and GUARDED_BY(index_mu_): taking it
-  // shared makes the guard explicit instead of an argument in a
-  // comment, for the analysis and the next reader alike.
-  util::WriterLock epoch(epoch_mu_);
-  util::ReaderLock index(index_mu_);
   const std::filesystem::path root(dir);
   std::error_code ec;
   std::filesystem::create_directories(root, ec);
@@ -407,28 +273,19 @@ void ShardedCorpus::restore(const std::string& dir,
     }
     live += stores[s].live_count();
   }
-  // Swap in under the epoch: identical discipline to compact(), the
-  // other whole-corpus rewrite.
-  util::WriterLock epoch(epoch_mu_);
-  util::WriterLock index(index_mu_);
   shards_ = std::move(stores);
   entries_ = std::move(entries);
   globals_ = std::move(globals);
   dim_ = manifest.dim;
   live_count_ = live;
-  while (stripes_.size() < shards_.size()) {
-    stripes_.push_back(std::make_unique<util::SharedMutex>(
-        util::lock_rank::stripe(stripes_.size())));
-  }
-  stripes_.resize(shards_.size());
 }
 
 std::unique_ptr<CorpusBackend> ShardedCorpus::restored(
     const std::string& dir, std::string_view expected_fingerprint) const {
   // restore() adopts the snapshot's shard count and dim, so a fresh
-  // single-shard corpus is the universal starting point; options and
-  // the per-shard budget carry over from the receiver.
-  auto fresh = std::make_unique<ShardedCorpus>(1, options_, shard_budget_);
+  // single-shard corpus is the universal starting point; options carry
+  // over from the receiver.
+  auto fresh = std::make_unique<ShardedCorpus>(1, options_);
   fresh->restore(dir, expected_fingerprint);
   return fresh;
 }

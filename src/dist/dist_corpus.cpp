@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
 #include "net/wire_format.h"
@@ -22,13 +23,6 @@ using net::FrameCursor;
 using net::MsgType;
 
 constexpr std::uint64_t kNoLocal = std::numeric_limits<std::uint64_t>::max();
-
-/// The top_k merge comparator of ShardedCorpus (similarity desc, global
-/// index asc) — a total order over candidates with distinct globals.
-bool closer(const PairScore& x, const PairScore& y) {
-  if (x.similarity != y.similarity) return x.similarity > y.similarity;
-  return x.b < y.b;
-}
 
 }  // namespace
 
@@ -75,8 +69,7 @@ std::vector<Endpoint> parse_endpoints(std::string_view spec) {
 
 std::unique_ptr<DistCorpus> DistCorpus::connect(
     const std::vector<Endpoint>& endpoints, std::string model_fingerprint,
-    const core::ScorerOptions& options, std::size_t shard_budget,
-    bool allow_resident) {
+    const core::ScorerOptions& options, bool allow_resident) {
   GNN4IP_ENSURE(!endpoints.empty(), "DistCorpus: need at least one shard");
   bool any_resident = false;
   auto shared = std::make_shared<ChannelSet>();
@@ -124,7 +117,7 @@ std::unique_ptr<DistCorpus> DistCorpus::connect(
     }
   }
   auto corpus = std::unique_ptr<DistCorpus>(
-      new DistCorpus(std::move(shared), options, shard_budget,
+      new DistCorpus(std::move(shared), options,
                      std::move(model_fingerprint)));
   {
     util::MutexLock lock(corpus->shared_->mu);
@@ -143,9 +136,8 @@ void DistCorpus::check_reconciled_locked() const {
 
 DistCorpus::DistCorpus(std::shared_ptr<ChannelSet> channels,
                        const core::ScorerOptions& options,
-                       std::size_t shard_budget, std::string fingerprint)
+                       std::string fingerprint)
     : options_(options),
-      shard_budget_(shard_budget),
       fingerprint_(std::move(fingerprint)),
       shared_(std::move(channels)) {
   util::MutexLock lock(shared_->mu);
@@ -325,8 +317,7 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
   GNN4IP_ENSURE(first_new <= entries_.size(),
                 "screen_new_rows: first_new past the corpus end");
   const std::size_t new_rows = entries_.size() - first_new;
-  std::vector<ScreenRow> result(new_rows);
-  if (new_rows == 0) return result;
+  if (new_rows == 0) return {};
   const std::size_t d = dim_;
   const std::size_t shard_count = globals_.size();
   const std::size_t tail_bytes = new_rows * d * sizeof(float);
@@ -353,50 +344,41 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
                             {probe_block, tail_bytes}});
     ch.sendbuf.clear();
   }
+  // Decode each shard's partials in its local indices, then merge them
+  // exactly as the in-process corpus does.
+  std::vector<std::vector<ScreenRow>> partials(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     Channel& ch = shared_->channels[s];
     const net::Frame frame =
         net::expect_frame(ch.sock, MsgType::kScreenResult);
     FrameCursor cur(frame.payload);
-    const auto to_global = [&](std::uint64_t local) {
+    const auto candidate = [&](std::uint64_t local) {
       if (local >= limits[s]) {
         throw net::WireProtocolError(
             "shard " + std::to_string(s) + " reported local row " +
             std::to_string(local) + " beyond its candidate limit " +
             std::to_string(limits[s]));
       }
-      return globals_[s][static_cast<std::size_t>(local)];
+      return static_cast<std::size_t>(local);
     };
-    for (std::size_t r = 0; r < new_rows; ++r) {
-      ScreenRow& out = result[r];
+    partials[s].resize(new_rows);
+    for (ScreenRow& p : partials[s]) {
       const std::uint32_t flag_count = cur.get_u32("flag count");
       for (std::uint32_t f = 0; f < flag_count; ++f) {
         const std::uint64_t local = cur.get_u64("flagged local");
         const float sim = cur.get_f32("flagged similarity");
-        out.flagged.push_back({to_global(local), sim});
+        p.flagged.push_back({candidate(local), sim});
       }
       if (cur.get_u8("has best") != 0) {
-        const std::size_t g = to_global(cur.get_u64("best local"));
-        const float sim = cur.get_f32("best similarity");
-        // The fixed merge: similarity desc, then ascending global index
-        // — same rule, hence same winner, as the in-process merge.
-        if (!out.best || sim > out.best->similarity ||
-            (sim == out.best->similarity && g < out.best->index)) {
-          out.best = ScreenMatch{g, sim};
-        }
+        const std::size_t local = candidate(cur.get_u64("best local"));
+        p.best = ScreenMatch{local, cur.get_f32("best similarity")};
       }
-      out.scanned += static_cast<std::size_t>(cur.get_u64("scanned"));
-      out.rescored += static_cast<std::size_t>(cur.get_u64("rescored"));
+      p.scanned = static_cast<std::size_t>(cur.get_u64("scanned"));
+      p.rescored = static_cast<std::size_t>(cur.get_u64("rescored"));
     }
     cur.done("ScreenResult");
   }
-  for (ScreenRow& out : result) {
-    std::sort(out.flagged.begin(), out.flagged.end(),
-              [](const ScreenMatch& x, const ScreenMatch& y) {
-                return x.index < y.index;
-              });
-  }
-  return result;
+  return core::merge_screen(partials, globals_);
 }
 
 std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
@@ -419,9 +401,9 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
     flush_locked(ch);
   }
   // Each shard returns its true top-min(k, ·) prefix; the global top-k
-  // is a subset of their union, so merging under the same total order
-  // and truncating reproduces the in-process ranking exactly.
-  std::vector<PairScore> merged;
+  // is a subset of their union, so the in-process merge reproduces the
+  // in-process ranking exactly.
+  std::vector<std::vector<ScreenMatch>> prefixes(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     const net::Frame frame =
         net::expect_frame(shared_->channels[s].sock, MsgType::kTopKResult);
@@ -435,13 +417,11 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
                                      " reported unknown local row " +
                                      std::to_string(local));
       }
-      merged.push_back({i, globals_[s][static_cast<std::size_t>(local)], sim});
+      prefixes[s].push_back({static_cast<std::size_t>(local), sim});
     }
     cur.done("TopKResult");
   }
-  std::sort(merged.begin(), merged.end(), closer);
-  merged.resize(std::min(k, merged.size()));
-  return merged;
+  return core::merge_top_k(prefixes, globals_, i, k);
 }
 
 void DistCorpus::save(const std::string& dir,
@@ -497,11 +477,11 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
   // restored probe hands us validated rows, names, and tombstones (it
   // adopts the snapshot's own shard count, which is also what
   // `gnn4ip_shardd --load-shard` servers hold).
-  core::ShardedCorpus probe(1, options_, shard_budget_);
+  core::ShardedCorpus probe(1, options_);
   probe.restore(dir, expected_fingerprint);
 
   auto fresh = std::unique_ptr<DistCorpus>(
-      new DistCorpus(shared_, options_, shard_budget_, fingerprint_));
+      new DistCorpus(shared_, options_, fingerprint_));
   util::MutexLock lock(shared_->mu);
   const std::size_t shard_count = shared_->channels.size();
   fresh->dim_ = probe.dim();

@@ -7,10 +7,9 @@
 // map, so a design lands on the same shard id whether the corpus is
 // in-process or distributed. Shard servers hold the same rows and run
 // the same per-shard sweeps (core/shard_sweep.h, behind
-// dist::ShardServer), and the front end applies the same fixed
-// tie-break merges as ShardedCorpus (descending similarity, then
-// ascending global index), so verdicts are bit-identical to the
-// in-process path for any shard-process count.
+// dist::ShardServer), and the front end merges their partials with the
+// same core::merge_screen/merge_top_k as ShardedCorpus, so verdicts are
+// bit-identical to the in-process path for any shard-process count.
 //
 // Perf shape (Galois NetworkInterfaceBuffered):
 //   * one-way mutations (AdmitRows/Remove/Compact) append frames to a
@@ -30,9 +29,9 @@
 // state rank) serializes every operation — frames on a connection must
 // not interleave, and the lock lives in the *shared* ChannelSet so a
 // restored() replacement and its predecessor serialize on the same
-// lock. The audit layer's external locking already provides the
-// multi-reader discipline; this corpus trades reader overlap for a
-// protocol that cannot be corrupted by a racing caller.
+// lock. The audit layer's state lock lets const reads overlap, and
+// every read here speaks on the shared sockets, so this lock is what
+// keeps two concurrent top_k readers from interleaving their frames.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +76,7 @@ class DistCorpus final : public core::CorpusBackend {
   /// refusal.
   [[nodiscard]] static std::unique_ptr<DistCorpus> connect(
       const std::vector<Endpoint>& endpoints, std::string model_fingerprint,
-      const core::ScorerOptions& options = {}, std::size_t shard_budget = 0,
-      bool allow_resident = false);
+      const core::ScorerOptions& options = {}, bool allow_resident = false);
 
   ~DistCorpus() override;
 
@@ -96,9 +94,6 @@ class DistCorpus final : public core::CorpusBackend {
   [[nodiscard]] std::size_t num_shards() const override;
   [[nodiscard]] std::size_t shard_of(std::size_t i) const override;
   [[nodiscard]] std::size_t shard_live_count(std::size_t s) const override;
-  [[nodiscard]] std::size_t shard_budget() const override {
-    return shard_budget_;
-  }
 
   // ---- Scoring (bit-identical to ShardedCorpus) -------------------------
   [[nodiscard]] std::vector<core::ScreenRow> screen_new_rows(
@@ -152,8 +147,7 @@ class DistCorpus final : public core::CorpusBackend {
   };
 
   DistCorpus(std::shared_ptr<ChannelSet> channels,
-             const core::ScorerOptions& options, std::size_t shard_budget,
-             std::string fingerprint);
+             const core::ScorerOptions& options, std::string fingerprint);
 
   // All helpers below assume the caller holds shared_->mu (they speak
   // on the wire and/or touch the mirror).
@@ -168,7 +162,6 @@ class DistCorpus final : public core::CorpusBackend {
   std::size_t admit_mirror_locked(std::string name, std::span<const float> row);
 
   core::ScorerOptions options_;
-  std::size_t shard_budget_ = 0;
   std::string fingerprint_;
 
   std::shared_ptr<ChannelSet> shared_;

@@ -50,7 +50,7 @@ void LockOrderRegistry::note_acquire(const LockRank& rank) {
   if (g_held_count > 0 && g_held[g_held_count - 1].order >= rank.order) {
     abort_with_stacks(rank);
   }
-  // Past capacity (a corpus with hundreds of stripes), deeper locks go
+  // Past capacity (deeper than any nesting in the tree), deeper locks go
   // unrecorded: the order among the first kMaxHeld is still checked,
   // and note_release tolerates the unrecorded tail.
   if (g_held_count < kMaxHeld) {

@@ -3,9 +3,9 @@
 //
 // Every util::Mutex/util::SharedMutex can carry a LockRank: a small
 // integer position in the one global acquisition order documented in
-// docs/ARCHITECTURE.md ("Lock order"). The canonical corpus spine is
+// docs/ARCHITECTURE.md ("Lock order"). The spine of a commit is
 //
-//   epoch_mu_  <  index_mu_  <  shard stripes (ascending shard id)
+//   commit_mu_  <  state_mu_  <  kDist  <  pool
 //
 // and the full table below extends it to every lock in the tree,
 // ascending = outermost-first:
@@ -17,18 +17,15 @@
 //   20  sync     AuditService::sync_mu_                 {drain, reserve} atom
 //   30  queue    util::BoundedQueue<T>::mu_             queue internals
 //   40  commit   AuditService::commit_mu_               the ticket turnstile
-//   50  state    AuditService::state_mu_                names/pins/evictable
+//   50  state    AuditService::state_mu_                corpus + names/pins
 //   60  dist     DistCorpus::ChannelSet::mu             wire + row mirror
-//   100 epoch    ShardedCorpus::epoch_mu_               corpus quiesce gate
-//   101 index    ShardedCorpus::index_mu_               global id space
-//   110+s        ShardedCorpus stripe for shard s       per-shard rows
-//   2^24   pool-spawn  ShardedCorpus::pool_mu_          lazy pool creation
+//   2^24   pool-spawn  {Sharded,Dist}Corpus::pool_mu_   lazy pool creation
 //   2^24+1 pool-batch  ThreadPool::batch_mu_            one batch at a time
 //   2^24+2 pool-work   ThreadPool::mu_                  worker wakeups
 //   2^25   progress    AsyncAuditor::progress_mu_       submitted/reported
 //
-// The pool/progress block sits above every corpus rank because scans
-// fan out to the pool *while holding stripes*. A rank of -1 (the
+// The pool/progress block sits above every other rank because scans
+// fan out to the pool *while holding state_mu_*. A rank of -1 (the
 // default) opts a lock out of validation entirely.
 //
 // When the build defines GNN4IP_LOCK_ORDER (CMake -DGNN4IP_LOCK_ORDER=ON,
@@ -61,21 +58,10 @@ inline constexpr LockRank kSync{20, "service-sync"};
 inline constexpr LockRank kQueue{30, "bounded-queue"};
 inline constexpr LockRank kCommit{40, "commit-turnstile"};
 inline constexpr LockRank kState{50, "service-state"};
-/// DistCorpus's connection/metadata lock: below the service state (the
-/// audit layer calls into the distributed corpus holding state_mu_),
-/// above the epoch block so a distributed corpus could layer on an
-/// in-process one without inverting the table.
+/// DistCorpus's connection/mirror lock: nested inside the service state
+/// (the audit layer calls into the distributed corpus holding
+/// state_mu_).
 inline constexpr LockRank kDist{60, "dist-corpus"};
-inline constexpr LockRank kEpoch{100, "corpus-epoch"};
-inline constexpr LockRank kIndex{101, "corpus-index"};
-
-/// Stripes slot in directly above the index lock, ascending by shard —
-/// the validator checks the documented "stripes in ascending shard id"
-/// order for free.
-inline constexpr int kStripeBase = 110;
-inline constexpr LockRank stripe(std::size_t shard) {
-  return LockRank{kStripeBase + static_cast<int>(shard), "corpus-stripe"};
-}
 
 // Leaf block: acquired innermost (from scan fan-out and pool workers).
 inline constexpr LockRank kPoolSpawn{1 << 24, "corpus-pool-spawn"};

@@ -21,10 +21,10 @@
 //
 //  - Fields get GNN4IP_GUARDED_BY(mu_) when *every* access holds mu_.
 //    Fields with a publication protocol the analysis cannot see
-//    (epoch-published ThreadPool batch state, stripe-guarded shard
-//    rows reached through a dynamic stripe set) stay unannotated with
-//    a comment saying which lock really guards them — the runtime
-//    validator still covers those.
+//    (epoch-published ThreadPool batch state, DistCorpus's mirror under
+//    a mutex shared across instances) stay unannotated with a comment
+//    saying which lock really guards them — the runtime validator still
+//    covers those.
 //  - Private helpers that assume a lock is held get
 //    GNN4IP_REQUIRES(mu_) / GNN4IP_REQUIRES_SHARED(mu_) instead of
 //    re-locking.
@@ -135,11 +135,8 @@ class GNN4IP_CAPABILITY("mutex") Mutex {
 #endif
 };
 
-/// std::shared_mutex with capability annotations. The *_unchecked
-/// variants carry no static annotations: they exist solely for lock
-/// sets held in containers (the corpus stripe vector), which the
-/// static analysis cannot model — the runtime validator still ranks
-/// and checks them.
+/// std::shared_mutex with capability annotations and (in sanitize
+/// builds) a position in the global lock order.
 class GNN4IP_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
@@ -167,13 +164,6 @@ class GNN4IP_CAPABILITY("shared_mutex") SharedMutex {
     mu_.unlock_shared();
     GNN4IP_LOCK_ORDER_RELEASE(rank());
   }
-
-  /// Statically unchecked acquisition for dynamically-selected lock
-  /// sets (see class comment). Validator-checked like the rest.
-  void lock_unchecked() { lock(); }
-  void unlock_unchecked() { unlock(); }
-  void lock_shared_unchecked() { lock_shared(); }
-  void unlock_shared_unchecked() { unlock_shared(); }
 
  private:
   std::shared_mutex mu_;

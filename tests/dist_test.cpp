@@ -93,7 +93,7 @@ TEST(DistCorpus, ConnectRefusesDeadAndNonEmptyServers) {
                net::WireProtocolError);
   // ...and a fingerprint disagreement is its own typed refusal.
   EXPECT_THROW((void)dist::DistCorpus::connect(cluster.endpoints(), "other",
-                                               {}, 0, true),
+                                               {}, true),
                net::WireFingerprintError);
 }
 
@@ -236,7 +236,7 @@ TEST(DistCorpus, UnreconciledServersRefuseUseUntilRestore) {
     }
     corpus->save(dir, "fp");
   }
-  auto raw = dist::DistCorpus::connect(cluster.endpoints(), "fp", {}, 0,
+  auto raw = dist::DistCorpus::connect(cluster.endpoints(), "fp", {},
                                        /*allow_resident=*/true);
   EXPECT_THROW((void)raw->add("x", embeddings[0]), net::WireProtocolError);
   EXPECT_THROW((void)raw->screen_new_rows(2, -0.5F), net::WireProtocolError);

@@ -27,22 +27,23 @@ using gnn4ip::util::ReaderLock;
 using gnn4ip::util::SharedMutex;
 namespace lock_rank = gnn4ip::util::lock_rank;
 
-// A shard stripe acquired before the index lock — the documented
-// corpus order (epoch < index < stripes) inverted. Direct lock calls,
-// balanced so the static analysis is satisfied even though the unlocks
-// after the abort are unreachable.
-void acquire_stripe_then_index() {
-  SharedMutex index{lock_rank::kIndex};
-  SharedMutex stripe0{lock_rank::stripe(0)};
-  stripe0.lock_shared();
-  index.lock_shared();  // rank 101 under rank 110: aborts here
-  index.unlock_shared();
-  stripe0.unlock_shared();
+// The distributed corpus's lock acquired before the service state — the
+// documented order (state < dist: the audit layer calls into the corpus
+// holding state_mu_) inverted. Direct lock calls, balanced so the static
+// analysis is satisfied even though the unlocks after the abort are
+// unreachable.
+void acquire_dist_then_state() {
+  SharedMutex state{lock_rank::kState};
+  Mutex dist{lock_rank::kDist};
+  dist.lock();
+  state.lock_shared();  // rank 50 under rank 60: aborts here
+  state.unlock_shared();
+  dist.unlock();
 }
 
-TEST(LockOrderDeathTest, StripeBeforeIndexAborts) {
+TEST(LockOrderDeathTest, DistBeforeStateAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(acquire_stripe_then_index(), "LOCK ORDER VIOLATION");
+  EXPECT_DEATH(acquire_dist_then_state(), "LOCK ORDER VIOLATION");
 }
 
 // Equal ranks can never nest: "strictly greater" is what makes the
@@ -62,42 +63,42 @@ TEST(LockOrderDeathTest, EqualRankNestingAborts) {
   EXPECT_DEATH(acquire_equal_rank_twice(), "LOCK ORDER VIOLATION");
 }
 
-// The canonical descent — epoch, index, stripes ascending, pool — is
-// silent, and every scoped guard is visible in the held count.
+// The canonical descent — commit, state, dist, pool spawn, pool batch
+// — is silent, and every scoped guard is visible in the held count.
 TEST(LockOrderTest, CanonicalDescentIsSilentAndTracked) {
-  SharedMutex epoch{lock_rank::kEpoch};
-  SharedMutex index{lock_rank::kIndex};
-  SharedMutex stripe0{lock_rank::stripe(0)};
-  SharedMutex stripe1{lock_rank::stripe(1)};
-  Mutex pool{lock_rank::kPoolSpawn};
+  Mutex commit{lock_rank::kCommit};
+  SharedMutex state{lock_rank::kState};
+  Mutex dist{lock_rank::kDist};
+  Mutex spawn{lock_rank::kPoolSpawn};
+  Mutex batch{lock_rank::kPoolBatch};
 
   EXPECT_EQ(LockOrderRegistry::held_count(), 0u);
   {
-    ReaderLock e(epoch);
-    ReaderLock i(index);
-    ReaderLock s0(stripe0);
-    ReaderLock s1(stripe1);
-    MutexLock p(pool);
+    MutexLock c(commit);
+    ReaderLock s(state);
+    MutexLock d(dist);
+    MutexLock p(spawn);
+    MutexLock b(batch);
     EXPECT_EQ(LockOrderRegistry::held_count(), 5u);
   }
   EXPECT_EQ(LockOrderRegistry::held_count(), 0u);
 }
 
-// Releasing from the middle of the held stack is legal — score() drops
-// the index lock before taking stripes — and must not corrupt the
+// Releasing from the middle of the held stack is legal — an outer lock
+// dropped while an inner one is still held — and must not corrupt the
 // bookkeeping for the locks still held above and below it.
 TEST(LockOrderTest, ReleaseFromMiddleOfStack) {
-  SharedMutex epoch{lock_rank::kEpoch};
-  SharedMutex index{lock_rank::kIndex};
-  SharedMutex stripe0{lock_rank::stripe(0)};
-  epoch.lock_shared();
-  index.lock_shared();
-  stripe0.lock_shared();
+  SharedMutex state{lock_rank::kState};
+  Mutex spawn{lock_rank::kPoolSpawn};
+  Mutex batch{lock_rank::kPoolBatch};
+  state.lock_shared();
+  spawn.lock();
+  batch.lock();
   EXPECT_EQ(LockOrderRegistry::held_count(), 3u);
-  index.unlock_shared();
+  spawn.unlock();
   EXPECT_EQ(LockOrderRegistry::held_count(), 2u);
-  stripe0.unlock_shared();
-  epoch.unlock_shared();
+  batch.unlock();
+  state.unlock_shared();
   EXPECT_EQ(LockOrderRegistry::held_count(), 0u);
 }
 

@@ -335,7 +335,7 @@ TEST(ShardedAudit, PerShardBudgetEvictsOnlyTheHotShard) {
     EXPECT_LE(service.corpus().shard_live_count(s), 2u);
   }
   EXPECT_EQ(service.resident(), expected_resident);
-  EXPECT_EQ(service.corpus().shard_budget(), 2u);
+  EXPECT_EQ(service.options().shard_budget, 2u);
 }
 
 TEST(ShardedAudit, PinnedEntriesExemptFromShardBudget) {
