@@ -469,25 +469,40 @@ void fill_variant_corpus(Corpus& corpus, std::size_t rows,
   }
 }
 
-// Incremental screening against a 10k-row resident corpus (4 shards,
-// shared pool, δ = 0.5): a batch of 8 incoming rows through
-// screen_new_rows — the in-process counterpart of BM_RemoteScreen.
-void BM_ShardedScreen10k(benchmark::State& state) {
+// Incremental screening against a 10k-row resident corpus through
+// screen_new_rows: `batch` incoming rows against `shards` hash-placed
+// shards with `threads` fan-out workers (0 = the shared pool), δ = 0.5.
+void sharded_screen_10k(benchmark::State& state, std::size_t shards,
+                        std::size_t batch, std::size_t threads) {
   constexpr std::size_t kResident = 10'000;
-  constexpr std::size_t kBatch = 8;
-  core::ShardedCorpus corpus(4);
-  fill_variant_corpus(corpus, kResident + kBatch, /*seed=*/5);
+  core::ScorerOptions options;
+  options.num_threads = threads;
+  core::ShardedCorpus corpus(shards, options);
+  fill_variant_corpus(corpus, kResident + batch, /*seed=*/5);
   for (auto _ : state) {
     const std::vector<core::ScreenRow> rows =
         corpus.screen_new_rows(kResident, 0.5F);
     benchmark::DoNotOptimize(rows.size());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(kResident * kBatch) *
+  state.SetItemsProcessed(static_cast<int64_t>(kResident * batch) *
                           state.iterations());
   state.counters["resident"] = static_cast<double>(kResident);
-  state.counters["batch"] = static_cast<double>(kBatch);
+  state.counters["batch"] = static_cast<double>(batch);
+}
+
+// A batch of 8 over 4 shards on the shared pool — the in-process
+// counterpart of BM_RemoteScreen.
+void BM_ShardedScreen10k(benchmark::State& state) {
+  sharded_screen_10k(state, /*shards=*/4, /*batch=*/8, /*threads=*/0);
 }
 BENCHMARK(BM_ShardedScreen10k)->Unit(benchmark::kMillisecond);
+
+// One probe, one shard, inline (library_10k's shape: each commit screens
+// one submission): the tile sweep alone, without pool scheduling noise.
+void BM_ShardedScreen10kSerial(benchmark::State& state) {
+  sharded_screen_10k(state, /*shards=*/1, /*batch=*/1, /*threads=*/1);
+}
+BENCHMARK(BM_ShardedScreen10kSerial)->Unit(benchmark::kMicrosecond);
 
 // --- Distributed screening over real loopback TCP. ---
 //

@@ -19,12 +19,13 @@ break them:
                   lock-order validator.
 
   fp-accum        Floating-point accumulation (`x += ...` / `x -= ...`
-                  on a declared float/double, or std::accumulate /
-                  std::reduce) in src/core or src/audit outside
-                  cosine_kernels.*. FP reduction order is the
-                  determinism contract's hot surface; it is centralized
-                  in the kernel file where the ascending-k fold order is
-                  pinned and tested.
+                  on a declared float/double, `acc[j] += ...` on a
+                  declared float/double C array or std::array<float|
+                  double, N>, or std::accumulate / std::reduce) in
+                  src/core or src/audit outside cosine_kernels.*. FP
+                  reduction order is the determinism contract's hot
+                  surface; it is centralized in the kernel file where
+                  the ascending-k fold order is pinned and tested.
 
   unordered-iter  Range-for over a declared unordered container in
                   src/core or src/audit. Iteration order of
@@ -92,7 +93,16 @@ RAW_SOCKET_RE = re.compile(
     r"|arpa/[\w/.]+|netdb\.h|poll\.h)>"
 )
 ACCUM_CALL_RE = re.compile(r"std::(?:accumulate|reduce)\b")
-FP_DECL_RE = re.compile(r"\b(?:float|double)\s+(\w+)\s*(?:=|\{|;)")
+# A float/double scalar or C array (`float acc[8] = {}`), or a
+# std::array of them (`std::array<float, 8> acc{}`): the names whose
+# `+=`/`-=` is an accumulation. Group 1 or group 2 holds the name.
+FP_DECL_RE = re.compile(
+    r"\b(?:float|double)\s+(\w+)\s*(?:\[[^\]]*\]\s*)*(?:=|\{|;)"
+    r"|\bstd::array\s*<\s*(?:float|double)\s*,[^<>;]*>\s+(\w+)\s*(?:=|\{|;)"
+)
+# Subscripts between an accumulator's name and its `+=` (one level of
+# nesting, as in `acc[idx[j]] += x`).
+SUBSCRIPTS = r"(?:\s*\[(?:[^\[\]]|\[[^\[\]]*\])*\])*"
 UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s+(\w+)"
 )
@@ -198,12 +208,19 @@ class Linter:
                 decl_text += "\n" + strip_comments(
                     header.read_text(encoding="utf-8")
                 )
-        fp_names = set(FP_DECL_RE.findall(decl_text)) if in_determinism_scope else set()
+        fp_names = (
+            {name for pair in FP_DECL_RE.findall(decl_text) for name in pair if name}
+            if in_determinism_scope
+            else set()
+        )
         unordered_names = (
             set(UNORDERED_DECL_RE.findall(decl_text)) if in_determinism_scope else set()
         )
         fp_accum_re = (
-            re.compile(r"\b(" + "|".join(map(re.escape, sorted(fp_names))) + r")\s*[+-]=")
+            re.compile(
+                r"\b(" + "|".join(map(re.escape, sorted(fp_names))) + r")"
+                + SUBSCRIPTS + r"\s*[+-]="
+            )
             if fp_names
             else None
         )

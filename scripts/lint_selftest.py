@@ -82,6 +82,30 @@ check("fp-accum exempt in the kernel files",
       {"src/core/cosine_kernels.cpp": "double acc = 0.0;\nacc += x;\n"}, [])
 check("fp-accum out of scope outside core/audit",
       {"src/data/a.cpp": "double acc = 0.0;\nacc += x;\n"}, [])
+check("fp-accum fires on a C-array accumulator",
+      {"src/core/a.cpp":
+       "float acc[8] = {};\nfor (j = 0; j < 8; ++j) acc[j] += p * t[j];\n"},
+      ["fp-accum"])
+check("fp-accum fires on a std::array accumulator",
+      {"src/core/a.cpp":
+       "std::array<float, 8> acc{};\nacc[j] -= x;\n"}, ["fp-accum"])
+check("fp-accum fires on a 2-D array with a nested subscript",
+      {"src/audit/a.cpp": "double m[4][4] = {};\nm[i][idx[j]] += x;\n"},
+      ["fp-accum"])
+check("fp-accum array accumulator exempt in cosine_kernels.h",
+      {"src/core/cosine_kernels.h":
+       "std::array<float, 8> acc{};\nfloat tail[8] = {};\n"
+       "acc[j] += p * t[j];\ntail[j] += x;\n"}, [])
+check("fp-accum array accumulator waivable",
+      {"src/core/a.cpp":
+       "float acc[8] = {};\n"
+       "// lint:allow(fp-accum): lanes fold in ascending k, pinned by a test\n"
+       "acc[j] += x;\n"},
+      [], want_waived=1)
+check("fp-accum quiet on reads and stores of an array",
+      {"src/core/a.cpp":
+       "std::array<float, 8> dots = fold(p, t);\nbest = dots[j];\n"
+       "dots[j] = 0.0F;\n"}, [])
 check("fp-accum fires on std::accumulate",
       {"src/audit/a.cpp": "auto s = std::accumulate(v.begin(), v.end(), 0.0);\n"},
       ["fp-accum"])

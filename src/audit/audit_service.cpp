@@ -371,14 +371,14 @@ void AuditService::commit_one(const std::string& name,
     core::ScreenRow& srow = screened.front();
     // Verdict order: descending similarity, ascending corpus index on
     // ties — a total order, sorted on the small matches before any
-    // verdict (and its name string) exists.
-    std::sort(srow.flagged.begin(), srow.flagged.end(),
-              [](const core::ScreenMatch& x, const core::ScreenMatch& y) {
-                if (x.similarity != y.similarity) {
-                  return x.similarity > y.similarity;
-                }
-                return x.index < y.index;
-              });
+    // verdict (and its name string) exists. The matches arrive ascending
+    // by index (ScreenRow::flagged), so a stable sort on similarity
+    // alone keeps each tie in index order.
+    std::stable_sort(
+        srow.flagged.begin(), srow.flagged.end(),
+        [](const core::ScreenMatch& x, const core::ScreenMatch& y) {
+          return x.similarity > y.similarity;
+        });
     report.verdicts.reserve(srow.flagged.size());
     for (const core::ScreenMatch& m : srow.flagged) {
       report.verdicts.push_back(

@@ -24,7 +24,9 @@ std::size_t EmbeddingStore::add(std::string name,
                       std::to_string(dim_));
   }
   const std::span<const float> flat = embedding.data();
-  data_.insert(data_.end(), flat.begin(), flat.end());
+  const std::size_t i = names_.size();
+  if (i % kTileRows == 0) data_.resize(data_.size() + kTileRows * dim_, 0.0F);
+  for (std::size_t k = 0; k < dim_; ++k) data_[at(i, k)] = flat[k];
   norms_.push_back(row_norm(flat));
   names_.push_back(std::move(name));
   dead_.push_back(false);
@@ -42,9 +44,11 @@ const std::string& EmbeddingStore::name(std::size_t i) const {
   return names_[i];
 }
 
-std::span<const float> EmbeddingStore::row(std::size_t i) const {
+std::vector<float> EmbeddingStore::row(std::size_t i) const {
   GNN4IP_ENSURE(i < names_.size(), "EmbeddingStore: row index out of range");
-  return std::span<const float>(data_).subspan(i * dim_, dim_);
+  std::vector<float> out(dim_);
+  for (std::size_t k = 0; k < dim_; ++k) out[k] = data_[at(i, k)];
+  return out;
 }
 
 void EmbeddingStore::remove(std::size_t i) {
@@ -75,16 +79,21 @@ std::vector<std::size_t> EmbeddingStore::compact() {
     mapping[i] = next;
     if (next != i) {
       names_[next] = std::move(names_[i]);
-      std::copy(data_.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_),
-                data_.begin() + static_cast<std::ptrdiff_t>(next * dim_));
+      for (std::size_t k = 0; k < dim_; ++k) {
+        data_[at(next, k)] = data_[at(i, k)];
+      }
       norms_[next] = norms_[i];
     }
     ++next;
   }
-  // resize keeps the capacity, so the next add() appends in place.
+  // resize keeps the capacity, so the next add() appends in place. The
+  // last tile's freed lanes go back to 0.
+  const std::size_t tiles = (next + kTileRows - 1) / kTileRows;
+  for (std::size_t i = next; i < tiles * kTileRows; ++i) {
+    for (std::size_t k = 0; k < dim_; ++k) data_[at(i, k)] = 0.0F;
+  }
   names_.resize(next);
-  data_.resize(next * dim_);
+  data_.resize(tiles * kTileRows * dim_);
   norms_.resize(next);
   std::fill(dead_.begin() + static_cast<std::ptrdiff_t>(first),
             dead_.begin() + static_cast<std::ptrdiff_t>(next), false);
@@ -104,15 +113,18 @@ constexpr std::uint64_t kMaxNameLength = 1u << 20;
 
 void EmbeddingStore::save(std::ostream& os) const {
   // Fixed-offset header (docs/FORMATS.md): magic, version, byte-order
-  // mark, dim, row count, live count — then the float block starts at
-  // byte 40, 8-byte-aligned, so a loader may mmap it in place.
+  // mark, dim, row count, live count — then the row-major float block
+  // starts at byte 40, 8-byte-aligned.
   write_bytes(os, kShardMagic, sizeof(kShardMagic));
   write_u32(os, kShardFormatVersion);
   write_u32(os, kByteOrderMark);
   write_u64(os, dim_);
   write_u64(os, names_.size());
   write_u64(os, live_count_);
-  write_bytes(os, data_.data(), data_.size() * sizeof(float));
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    const std::vector<float> r = row(i);
+    write_bytes(os, r.data(), r.size() * sizeof(float));
+  }
   for (std::size_t i = 0; i < names_.size(); ++i) {
     const std::uint8_t flag = dead_[i] ? 0 : 1;
     write_bytes(os, &flag, 1);
@@ -158,9 +170,18 @@ EmbeddingStore EmbeddingStore::load(std::istream& is,
   }
   EmbeddingStore store;
   store.dim_ = dim;
-  store.data_.resize(rows * dim);
-  read_bytes(is, store.data_.data(), store.data_.size() * sizeof(float),
-             "shard row block");
+  // The file is row-major: read one row at a time into its tile lane,
+  // so the load never holds the block twice. Norms are derived, not
+  // stored: recomputing them from the exact float bytes reproduces the
+  // saved store's cached values bit for bit.
+  store.data_.resize((rows + kTileRows - 1) / kTileRows * kTileRows * dim);
+  store.norms_.resize(rows);
+  std::vector<float> r(rows == 0 ? 0 : dim);  // dim is unchecked at 0 rows
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    read_bytes(is, r.data(), r.size() * sizeof(float), "shard row block");
+    for (std::size_t k = 0; k < dim; ++k) store.data_[store.at(i, k)] = r[k];
+    store.norms_[i] = row_norm(r);
+  }
   store.dead_.resize(rows);
   std::size_t counted_live = 0;
   for (std::uint64_t i = 0; i < rows; ++i) {
@@ -187,12 +208,6 @@ EmbeddingStore EmbeddingStore::load(std::istream& is,
     std::string name(length, '\0');
     read_bytes(is, name.data(), length, "shard name table");
     store.names_.push_back(std::move(name));
-  }
-  // Norms are derived, not stored: recomputing them from the exact
-  // float bytes reproduces the saved store's cached values bit for bit.
-  store.norms_.resize(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    store.norms_[i] = row_norm(store.row(i));
   }
   // Files written by earlier builds end in a QNT8 trailer: per-row int8
   // quantization scales, then the int8 rows. Those bytes fed only a

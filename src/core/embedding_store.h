@@ -1,8 +1,11 @@
-// Contiguous embedding-row storage — the resident half of a corpus.
+// Tiled embedding-row storage — the resident half of a corpus.
 //
-// One design = one D-float row plus its name. The store keeps rows in a
-// single row-major buffer (cache-friendly for the shard sweeps, and
-// zero-copy viewable through row()), and stays bounded through
+// One design = one D-float row plus its name. The store keeps rows in
+// tiles of kTileRows (8) rows laid out dimension-major: element (row j,
+// dim k) of tile t sits at t·8·D + k·8 + j, so one sweep step reads a
+// whole tile and cosine_tile_dots folds its eight rows side by side
+// (core/cosine_kernels.h). Lanes past size() hold 0. A row is not
+// contiguous, so row() copies it out. The store stays bounded through
 // the two-phase removal API: remove(i) tombstones a row (cheap,
 // batchable), compact() erases every tombstoned row in one pass and
 // reports the old→new index remapping.
@@ -18,9 +21,11 @@
 //
 // The store is also the unit of persistence: save()/load() round-trip
 // the rows, names, and tombstones through the binary shard format of
-// core/snapshot_format.h (byte-level spec in docs/FORMATS.md). Floats
-// are written as their exact bytes, so a loaded store scores
-// bit-identically to the one that was saved.
+// core/snapshot_format.h (byte-level spec in docs/FORMATS.md). The file
+// is row-major whatever the memory layout — save() writes rows back in
+// order and load() transposes them into tiles — and floats are written
+// as their exact bytes, so a loaded store scores bit-identically to the
+// one that was saved.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +35,14 @@
 #include <string>
 #include <vector>
 
+#include "core/cosine_kernels.h"
 #include "tensor/matrix.h"
+#include "util/contract.h"
 
 namespace gnn4ip::core {
+
+struct ScreenMatch;
+struct ScreenRow;
 
 class EmbeddingStore {
  public:
@@ -49,16 +59,25 @@ class EmbeddingStore {
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] const std::string& name(std::size_t i) const;
 
-  /// Zero-copy view of row `i` of the store (length dim()).
-  /// Invalidated by add/compact, like a vector iterator.
-  [[nodiscard]] std::span<const float> row(std::size_t i) const;
+  /// A copy of row `i` of the store (length dim()).
+  [[nodiscard]] std::vector<float> row(std::size_t i) const;
+
+  /// Tile `t`: rows [t·kTileRows, (t+1)·kTileRows), kTileRows·dim()
+  /// floats, dimension-major (see the file comment). Covers every
+  /// t < ceil(size() / kTileRows). Invalidated by add/compact, like a
+  /// vector iterator.
+  [[nodiscard]] std::span<const float> tile(std::size_t t) const {
+    GNN4IP_ENSURE(t * kTileRows < size(), "EmbeddingStore: tile out of range");
+    return std::span<const float>(data_).subspan(t * kTileRows * dim_,
+                                                 kTileRows * dim_);
+  }
 
   /// fl(row_norm(row(i))) — cached at add time with the exact kernel
   /// arithmetic, so norm(i) is bit-identical to recomputing it.
   [[nodiscard]] float norm(std::size_t i) const;
 
   /// Tombstone row `i`: it keeps its index (and name(i)) — and its data
-  /// stays positionally addressable through row() — but it is skipped by
+  /// stays addressable through row() and tile() — but it is skipped by
   /// live-row consumers and erased by the next compact().
   void remove(std::size_t i);
 
@@ -94,9 +113,25 @@ class EmbeddingStore {
                                            std::size_t expected_dim = 0);
 
  private:
+  // The sweeps read norms_ and dead_ directly: they check their limit
+  // against size() once instead of once per row.
+  friend std::vector<ScreenRow> screen_shard(
+      const EmbeddingStore& store, std::size_t limit,
+      std::span<const std::span<const float>> probes, float delta);
+  friend std::vector<ScreenMatch> top_k_shard(const EmbeddingStore& store,
+                                              std::size_t limit,
+                                              std::span<const float> probe,
+                                              std::size_t k,
+                                              std::size_t exclude);
+
+  /// Offset in data_ of element (row i, dim k).
+  [[nodiscard]] std::size_t at(std::size_t i, std::size_t k) const {
+    return (i / kTileRows) * kTileRows * dim_ + k * kTileRows + i % kTileRows;
+  }
+
   std::size_t dim_ = 0;
   std::vector<std::string> names_;
-  std::vector<float> data_;   // row-major N×dim_
+  std::vector<float> data_;   // ceil(N/kTileRows) dimension-major tiles
   std::vector<float> norms_;  // fl(row_norm) per row — exact denominators
   std::vector<bool> dead_;    // tombstones; erased by compact()
   std::size_t live_count_ = 0;

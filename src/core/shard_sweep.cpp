@@ -1,6 +1,7 @@
 #include "core/shard_sweep.h"
 
 #include <algorithm>
+#include <array>
 
 #include "core/cosine_kernels.h"
 #include "util/contract.h"
@@ -19,18 +20,26 @@ std::vector<ScreenRow> screen_shard(
     GNN4IP_ENSURE(probes[r].size() == d, "screen_shard: probe dim mismatch");
     probe_norms[r] = row_norm(probes[r]);
   }
-  // Candidate-major: each stored row is read once for every probe.
-  for (std::size_t local = 0; local < limit; ++local) {
-    if (!store.live(local)) continue;
-    const float* rb = store.row(local).data();
-    const float norm_b = store.norm(local);
+  // Tile-major: each stored tile is read once for every probe, and each
+  // probe visits the tile's lanes in ascending local order.
+  for (std::size_t base = 0; base < limit; base += kTileRows) {
+    const float* tile = store.tile(base / kTileRows).data();
+    const std::size_t lanes = std::min(kTileRows, limit - base);
     for (std::size_t r = 0; r < probes.size(); ++r) {
+      const std::array<float, kTileRows> dots =
+          cosine_tile_dots(probes[r].data(), tile, d);
       ScreenRow& p = partials[r];
-      ++p.scanned;
-      const float sim =
-          cosine_cell(probes[r].data(), rb, d, probe_norms[r] * norm_b);
-      if (sim > delta) p.flagged.push_back({local, sim});
-      if (!p.best || sim > p.best->similarity) p.best = ScreenMatch{local, sim};
+      for (std::size_t j = 0; j < lanes; ++j) {
+        const std::size_t local = base + j;
+        if (store.dead_[local]) continue;
+        ++p.scanned;
+        const float sim =
+            cosine_finish(dots[j], probe_norms[r] * store.norms_[local]);
+        if (sim > delta) p.flagged.push_back({local, sim});
+        if (!p.best || sim > p.best->similarity) {
+          p.best = ScreenMatch{local, sim};
+        }
+      }
     }
   }
   for (ScreenRow& p : partials) p.rescored = p.scanned;
@@ -47,10 +56,17 @@ std::vector<ScreenMatch> top_k_shard(const EmbeddingStore& store,
   const std::size_t d = store.dim();
   GNN4IP_ENSURE(probe.size() == d, "top_k_shard: probe dim mismatch");
   const float probe_norm = row_norm(probe);
-  for (std::size_t local = 0; local < limit; ++local) {
-    if (local == exclude || !store.live(local)) continue;
-    cands.push_back({local, cosine_cell(probe.data(), store.row(local).data(),
-                                        d, probe_norm * store.norm(local))});
+  for (std::size_t base = 0; base < limit; base += kTileRows) {
+    const float* tile = store.tile(base / kTileRows).data();
+    const std::array<float, kTileRows> dots =
+        cosine_tile_dots(probe.data(), tile, d);
+    const std::size_t lanes = std::min(kTileRows, limit - base);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t local = base + j;
+      if (local == exclude || store.dead_[local]) continue;
+      const float norm_product = probe_norm * store.norms_[local];
+      cands.push_back({local, cosine_finish(dots[j], norm_product)});
+    }
   }
   const std::size_t keep = std::min(k, cands.size());
   const auto closer = [](const ScreenMatch& x, const ScreenMatch& y) {

@@ -3,10 +3,13 @@
 //
 // ShardedCorpus runs the sweeps per shard and dist::ShardServer runs
 // them on its one store, so a local shard and a remote one produce
-// their partials with the same code: every similarity is cosine_cell of
-// the probe row and the stored row over row_norm(probe) × the store's
-// cached norm, candidates are visited in ascending local order, and a
-// shard's best is the first maximum in that order. Within one shard
+// their partials with the same code. A sweep steps through the store
+// one tile (kTileRows rows) at a time: cosine_tile_dots folds the
+// probe against the whole tile and cosine_finish turns each lane into
+// its cell, so every similarity is bit for bit cosine_cell of the probe
+// row and the stored row over row_norm(probe) × the store's cached
+// norm. Candidates are visited in ascending local order, and a shard's
+// best is the first maximum in that order. Within one shard
 // local order equals global order, and both front ends (ShardedCorpus
 // and dist::DistCorpus) combine the partials with merge_screen and
 // merge_top_k — fixed tie-breaks, similarity descending then global

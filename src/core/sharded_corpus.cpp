@@ -59,7 +59,7 @@ const std::string& ShardedCorpus::name(std::size_t i) const {
   return shards_[entries_[i].shard].name(entries_[i].local);
 }
 
-std::span<const float> ShardedCorpus::row(std::size_t i) const {
+std::vector<float> ShardedCorpus::row(std::size_t i) const {
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: row index out of range");
   return shards_[entries_[i].shard].row(entries_[i].local);
 }
@@ -115,11 +115,14 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
   GNN4IP_ENSURE(first_new <= entries_.size(),
                 "screen_new_rows: first_new past the corpus end");
   if (first_new == entries_.size()) return {};
-  std::vector<std::span<const float>> probes;
-  probes.reserve(entries_.size() - first_new);
+  // The probe copies outlive every shard's sweep over their views.
+  std::vector<std::vector<float>> probe_rows;
+  probe_rows.reserve(entries_.size() - first_new);
   for (std::size_t g = first_new; g < entries_.size(); ++g) {
-    probes.push_back(row(g));
+    probe_rows.push_back(row(g));
   }
+  const std::vector<std::span<const float>> probes(probe_rows.begin(),
+                                                   probe_rows.end());
   // Candidates are each shard's rows admitted before first_new.
   std::vector<std::vector<ScreenRow>> partials(shards_.size());
   fan_out(shards_.size(), [&](std::size_t s) {
@@ -136,7 +139,7 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   const EntryRef query_ref = entries_[i];
   GNN4IP_ENSURE(shards_[query_ref.shard].live(query_ref.local),
                 "top_k: row has been removed");
-  const std::span<const float> query = row(i);
+  const std::vector<float> query = row(i);
   // Each shard's top-min(k) prefix, in its local order (= global order
   // within the shard); the global top-k is a subset of their union.
   std::vector<std::vector<ScreenMatch>> prefixes(shards_.size());

@@ -73,10 +73,10 @@ class ShardedCorpus final : public CorpusBackend {
   [[nodiscard]] const std::string& name(std::size_t i) const override;
   [[nodiscard]] const ScorerOptions& options() const { return options_; }
 
-  /// Zero-copy view of the row behind global index `i` (length dim()).
-  /// Invalidated by compact(), and by add() into the same shard — like a
-  /// vector iterator.
-  [[nodiscard]] std::span<const float> row(std::size_t i) const;
+  /// A copy of the row behind global index `i` (length dim()): shards
+  /// hold rows in dimension-major tiles (EmbeddingStore), so a row is
+  /// gathered, not viewed.
+  [[nodiscard]] std::vector<float> row(std::size_t i) const;
 
   /// Tombstone global row `i` (skipped by screening and top_k, erased by
   /// the next compact; row(i) stays addressable until then).

@@ -7,8 +7,8 @@
 //   * one *binary shard file* per EmbeddingStore — fixed-offset header
 //     (magic, version, byte-order mark, dim, row count, live count),
 //     then the row-major float block 8-byte-aligned at a known offset
-//     (mmap-friendly), then per-row live flags, then a length-prefixed
-//     name table;
+//     (EmbeddingStore::load transposes it into the store's tiles), then
+//     per-row live flags, then a length-prefixed name table;
 //   * one *text manifest* per corpus — shard count, placement scheme,
 //     global index order, and the embedder's fingerprint, line-oriented
 //     like the model IO v2 format so it stays reviewable in a diff.

@@ -97,6 +97,47 @@ TEST(AuditService, ScreenBitIdenticalToOracleAcrossShardsAndWorkers) {
   }
 }
 
+TEST(AuditService, TiedVerdictsComeOutByAscendingIndex) {
+  // Copies of one design pinned under different names embed to the same
+  // bits, so their similarities to a submission tie exactly. Verdicts
+  // are similarity-descending with each tie in ascending corpus index,
+  // whichever shard each copy lands in. Two interleaved groups of 12
+  // copies keep the flagged list past the length at which sorts fall
+  // back to insertion sort, which would keep ties in order by accident.
+  gnn::Hw2Vec model;
+  const auto entries = small_corpus();
+  ASSERT_GE(entries.size(), 5u);
+  constexpr std::size_t kCopies = 12;
+  for (std::size_t shards : {1u, 2u, 4u}) {
+    AuditOptions options;
+    options.num_shards = shards;
+    options.scorer.delta = -2.0F;  // every resident row is a verdict
+    AuditService service(model, options);
+    for (std::size_t c = 0; c < kCopies; ++c) {
+      const std::string n = std::to_string(c);
+      ASSERT_TRUE(service.add_library("a#" + n, entries[0].tensors).accepted);
+      ASSERT_TRUE(service.add_library("b#" + n, entries[2].tensors).accepted);
+    }
+    ASSERT_TRUE(service.submit("query", entries[4].tensors));
+    const std::vector<ScreenReport> reports = service.screen();
+    ASSERT_EQ(reports.size(), 1u);
+    const std::vector<Verdict>& verdicts = reports[0].verdicts;
+    ASSERT_EQ(verdicts.size(), 2 * kCopies);
+    ASSERT_NE(verdicts.front().similarity, verdicts.back().similarity);
+    std::size_t ties = 0;
+    for (std::size_t v = 1; v < verdicts.size(); ++v) {
+      ASSERT_GE(verdicts[v - 1].similarity, verdicts[v].similarity)
+          << "shards " << shards << ", verdict " << v;
+      if (verdicts[v - 1].similarity == verdicts[v].similarity) {
+        ++ties;
+        EXPECT_LT(verdicts[v - 1].corpus_index, verdicts[v].corpus_index)
+            << "shards " << shards << ", verdict " << v;
+      }
+    }
+    EXPECT_EQ(ties, 2 * (kCopies - 1)) << "shards " << shards;
+  }
+}
+
 TEST(AuditService, VerilogSourcePathMatchesGraphPath) {
   // submit(name, verilog) runs parse → featurize → embed inside the
   // service; the scores must equal the pre-featurized GraphEntry path

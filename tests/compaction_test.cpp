@@ -93,15 +93,17 @@ struct StoreCorpus {
   [[nodiscard]] const std::string& name(std::size_t i) const {
     return store.name(i);
   }
-  [[nodiscard]] std::span<const float> row(std::size_t i) const {
+  [[nodiscard]] std::vector<float> row(std::size_t i) const {
     return store.row(i);
   }
   [[nodiscard]] std::vector<core::ScreenRow> screen_new_rows(
       std::size_t first_new, float delta) const {
-    std::vector<std::span<const float>> probes;
+    std::vector<std::vector<float>> probe_rows;
     for (std::size_t q = first_new; q < store.size(); ++q) {
-      probes.push_back(store.row(q));
+      probe_rows.push_back(store.row(q));
     }
+    const std::vector<std::span<const float>> probes(probe_rows.begin(),
+                                                     probe_rows.end());
     return core::screen_shard(store, first_new, probes, delta);
   }
   [[nodiscard]] std::vector<core::PairScore> top_k(std::size_t i,
@@ -145,8 +147,8 @@ void check_compaction(Corpus& corpus, const std::vector<Row>& rows,
     EXPECT_EQ(corpus.name(j), reference.name(j)) << label << ", row " << j;
     EXPECT_TRUE(corpus.live(j)) << label << ", row " << j;
     if constexpr (requires { corpus.row(j); }) {
-      const std::span<const float> got = corpus.row(j);
-      const std::span<const float> want = reference.row(j);
+      const std::vector<float> got = corpus.row(j);
+      const std::vector<float> want = reference.row(j);
       ASSERT_EQ(got.size(), want.size()) << label;
       for (std::size_t d = 0; d < want.size(); ++d) {
         EXPECT_EQ(got[d], want[d]) << label << ", row " << j;

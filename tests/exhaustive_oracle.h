@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,11 +22,11 @@
 namespace gnn4ip::oracle {
 
 /// The exact similarity of global rows a and b of `corpus` (any type
-/// with row(i) returning a float span).
+/// with row(i) returning a copy of the row's floats).
 template <typename Corpus>
 [[nodiscard]] float cell(const Corpus& corpus, std::size_t a, std::size_t b) {
-  const std::span<const float> ra = corpus.row(a);
-  const std::span<const float> rb = corpus.row(b);
+  const std::vector<float> ra = corpus.row(a);
+  const std::vector<float> rb = corpus.row(b);
   return core::cosine_cell(ra.data(), rb.data(), ra.size(),
                            core::row_norm(ra) * core::row_norm(rb));
 }

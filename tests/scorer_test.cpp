@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/gnn4ip.h"
@@ -64,8 +66,6 @@ TEST(EmbeddingStore, AddNameRowAndDimAccounting) {
   EXPECT_EQ(store.name(1), "b");
   EXPECT_EQ(store.row(1)[0], 4.0F);
   EXPECT_EQ(store.row(1).size(), 3u);
-  // Rows are views of one contiguous row-major buffer.
-  EXPECT_EQ(store.row(1).data(), store.row(0).data() + 3);
   EXPECT_THROW((void)store.row(2), util::ContractViolation);
   // Dim is fixed by the first add.
   const tensor::Matrix wide = tensor::Matrix::from_rows({{1, 2, 3, 4}});
@@ -140,10 +140,12 @@ TEST(ShardSweep, ScreenShardMatchesBruteForce) {
   EmbeddingStore store = embedded_store(model, entries);
   store.remove(2);  // tombstones are never candidates
   const std::size_t limit = store.size() - 3;
-  std::vector<std::span<const float>> probes;
+  std::vector<std::vector<float>> probe_rows;
   for (std::size_t q = limit; q < store.size(); ++q) {
-    probes.push_back(store.row(q));
+    probe_rows.push_back(store.row(q));
   }
+  const std::vector<std::span<const float>> probes(probe_rows.begin(),
+                                                   probe_rows.end());
   for (const float delta : {-2.0F, 0.9F, 2.0F}) {
     const std::vector<ScreenRow> got =
         screen_shard(store, limit, probes, delta);
@@ -182,6 +184,73 @@ TEST(ShardSweep, ScreenShardMatchesBruteForce) {
   EXPECT_EQ(none[0].scanned, 0u);
   EXPECT_THROW((void)screen_shard(store, store.size() + 1, probes, 0.5F),
                util::ContractViolation);
+}
+
+TEST(ShardSweep, TileSweepEqualsCellsAcrossTileBoundaries) {
+  // 37 rows of dim 5 fill four 8-row tiles and one partial tile, with
+  // tombstones in three tiles. Every swept similarity equals cosine_cell
+  // of the copied-out rows, for limits on and off tile boundaries, and
+  // again after compact() moves rows across tiles and after a save/load.
+  EmbeddingStore store;
+  for (std::size_t i = 0; i < 37; ++i) {
+    tensor::Matrix row(1, 5);
+    for (std::size_t k = 0; k < 5; ++k) {
+      row.at(0, k) = static_cast<float>((i * 37 + k * 11) % 23) / 7.0F - 1.5F;
+    }
+    (void)store.add("r" + std::to_string(i), row);
+  }
+  for (const std::size_t i : {3u, 8u, 30u}) store.remove(i);
+  const std::vector<float> probe = {0.5F, -1.0F, 0.25F, 2.0F, -0.75F};
+  const std::vector<std::span<const float>> probes = {probe};
+
+  const auto check = [&](const std::string& label) {
+    for (const std::size_t limit : {1u, 7u, 8u, 9u, 16u, 17u, 33u, 34u}) {
+      if (limit > store.size()) continue;
+      std::vector<ScreenMatch> all;
+      for (std::size_t c = 0; c < limit; ++c) {
+        if (!store.live(c)) continue;
+        const std::vector<float> row = store.row(c);
+        all.push_back({c, cosine_cell(probe.data(), row.data(), 5,
+                                      row_norm(probe) * store.norm(c))});
+      }
+      const ScreenRow got = screen_shard(store, limit, probes, 0.1F).front();
+      EXPECT_EQ(got.scanned, all.size()) << label << ", limit " << limit;
+      std::vector<ScreenMatch> flagged;
+      for (const ScreenMatch& m : all) {
+        if (m.similarity > 0.1F) flagged.push_back(m);
+      }
+      ASSERT_EQ(got.flagged.size(), flagged.size()) << label;
+      for (std::size_t f = 0; f < flagged.size(); ++f) {
+        EXPECT_EQ(got.flagged[f].index, flagged[f].index) << label;
+        EXPECT_EQ(got.flagged[f].similarity, flagged[f].similarity) << label;
+      }
+      ASSERT_TRUE(got.best.has_value()) << label;
+      const auto lower = [](const ScreenMatch& x, const ScreenMatch& y) {
+        return x.similarity < y.similarity;
+      };
+      const auto best = std::max_element(all.begin(), all.end(), lower);
+      EXPECT_EQ(got.best->index, best->index) << label;
+      const std::size_t none = EmbeddingStore::kNoIndex;
+      const std::vector<ScreenMatch> nearest =
+          top_k_shard(store, limit, probe, all.size(), none);
+      ASSERT_EQ(nearest.size(), all.size()) << label;
+      for (const ScreenMatch& m : nearest) {
+        const auto want = std::find_if(
+            all.begin(), all.end(),
+            [&](const ScreenMatch& a) { return a.index == m.index; });
+        ASSERT_NE(want, all.end()) << label;
+        EXPECT_EQ(m.similarity, want->similarity) << label;
+      }
+    }
+  };
+  check("tombstoned");
+  (void)store.compact();
+  ASSERT_EQ(store.size(), 34u);
+  check("compacted");
+  std::stringstream file;
+  store.save(file);
+  store = EmbeddingStore::load(file, 5);
+  check("loaded");
 }
 
 TEST(ShardSweep, ScreenShardBestIsTheFirstMaximum) {

@@ -82,7 +82,7 @@ TEST(ShardedCorpus, AddRoutesByNameHashAndKeepsGlobalIndexSpace) {
     EXPECT_EQ(corpus.shard_of(i),
               ShardedCorpus::placement(entries[i].name, 4));
     // The row behind the global id is the admitted embedding, bit-equal.
-    const std::span<const float> row = corpus.row(i);
+    const std::vector<float> row = corpus.row(i);
     const std::span<const float> expected = embeddings[i].data();
     ASSERT_EQ(row.size(), expected.size());
     for (std::size_t k = 0; k < row.size(); ++k) {
@@ -188,7 +188,7 @@ TEST(ShardedCorpus, CompactRenumbersDenselyInInsertionOrderPerShard) {
     EXPECT_EQ(corpus.name(n), entries[old_id].name);
     EXPECT_EQ(corpus.shard_of(n),
               ShardedCorpus::placement(entries[old_id].name, 3));
-    const std::span<const float> row = corpus.row(n);
+    const std::vector<float> row = corpus.row(n);
     const std::span<const float> expected = embeddings[old_id].data();
     ASSERT_EQ(row.size(), expected.size());
     for (std::size_t k = 0; k < row.size(); ++k) {

@@ -11,7 +11,9 @@
 // untouched.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -83,8 +85,8 @@ void expect_rows_equal(const core::EmbeddingStore& got,
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got.name(i), want.name(i));
     EXPECT_EQ(got.live(i), want.live(i));
-    const std::span<const float> g = got.row(i);
-    const std::span<const float> w = want.row(i);
+    const std::vector<float> g = got.row(i);
+    const std::vector<float> w = want.row(i);
     ASSERT_EQ(g.size(), w.size());
     for (std::size_t k = 0; k < w.size(); ++k) {
       EXPECT_EQ(g[k], w[k]) << "row " << i << " cell " << k;
@@ -188,6 +190,99 @@ TEST(SnapshotStore, LoadRejectsTrailingBytesTyped) {
                core::SnapshotTruncatedError);
 }
 
+// ---- The v1 bytes themselves -----------------------------------------------
+// The round trips above read back what this build wrote, so a layout
+// change that leaked into both save() and load() would pass them. These
+// pin the file against the documented v1 layout: row-major floats
+// whatever the in-memory layout.
+
+constexpr std::size_t kPinRows = 11;  // not a multiple of the tile height
+constexpr std::size_t kPinDim = 5;
+constexpr std::size_t kPinRemoved = 9;
+
+float pinned_cell(std::size_t i, std::size_t k) {
+  return 0.375F * static_cast<float>(static_cast<int>(7 * i + 3 * k) - 20);
+}
+
+std::string pinned_name(std::size_t i) {
+  if (i == 4) return "";
+  if (i == 7) return "lib:barrel_shifter#1234";
+  return "ip" + std::to_string(i);
+}
+
+/// FNV-1a, 64-bit, over raw bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// `value` as `width` little-endian bytes.
+void put_le(std::string& out, std::uint64_t value, std::size_t width) {
+  for (std::size_t b = 0; b < width; ++b) {
+    out.push_back(static_cast<char>((value >> (8 * b)) & 0xFF));
+  }
+}
+
+TEST(SnapshotStore, SavedBytesPinnedV1) {
+  // The file is written in host byte order; the constant and the
+  // hand-built bytes below are little-endian.
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "pinned bytes are little-endian";
+  }
+  core::EmbeddingStore store;
+  for (std::size_t i = 0; i < kPinRows; ++i) {
+    tensor::Matrix row(1, kPinDim);
+    for (std::size_t k = 0; k < kPinDim; ++k) row.at(0, k) = pinned_cell(i, k);
+    (void)store.add(pinned_name(i), row);
+  }
+  store.remove(kPinRemoved);
+  std::ostringstream os(std::ios::binary);
+  store.save(os);
+  const std::string saved = os.str();
+  EXPECT_EQ(fnv1a(saved), 0xa3b7ffb3fe58c009ULL)
+      << "saved bytes hash to 0x" << std::hex << fnv1a(saved);
+
+  // The same store, built by hand in the v1 layout of docs/FORMATS.md:
+  // magic, version, byte-order mark, dim, rows, live rows, the floats
+  // row by row, the live flags, the name table.
+  std::string bytes = "G4IPSHRD";
+  put_le(bytes, 1, 4);
+  put_le(bytes, 0x0A0B0C0D, 4);
+  put_le(bytes, kPinDim, 8);
+  put_le(bytes, kPinRows, 8);
+  put_le(bytes, kPinRows - 1, 8);
+  for (std::size_t i = 0; i < kPinRows; ++i) {
+    for (std::size_t k = 0; k < kPinDim; ++k) {
+      put_le(bytes, std::bit_cast<std::uint32_t>(pinned_cell(i, k)), 4);
+    }
+  }
+  for (std::size_t i = 0; i < kPinRows; ++i) {
+    bytes.push_back(i == kPinRemoved ? '\0' : '\1');
+  }
+  for (std::size_t i = 0; i < kPinRows; ++i) {
+    put_le(bytes, pinned_name(i).size(), 8);
+    bytes += pinned_name(i);
+  }
+  EXPECT_EQ(bytes, saved);
+
+  std::istringstream is(bytes, std::ios::binary);
+  const core::EmbeddingStore loaded = core::EmbeddingStore::load(is, kPinDim);
+  ASSERT_EQ(loaded.size(), kPinRows);
+  EXPECT_EQ(loaded.live_count(), kPinRows - 1);
+  for (std::size_t i = 0; i < kPinRows; ++i) {
+    EXPECT_EQ(loaded.name(i), pinned_name(i));
+    EXPECT_EQ(loaded.live(i), i != kPinRemoved) << "row " << i;
+    const auto row = loaded.row(i);
+    ASSERT_EQ(row.size(), kPinDim);
+    for (std::size_t k = 0; k < kPinDim; ++k) {
+      EXPECT_EQ(row[k], pinned_cell(i, k)) << "row " << i << " cell " << k;
+    }
+  }
+}
+
 // ---- The legacy QNT8 trailer ----------------------------------------------
 // Earlier builds appended a quantized tier after the name table: the
 // tag, one f32 scale per row, then the rows×dim int8 block. This build
@@ -288,8 +383,8 @@ TEST(SnapshotCorpus, SaveRestoreRoundTripsRowsNamesAndTombstones) {
     EXPECT_EQ(restored.name(i), original.name(i));
     EXPECT_EQ(restored.live(i), original.live(i));
     EXPECT_EQ(restored.shard_of(i), original.shard_of(i));
-    const std::span<const float> g = restored.row(i);
-    const std::span<const float> w = original.row(i);
+    const std::vector<float> g = restored.row(i);
+    const std::vector<float> w = original.row(i);
     ASSERT_EQ(g.size(), w.size());
     for (std::size_t k = 0; k < w.size(); ++k) EXPECT_EQ(g[k], w[k]);
   }
