@@ -91,6 +91,20 @@ void BM_ExtractDfgNetlist(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractDfgNetlist)->DenseRange(0, 5);
 
+// The six ISCAS stand-ins' preprocessed sources; `tokens` counts each
+// one's token stream.
+void BM_Lex(benchmark::State& state) {
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const std::string src = verilog::preprocess(bench.netlist.to_verilog());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verilog::lex(src));
+  }
+  state.SetLabel(bench.name);
+  state.counters["tokens"] = static_cast<double>(verilog::lex(src).size());
+}
+BENCHMARK(BM_Lex)->DenseRange(0, 5);
+
 // `t = a;` and then n x `t = t ^ b;` in one `always @(*)` block. The
 // `stmts` counter is n, so time per statement shows whether symbolic
 // dataflow and merge stay linear in the length of the chain.
@@ -115,13 +129,19 @@ BENCHMARK(BM_ExtractDfgChain)
     ->Arg(40000)
     ->Unit(benchmark::kMillisecond);
 
+// The six ISCAS stand-ins' trimmed DFGs; `nnz` counts the entries of
+// each one's Â.
 void BM_Featurize(benchmark::State& state) {
-  const graph::Digraph g = dfg::extract_dfg(medium_rtl());
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const graph::Digraph g = dfg::extract_dfg(bench.netlist.to_verilog());
   for (auto _ : state) {
     benchmark::DoNotOptimize(gnn::featurize(g));
   }
+  state.SetLabel(bench.name);
+  state.counters["nnz"] = static_cast<double>(gnn::featurize(g).adj->nnz());
 }
-BENCHMARK(BM_Featurize);
+BENCHMARK(BM_Featurize)->DenseRange(0, 5);
 
 void BM_GcnForward(benchmark::State& state) {
   const gnn::GraphTensors t = gnn::featurize(dfg::extract_dfg(medium_rtl()));

@@ -9,36 +9,43 @@
 namespace gnn4ip::gnn {
 namespace {
 
-/// Â = A + Aᵀ + I, normalized D̂^{-1/2} Â D̂^{-1/2}. `edges` are in range
-/// (the Digraph checked them) and `num_nodes` > 0 (featurize checked it).
+/// Â = A + Aᵀ + I, normalized D̂^{-1/2} Â D̂^{-1/2}, built row by row:
+/// row v holds v, its successors and its predecessors, sorted and
+/// deduplicated, so its length is v's degree in Â.
 std::shared_ptr<const tensor::Csr> normalized_adjacency(
-    std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
-  // Structural entries of Â: self-loops + edges + reverses, then
-  // sort/unique — cheaper than a node-per-entry ordered set.
-  std::vector<std::pair<std::size_t, std::size_t>> entries;
-  entries.reserve(num_nodes + edges.size() * 2);
-  for (std::size_t v = 0; v < num_nodes; ++v) entries.emplace_back(v, v);
-  for (const auto& [src, dst] : edges) {
-    entries.emplace_back(src, dst);
-    entries.emplace_back(dst, src);
+    const graph::Digraph& g) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::size_t> cols;
+  cols.reserve(n + 2 * g.num_edges());
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto id = static_cast<graph::NodeId>(v);
+    const std::size_t begin = cols.size();
+    cols.push_back(v);
+    for (const graph::NodeId u : g.out_neighbors(id)) {
+      cols.push_back(static_cast<std::size_t>(u));
+    }
+    for (const graph::NodeId u : g.in_neighbors(id)) {
+      cols.push_back(static_cast<std::size_t>(u));
+    }
+    const auto row = cols.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(row, cols.end());
+    cols.erase(std::unique(row, cols.end()), cols.end());
+    offsets[v + 1] = cols.size();
   }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  // Degrees of Â.
-  std::vector<float> degree(num_nodes, 0.0F);
-  for (const auto& [r, c] : entries) degree[r] += 1.0F;
-  std::vector<float> inv_sqrt(num_nodes);
-  for (std::size_t v = 0; v < num_nodes; ++v) {
-    inv_sqrt[v] = 1.0F / std::sqrt(degree[v]);
+  std::vector<float> inv_sqrt(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    inv_sqrt[v] =
+        1.0F / std::sqrt(static_cast<float>(offsets[v + 1] - offsets[v]));
   }
-  std::vector<tensor::Triplet> triplets;
-  triplets.reserve(entries.size());
-  for (const auto& [r, c] : entries) {
-    triplets.push_back({r, c, inv_sqrt[r] * inv_sqrt[c]});
+  std::vector<float> values(cols.size());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      values[k] = inv_sqrt[r] * inv_sqrt[cols[k]];
+    }
   }
-  return std::make_shared<tensor::Csr>(
-      tensor::Csr::from_triplets(num_nodes, num_nodes, std::move(triplets)));
+  return std::make_shared<tensor::Csr>(n, n, std::move(offsets),
+                                       std::move(cols), std::move(values));
 }
 
 }  // namespace
@@ -54,14 +61,7 @@ GraphTensors featurize(const graph::Digraph& g) {
                   "node kind outside DFG vocabulary");
     t.x.at(v, static_cast<std::size_t>(kind)) = 1.0F;
   }
-  t.edges.reserve(g.num_edges());
-  for (const auto& [src, dst] : g.edges()) {
-    if (src == dst) continue;  // self-loops are re-added by normalization
-    t.edges.emplace_back(src, dst);
-  }
-  std::sort(t.edges.begin(), t.edges.end());
-  t.edges.erase(std::unique(t.edges.begin(), t.edges.end()), t.edges.end());
-  t.adj = normalized_adjacency(t.num_nodes, t.edges);
+  t.adj = normalized_adjacency(g);
   return t;
 }
 

@@ -3,13 +3,12 @@
 // name to its corresponding one-hot vector") and the symmetric-normalized
 // adjacency D̂^{-1/2} Â D̂^{-1/2} with Â = A + Aᵀ + I of Eq. 5.
 //
-// The normalized operator is built once at featurize time; every GCN
-// layer and the SAGPool scorer of a forward pass multiply by it.
+// The normalized operator is built once at featurize time, row by row
+// from the DFG's successor and predecessor lists straight into CSR; every
+// GCN layer and the SAGPool scorer of a forward pass multiply by it.
 #pragma once
 
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "graph/digraph.h"
 #include "tensor/csr.h"
@@ -17,12 +16,11 @@
 
 namespace gnn4ip::gnn {
 
-/// Tensors for one graph. `edges` is the deduplicated, self-loop-free
-/// directed edge list Â was built from.
+/// Tensors for one graph. Row v of `adj` lists v, its successors and its
+/// predecessors in ascending column order.
 struct GraphTensors {
   tensor::Matrix x;  // N × kNodeKindCount
   std::shared_ptr<const tensor::Csr> adj;
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
   std::size_t num_nodes = 0;
 };
 

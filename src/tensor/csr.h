@@ -3,7 +3,7 @@
 // Used for the symmetric-normalized adjacency D̂^{-1/2}ÂD̂^{-1/2} of
 // Eq. 5: the adjacency is a constant of each graph, so only dense
 // operands carry gradients. spmm backward therefore needs Sᵀ·dY, which
-// is served by a cached transpose.
+// multiply_transposed scatters from S's own rows; no transpose is kept.
 #pragma once
 
 #include <cstdint>
@@ -13,19 +13,16 @@
 
 namespace gnn4ip::tensor {
 
-struct Triplet {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  float value = 0.0F;
-};
-
 class Csr {
  public:
   Csr() = default;
 
-  /// Build from triplets (duplicates are summed).
-  [[nodiscard]] static Csr from_triplets(std::size_t rows, std::size_t cols,
-                                         std::vector<Triplet> triplets);
+  /// Adopt CSR arrays. `row_offsets` holds rows + 1 non-decreasing
+  /// entries from 0 to nnz; each row's columns are below `cols` and
+  /// strictly ascending; `values` is parallel to `col_indices`. Anything
+  /// else is a contract violation.
+  Csr(std::size_t rows, std::size_t cols, std::vector<std::size_t> row_offsets,
+      std::vector<std::size_t> col_indices, std::vector<float> values);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -34,7 +31,9 @@ class Csr {
   /// Y = S · X  (dense X with X.rows() == cols()).
   [[nodiscard]] Matrix multiply(const Matrix& x) const;
 
-  /// Y = Sᵀ · X (dense X with X.rows() == rows()).
+  /// Y = Sᵀ · X (dense X with X.rows() == rows()). Each output element
+  /// sums its terms in ascending row of S, as a row walk of a
+  /// materialized Sᵀ would.
   [[nodiscard]] Matrix multiply_transposed(const Matrix& x) const;
 
   /// Materialize as dense (tests only; small graphs).
@@ -55,12 +54,6 @@ class Csr {
   std::vector<std::size_t> row_offsets_;  // size rows_+1
   std::vector<std::size_t> col_indices_;
   std::vector<float> values_;
-  // Cached transpose in CSR form (same arrays, swapped roles), built
-  // lazily by multiply_transposed via const access — precomputed eagerly
-  // in from_triplets to keep the class immutable after construction.
-  std::vector<std::size_t> t_row_offsets_;
-  std::vector<std::size_t> t_col_indices_;
-  std::vector<float> t_values_;
 };
 
 }  // namespace gnn4ip::tensor

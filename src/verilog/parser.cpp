@@ -1,17 +1,20 @@
 #include "verilog/parser.h"
 
+#include <array>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "util/contract.h"
 
 namespace gnn4ip::verilog {
 namespace {
 
-const std::unordered_set<std::string>& gate_keywords() {
-  static const std::unordered_set<std::string> kGates = {
-      "and", "or", "xor", "xnor", "nand", "nor", "not", "buf"};
-  return kGates;
+bool is_gate_keyword(const Token& t) {
+  return t.is_keyword("and") || t.is_keyword("or") || t.is_keyword("xor") ||
+         t.is_keyword("xnor") || t.is_keyword("nand") ||
+         t.is_keyword("nor") || t.is_keyword("not") || t.is_keyword("buf");
 }
 
 struct BinOpInfo {
@@ -21,24 +24,38 @@ struct BinOpInfo {
 
 /// Binary operator table for precedence climbing. Ternary ?: is handled
 /// separately at the lowest level.
-const std::unordered_map<std::string, BinOpInfo>& binop_table() {
-  static const std::unordered_map<std::string, BinOpInfo> kTable = {
-      {"||", {BinaryOp::kLogOr, 2}},   {"&&", {BinaryOp::kLogAnd, 3}},
-      {"|", {BinaryOp::kBitOr, 4}},    {"^", {BinaryOp::kBitXor, 5}},
-      {"~^", {BinaryOp::kBitXnor, 5}}, {"^~", {BinaryOp::kBitXnor, 5}},
-      {"&", {BinaryOp::kBitAnd, 6}},   {"==", {BinaryOp::kEq, 7}},
-      {"!=", {BinaryOp::kNeq, 7}},     {"===", {BinaryOp::kCaseEq, 7}},
-      {"!==", {BinaryOp::kCaseNeq, 7}},{"<", {BinaryOp::kLt, 8}},
-      {"<=", {BinaryOp::kLe, 8}},      {">", {BinaryOp::kGt, 8}},
-      {">=", {BinaryOp::kGe, 8}},      {"<<", {BinaryOp::kShl, 9}},
-      {">>", {BinaryOp::kShr, 9}},     {"<<<", {BinaryOp::kAShl, 9}},
-      {">>>", {BinaryOp::kAShr, 9}},   {"+", {BinaryOp::kAdd, 10}},
-      {"-", {BinaryOp::kSub, 10}},     {"*", {BinaryOp::kMul, 11}},
-      {"/", {BinaryOp::kDiv, 11}},     {"%", {BinaryOp::kMod, 11}},
-      {"**", {BinaryOp::kPow, 12}},
-  };
-  return kTable;
+constexpr std::array<std::pair<std::string_view, BinOpInfo>, 25> kBinOps = {{
+    {"||", {BinaryOp::kLogOr, 2}},   {"&&", {BinaryOp::kLogAnd, 3}},
+    {"|", {BinaryOp::kBitOr, 4}},    {"^", {BinaryOp::kBitXor, 5}},
+    {"~^", {BinaryOp::kBitXnor, 5}}, {"^~", {BinaryOp::kBitXnor, 5}},
+    {"&", {BinaryOp::kBitAnd, 6}},   {"==", {BinaryOp::kEq, 7}},
+    {"!=", {BinaryOp::kNeq, 7}},     {"===", {BinaryOp::kCaseEq, 7}},
+    {"!==", {BinaryOp::kCaseNeq, 7}}, {"<", {BinaryOp::kLt, 8}},
+    {"<=", {BinaryOp::kLe, 8}},      {">", {BinaryOp::kGt, 8}},
+    {">=", {BinaryOp::kGe, 8}},      {"<<", {BinaryOp::kShl, 9}},
+    {">>", {BinaryOp::kShr, 9}},     {"<<<", {BinaryOp::kAShl, 9}},
+    {">>>", {BinaryOp::kAShr, 9}},   {"+", {BinaryOp::kAdd, 10}},
+    {"-", {BinaryOp::kSub, 10}},     {"*", {BinaryOp::kMul, 11}},
+    {"/", {BinaryOp::kDiv, 11}},     {"%", {BinaryOp::kMod, 11}},
+    {"**", {BinaryOp::kPow, 12}},
+}};
+
+/// The binary operator `t` spells, if any.
+std::optional<BinOpInfo> binary_op(const Token& t) {
+  // Most punctuation asked about here ends an operand: , ; ) ] : }
+  if (t.kind != TokenKind::kPunct ||
+      std::string_view("|&^~=!<>+-*/%").find(t.text[0]) ==
+          std::string_view::npos) {
+    return std::nullopt;
+  }
+  for (const auto& [spelling, info] : kBinOps) {
+    if (t.text == spelling) return info;
+  }
+  return std::nullopt;
 }
+
+/// A token's text for an error message.
+std::string quoted(const Token& t) { return "'" + std::string(t.text) + "'"; }
 
 class Parser {
  public:
@@ -54,7 +71,7 @@ class Parser {
       if (peek().is_keyword("module")) {
         design.modules.push_back(parse_module());
       } else {
-        throw ParseError("expected 'module', got '" + peek().text + "'",
+        throw ParseError("expected 'module', got " + quoted(peek()),
                          peek().loc);
       }
     }
@@ -72,31 +89,32 @@ class Parser {
     if (pos_ + 1 < tokens_.size()) ++pos_;
     return t;
   }
-  void expect_punct(const char* spelling) {
+  void expect_punct(std::string_view spelling) {
     if (!peek().is_punct(spelling)) {
-      throw ParseError(std::string("expected '") + spelling + "', got '" +
-                           peek().text + "'",
+      throw ParseError("expected '" + std::string(spelling) + "', got " +
+                           quoted(peek()),
                        peek().loc);
     }
     advance();
   }
-  void expect_keyword(const char* word) {
+  void expect_keyword(std::string_view word) {
     if (!peek().is_keyword(word)) {
-      throw ParseError(std::string("expected '") + word + "', got '" +
-                           peek().text + "'",
+      throw ParseError("expected '" + std::string(word) + "', got " +
+                           quoted(peek()),
                        peek().loc);
     }
     advance();
   }
-  std::string expect_identifier(const char* what) {
+  /// The identifier's text, viewing the lexed buffer.
+  std::string_view expect_identifier(const char* what) {
     if (peek().kind != TokenKind::kIdentifier) {
-      throw ParseError(std::string("expected ") + what + ", got '" +
-                           peek().text + "'",
+      throw ParseError(std::string("expected ") + what + ", got " +
+                           quoted(peek()),
                        peek().loc);
     }
     return advance().text;
   }
-  bool accept_punct(const char* spelling) {
+  bool accept_punct(std::string_view spelling) {
     if (peek().is_punct(spelling)) {
       advance();
       return true;
@@ -175,7 +193,7 @@ class Parser {
     // identifier list. Mixed continuation inherits the previous decl.
     if (peek().kind == TokenKind::kIdentifier) {
       do {
-        mod.port_order.push_back(expect_identifier("port name"));
+        mod.port_order.emplace_back(expect_identifier("port name"));
       } while (accept_punct(","));
       return;
     }
@@ -185,7 +203,7 @@ class Parser {
     std::optional<Range> range;
     do {
       if (peek().kind == TokenKind::kKeyword && !is_net_intro(peek())) {
-        throw ParseError("unexpected '" + peek().text + "' in port list",
+        throw ParseError("unexpected " + quoted(peek()) + " in port list",
                          peek().loc);
       }
       if (is_direction_keyword(peek())) {
@@ -272,19 +290,18 @@ class Parser {
       mod.always_blocks.push_back(parse_always_block(/*is_initial=*/false));
     } else if (t.is_keyword("initial")) {
       mod.always_blocks.push_back(parse_always_block(/*is_initial=*/true));
-    } else if (t.kind == TokenKind::kKeyword &&
-               gate_keywords().count(t.text) > 0) {
+    } else if (is_gate_keyword(t)) {
       parse_gate_instances(mod);
     } else if (t.kind == TokenKind::kIdentifier) {
       parse_module_instances(mod);
     } else if (t.is_keyword("function") || t.is_keyword("task") ||
                t.is_keyword("generate") || t.is_keyword("genvar") ||
                t.is_keyword("for") || t.is_keyword("while")) {
-      throw ParseError("unsupported construct '" + t.text +
-                           "' (GNN4IP Verilog subset)",
+      throw ParseError("unsupported construct " + quoted(t) +
+                           " (GNN4IP Verilog subset)",
                        t.loc);
     } else {
-      throw ParseError("unexpected '" + t.text + "' in module body", t.loc);
+      throw ParseError("unexpected " + quoted(t) + " in module body", t.loc);
     }
   }
 
@@ -532,9 +549,9 @@ class Parser {
     } else if (accept_punct("<=")) {
       stmt->kind = StmtKind::kNonblockingAssign;
     } else {
-      throw ParseError("expected '=' or '<=' in assignment, got '" +
-                           peek().text + "'",
-                       peek().loc);
+      throw ParseError(
+          "expected '=' or '<=' in assignment, got " + quoted(peek()),
+          peek().loc);
     }
     skip_optional_delay();
     stmt->rhs = parse_expression();
@@ -564,7 +581,7 @@ class Parser {
 
   // --- instances ------------------------------------------------------------
   void parse_gate_instances(Module& mod) {
-    const std::string gate_type = advance().text;
+    const std::string_view gate_type = advance().text;
     skip_optional_delay();
     do {
       GateInstance gate;
@@ -579,7 +596,7 @@ class Parser {
       } while (accept_punct(","));
       expect_punct(")");
       if (gate.terminals.size() < 2) {
-        throw ParseError("gate '" + gate_type +
+        throw ParseError("gate '" + std::string(gate_type) +
                              "' needs at least an output and one input",
                          gate.loc);
       }
@@ -589,7 +606,7 @@ class Parser {
   }
 
   void parse_module_instances(Module& mod) {
-    const std::string module_name = expect_identifier("module name");
+    const std::string_view module_name = expect_identifier("module name");
     std::vector<PortConnection> params;
     if (accept_punct("#")) {
       expect_punct("(");
@@ -656,16 +673,12 @@ class Parser {
 
   ExprPtr parse_binary(int min_precedence) {
     ExprPtr lhs = parse_unary();
-    while (peek().kind == TokenKind::kPunct) {
-      const auto it = binop_table().find(peek().text);
-      if (it == binop_table().end() ||
-          it->second.precedence < min_precedence) {
-        break;
-      }
-      const BinOpInfo info = it->second;
+    while (true) {
+      const std::optional<BinOpInfo> info = binary_op(peek());
+      if (!info.has_value() || info->precedence < min_precedence) break;
       advance();
-      ExprPtr rhs = parse_binary(info.precedence + 1);
-      lhs = make_binary(info.op, std::move(lhs), std::move(rhs));
+      ExprPtr rhs = parse_binary(info->precedence + 1);
+      lhs = make_binary(info->op, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -736,7 +749,7 @@ class Parser {
   ExprPtr parse_primary() {
     const Token& t = peek();
     if (t.kind == TokenKind::kNumber) {
-      ExprPtr e = make_number(t.text, t.loc);
+      ExprPtr e = make_number(std::string(t.text), t.loc);
       advance();
       return e;
     }
@@ -749,7 +762,7 @@ class Parser {
       return e;
     }
     if (t.kind == TokenKind::kIdentifier) {
-      ExprPtr e = make_identifier(t.text, t.loc);
+      ExprPtr e = make_identifier(std::string(t.text), t.loc);
       advance();
       return e;
     }
@@ -796,7 +809,7 @@ class Parser {
       expect_punct("}");
       return concat;
     }
-    throw ParseError("expected expression, got '" + t.text + "'", t.loc);
+    throw ParseError("expected expression, got " + quoted(t), t.loc);
   }
 
   /// Lvalues: identifier, identifier[sel], identifier[msb:lsb], or a
@@ -817,7 +830,7 @@ class Parser {
     }
     const Token& t = peek();
     if (t.kind != TokenKind::kIdentifier) {
-      throw ParseError("expected lvalue, got '" + t.text + "'", t.loc);
+      throw ParseError("expected lvalue, got " + quoted(t), t.loc);
     }
     return parse_postfix();
   }

@@ -23,7 +23,9 @@ inline constexpr int kMaxNestingDepth = 1000;
 [[nodiscard]] Design parse(const std::string& source,
                            const PreprocessOptions& pp_options = {});
 
-/// Parse an already-lexed token stream.
+/// Parse an already-lexed token stream. The tokens view the buffer they
+/// were lexed from, which must outlive this call; the returned Design
+/// owns copies of every name and literal it keeps.
 [[nodiscard]] Design parse_tokens(std::vector<Token> tokens);
 
 }  // namespace gnn4ip::verilog

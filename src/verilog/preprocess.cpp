@@ -9,6 +9,13 @@
 namespace gnn4ip::verilog {
 namespace {
 
+/// Deepest chain of macro uses inside macro bodies, and the most macro
+/// body bytes one preprocess call may paste. A self-referential macro
+/// hits the first; a chain of macros that each use the previous one
+/// twice hits the second, long before its output doubles out of memory.
+constexpr int kMaxMacroDepth = 64;
+constexpr std::size_t kMaxMacroBytes = std::size_t{1} << 20;
+
 struct Cursor {
   const std::string* text = nullptr;
   std::size_t pos = 0;
@@ -51,6 +58,19 @@ class Preprocessor {
     cur.text = &source;
     std::string out;
     out.reserve(source.size());
+    scan(cur, out, depth, base);
+    if (cond_stack_.size() != base) {
+      throw ParseError("unterminated `ifdef/`ifndef", cur.loc());
+    }
+    return out;
+  }
+
+ private:
+  [[nodiscard]] bool emitting() const { return inactive_levels_ == 0; }
+
+  /// Copy `cur`'s text to `out`, minus comments and inactive regions,
+  /// running every directive and expanding every macro on the way.
+  void scan(Cursor& cur, std::string& out, int depth, std::size_t base) {
     while (!cur.at_end()) {
       const char c = cur.peek();
       if (c == '/' && cur.peek(1) == '/') {
@@ -70,14 +90,7 @@ class Preprocessor {
         cur.advance();
       }
     }
-    if (cond_stack_.size() != base) {
-      throw ParseError("unterminated `ifdef/`ifndef", cur.loc());
-    }
-    return out;
   }
-
- private:
-  [[nodiscard]] bool emitting() const { return inactive_levels_ == 0; }
 
   static void skip_line_comment(Cursor& cur, std::string& out) {
     while (!cur.at_end() && cur.peek() != '\n') cur.advance();
@@ -235,8 +248,34 @@ class Preprocessor {
       if (it == defines_.end()) {
         throw ParseError("undefined macro `" + name, start);
       }
-      if (emitting()) out += it->second;
+      if (emitting()) expand_macro(name, it->second, out, depth, start);
     }
+  }
+
+  /// Paste macro `name`'s body at `at`, rescanned so the macros it uses
+  /// expand too. The body is copied first: its own directives may
+  /// redefine or undefine the macro.
+  void expand_macro(const std::string& name, std::string body,
+                    std::string& out, int depth, SourceLocation at) {
+    if (macro_depth_ == kMaxMacroDepth) {
+      throw ParseError("macro `" + name + " nests more than " +
+                           std::to_string(kMaxMacroDepth) + " expansions deep",
+                       at);
+    }
+    macro_bytes_ += body.size();
+    if (macro_bytes_ > kMaxMacroBytes) {
+      throw ParseError("macro `" + name + " expands past " +
+                           std::to_string(kMaxMacroBytes) + " bytes",
+                       at);
+    }
+    ++macro_depth_;
+    Cursor cur{&body, 0, at.line, at.column};
+    const std::size_t base = cond_stack_.size();
+    scan(cur, out, depth, base);
+    if (cond_stack_.size() != base) {
+      throw ParseError("unterminated `ifdef/`ifndef in macro `" + name, at);
+    }
+    --macro_depth_;
   }
 
   static void skip_spaces(Cursor& cur) {
@@ -250,6 +289,9 @@ class Preprocessor {
   std::vector<bool> cond_stack_;
   /// Number of false entries in `cond_stack_`; text is emitted at zero.
   std::size_t inactive_levels_ = 0;
+  int macro_depth_ = 0;          // expansions being rescanned
+  std::size_t macro_bytes_ = 0;  // body bytes pasted so far
+
 };
 
 }  // namespace

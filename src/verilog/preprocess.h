@@ -1,6 +1,7 @@
 // Verilog preprocessor: comment stripping, `define / `undef object macros,
-// macro expansion (`NAME), `ifdef / `ifndef / `else / `endif conditionals,
-// and `include resolved through a caller-provided virtual file system.
+// macro expansion (`NAME, rescanned so a body may use other macros),
+// `ifdef / `ifndef / `else / `endif conditionals, and `include resolved
+// through a caller-provided virtual file system.
 //
 // Line structure is preserved (comments are blanked, directives removed
 // but their newlines kept) so lexer locations refer to the original text.
@@ -28,7 +29,8 @@ struct PreprocessOptions {
 };
 
 /// Preprocess `source`; throws ParseError on malformed directives,
-/// unterminated comments, unknown includes, or unbalanced conditionals.
+/// unterminated comments, unknown includes, unbalanced conditionals, or
+/// macro expansions nested more than 64 deep or pasting more than 1 MiB.
 [[nodiscard]] std::string preprocess(const std::string& source,
                                      const PreprocessOptions& options = {});
 

@@ -1,7 +1,10 @@
 // Token stream produced by the Verilog lexer.
+//
+// A token's text is a view into the buffer it was lexed from, so that
+// buffer must outlive the tokens and every parse_tokens call on them.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "verilog/diagnostics.h"
@@ -19,25 +22,21 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEndOfFile;
-  std::string text;
+  std::string_view text;
   SourceLocation loc;
 
-  [[nodiscard]] bool is_punct(const char* spelling) const {
+  [[nodiscard]] bool is_punct(std::string_view spelling) const {
     return kind == TokenKind::kPunct && text == spelling;
   }
-  [[nodiscard]] bool is_keyword(const char* word) const {
+  [[nodiscard]] bool is_keyword(std::string_view word) const {
     return kind == TokenKind::kKeyword && text == word;
   }
 };
 
-/// True for words the lexer classifies as keywords. Gate primitive names
-/// (and/or/not/...) are included; the parser contextually accepts them
-/// where grammar requires.
-[[nodiscard]] bool is_verilog_keyword(const std::string& word);
-
 /// Tokenize preprocessed source; throws ParseError on bad characters,
-/// malformed numbers, or unterminated literals. The result always ends
-/// with a kEndOfFile token.
-[[nodiscard]] std::vector<Token> lex(const std::string& source);
+/// malformed based literals, or unterminated literals. The result always
+/// ends with a kEndOfFile token. Gate primitive names (and/or/not/...) lex
+/// as keywords; the parser accepts them where the grammar requires.
+[[nodiscard]] std::vector<Token> lex(std::string_view source);
 
 }  // namespace gnn4ip::verilog

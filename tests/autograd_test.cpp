@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "tensor/tape.h"
 #include "util/contract.h"
@@ -100,9 +101,10 @@ TEST(Tape, MatmulGradient) {
 
 TEST(Tape, SpmmGradientMatchesDenseMatmul) {
   util::Rng rng(2);
-  auto sparse = std::make_shared<Csr>(Csr::from_triplets(
-      3, 3,
-      {{0, 0, 0.5F}, {0, 1, 0.5F}, {1, 1, 1.0F}, {2, 0, 0.3F}, {2, 2, 0.7F}}));
+  auto sparse = std::make_shared<Csr>(
+      3, 3, std::vector<std::size_t>{0, 2, 3, 5},
+      std::vector<std::size_t>{0, 1, 1, 0, 2},
+      std::vector<float>{0.5F, 0.5F, 1.0F, 0.3F, 0.7F});
   Parameter x(random_matrix(3, 2, rng));
 
   Tape tape;

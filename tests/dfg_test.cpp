@@ -1,7 +1,7 @@
 // DFG pipeline tests: dataflow analysis, merge, trim, end-to-end shapes.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -9,19 +9,15 @@
 #include <utility>
 #include <vector>
 
-#include "data/corpus.h"
-#include "data/iscas.h"
-#include "data/obfuscate.h"
-#include "data/rtl_designs.h"
 #include "dfg/dataflow.h"
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
 #include "gnn/featurize.h"
 #include "gnn/hw2vec.h"
+#include "golden_corpus.h"
 #include "graph/algorithms.h"
 #include "tensor/matrix.h"
-#include "util/rng.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
 
@@ -426,38 +422,19 @@ TEST(Dfg, NodeKindVocabularyStable) {
 
 // --- byte-for-byte pin of the front end ----------------------------------------
 
-/// FNV-1a, 64-bit, fed fixed-width little-endian values so a hash names the
-/// same bytes on every platform.
-class Fnv1a {
- public:
-  void byte(std::uint8_t b) { h_ = (h_ ^ b) * 0x100000001b3ULL; }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f32(float f) { u64(std::bit_cast<std::uint32_t>(f)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 /// Everything the front end hands to scoring: the trimmed DFG (node names
 /// and kinds in id order, edges() in its order), the featurized tensors,
 /// and the embedding.
 std::uint64_t front_end_hash(const std::string& src, gnn::Hw2Vec& model) {
   const Digraph g = dfg_of(src);
-  Fnv1a h;
+  golden::Fnv1a h;
   h.u64(g.num_nodes());
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const graph::Node& node = g.node(static_cast<NodeId>(v));
     h.str(node.name);
     h.u64(static_cast<std::uint64_t>(node.kind));
   }
-  const auto edges = g.edges();
+  auto edges = g.edges();
   h.u64(edges.size());
   for (const auto& [src_id, dst_id] : edges) {
     h.u64(static_cast<std::uint64_t>(src_id));
@@ -465,10 +442,13 @@ std::uint64_t front_end_hash(const std::string& src, gnn::Hw2Vec& model) {
   }
   const gnn::GraphTensors t = gnn::featurize(g);
   for (const float f : t.x.data()) h.f32(f);
-  h.u64(t.edges.size());
-  for (const auto& [src_id, dst_id] : t.edges) {
-    h.u64(src_id);
-    h.u64(dst_id);
+  // The self-loop-free edge list Â is built from, in (src, dst) order.
+  std::erase_if(edges, [](const auto& e) { return e.first == e.second; });
+  std::sort(edges.begin(), edges.end());
+  h.u64(edges.size());
+  for (const auto& [src_id, dst_id] : edges) {
+    h.u64(static_cast<std::uint64_t>(src_id));
+    h.u64(static_cast<std::uint64_t>(dst_id));
   }
   for (const std::size_t offset : t.adj->row_offsets()) h.u64(offset);
   for (const std::size_t col : t.adj->col_indices()) h.u64(col);
@@ -476,32 +456,6 @@ std::uint64_t front_end_hash(const std::string& src, gnn::Hw2Vec& model) {
   const tensor::Matrix embedding = model.embed_inference(t);
   for (const float f : embedding.data()) h.f32(f);
   return h.value();
-}
-
-/// The in-tree generator corpus: each ISCAS stand-in as generated and once
-/// obfuscated, every structural netlist family, and every RTL family in
-/// each of its styles.
-std::vector<std::pair<std::string, std::string>> golden_designs() {
-  std::vector<std::pair<std::string, std::string>> designs;
-  std::uint64_t seed = 1;
-  for (const data::IscasBenchmark& bench : data::iscas_benchmarks()) {
-    designs.emplace_back("iscas/" + bench.name, bench.netlist.to_verilog());
-    util::Rng rng(seed++);
-    designs.emplace_back("iscas_obf/" + bench.name,
-                         data::obfuscate(bench.netlist, {}, rng).to_verilog());
-  }
-  for (const std::string& family : data::netlist_family_names()) {
-    designs.emplace_back("netlist/" + family,
-                         data::build_netlist_family(family).to_verilog());
-  }
-  for (const data::RtlFamily& family : data::rtl_families()) {
-    for (int style = 0; style < family.num_styles; ++style) {
-      designs.emplace_back(
-          "rtl/" + family.name + "/" + std::to_string(style),
-          family.generate({.style = style, .seed = 7}));
-    }
-  }
-  return designs;
 }
 
 // Recorded before the front end's declaration lookups were hash-indexed;
@@ -601,7 +555,7 @@ const std::map<std::string, std::uint64_t> kGoldenHashes = {
 
 TEST(FrontEndGolden, DfgTensorsAndEmbeddingsByteIdentical) {
   gnn::Hw2Vec model;  // default config, weight seed 1
-  const auto designs = golden_designs();
+  const auto designs = golden::designs();
   EXPECT_EQ(designs.size(), kGoldenHashes.size());
   for (const auto& [label, src] : designs) {
     const std::uint64_t hash = front_end_hash(src, model);

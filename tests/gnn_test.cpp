@@ -2,12 +2,15 @@
 // hw2vec end-to-end, and model serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "data/iscas.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
 #include "gnn/featurize.h"
@@ -17,6 +20,7 @@
 #include "gnn/readout.h"
 #include "gnn/sag_pool.h"
 #include "util/contract.h"
+#include "util/rng.h"
 
 namespace gnn4ip::gnn {
 namespace {
@@ -81,6 +85,25 @@ TEST(Featurize, NormalizationMatchesEq5ByHand) {
     for (std::size_t j = 0; j < 2; ++j) {
       EXPECT_NEAR(dense.at(i, j), 0.5F, 1e-6F);
     }
+  }
+}
+
+// Â is symmetric, and each value inv_sqrt[r] · inv_sqrt[c] commutes, so
+// training's Âᵀ·dY equals Â·dY bit for bit on a real netlist.
+TEST(Featurize, TransposedProductBitEqualsProduct) {
+  const std::vector<data::IscasBenchmark> benches = data::iscas_benchmarks();
+  const GraphTensors t =
+      featurize(dfg::extract_dfg(benches.front().netlist.to_verilog()));
+  util::Rng rng(5);
+  tensor::Matrix x(t.num_nodes, 16);
+  for (float& v : x.data()) v = rng.uniform(-1, 1);
+  const tensor::Matrix product = t.adj->multiply(x);
+  const tensor::Matrix transposed = t.adj->multiply_transposed(x);
+  ASSERT_EQ(product.data().size(), transposed.data().size());
+  for (std::size_t i = 0; i < product.data().size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(product.data()[i]),
+              std::bit_cast<std::uint32_t>(transposed.data()[i]))
+        << "element " << i;
   }
 }
 

@@ -132,13 +132,21 @@ TEST_P(DfgInvariantTest, FeaturizationInvariants) {
     EXPECT_GT(dense.at(i, i), 0.0F);  // self loop from Â = A + I
     EXPECT_GT(row_sum, 0.0F);
   }
-  // Edges dedup'd, self-loop-free, in range.
-  std::set<std::pair<std::size_t, std::size_t>> seen;
-  for (const auto& e : t.edges) {
-    EXPECT_NE(e.first, e.second);
-    EXPECT_LT(e.first, t.num_nodes);
-    EXPECT_LT(e.second, t.num_nodes);
-    EXPECT_TRUE(seen.insert(e).second) << "duplicate edge";
+  // Â's structure: columns strictly ascending in every row, and every
+  // entry (r, c) mirrored by an entry (c, r).
+  const auto& offsets = t.adj->row_offsets();
+  const auto& cols = t.adj->col_indices();
+  std::set<std::pair<std::size_t, std::size_t>> entries;
+  for (std::size_t r = 0; r < t.num_nodes; ++r) {
+    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      if (k > offsets[r]) {
+        EXPECT_LT(cols[k - 1], cols[k]) << "row " << r;
+      }
+      entries.emplace(r, cols[k]);
+    }
+  }
+  for (const auto& [r, col] : entries) {
+    EXPECT_EQ(entries.count({col, r}), 1u) << "(" << r << ", " << col << ")";
   }
 }
 

@@ -82,7 +82,8 @@ TEST(Robustness, EveryFamilyLexesAtManySeeds) {
           family.generate({static_cast<int>(seed % family.num_styles),
                            seed});
       EXPECT_NO_THROW({
-        const auto tokens = verilog::lex(verilog::preprocess(src));
+        const std::string preprocessed = verilog::preprocess(src);
+        const auto tokens = verilog::lex(preprocessed);
         EXPECT_GT(tokens.size(), 20u) << family.name;
       }) << family.name << " seed " << seed;
     }

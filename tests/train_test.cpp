@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/gnn4ip.h"
+#include "gnn/model_io.h"
 #include "train/dataset.h"
 #include "train/metrics.h"
 #include "train/optimizer.h"
@@ -387,6 +388,25 @@ TEST(Trainer, FitBitIdenticalAcross1And2And8Workers) {
     // Sanity: six epochs of training actually moved the loss.
     EXPECT_NE(curves[0].front(), curves[0].back());
   }
+}
+
+// Pins the trained weights' bits: the backward pass (spmm's Âᵀ·dY
+// included) must keep producing exactly these weights. A different
+// fingerprint means a kernel changed the arithmetic of training.
+TEST(Trainer, FitModelFingerprintPinned) {
+  gnn::Hw2VecConfig mc;
+  mc.hidden_dim = 8;
+  mc.seed = 6;
+  gnn::Hw2Vec model(mc);
+  const PairDataset ds = PairDataset::all_pairs(toy_entries(3, 4));
+  TrainConfig tc;
+  tc.epochs = 4;
+  tc.batch_graphs = 12;
+  tc.learning_rate = 5e-3F;
+  tc.seed = 13;
+  Trainer trainer(model, ds, tc);
+  trainer.fit();
+  EXPECT_EQ(gnn::model_fingerprint(model), "08d193a8a951265f");
 }
 
 TEST(Trainer, ScorePairsMatchesEvaluateScores) {

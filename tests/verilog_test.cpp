@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "golden_corpus.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/preprocess.h"
@@ -173,6 +177,44 @@ TEST(Preprocess, DeepConditionalNestingExactOutput) {
                            << (first_diff.first - out.begin());
 }
 
+TEST(Preprocess, NestedMacrosRescanExactOutput) {
+  EXPECT_EQ(preprocess("`define X0 a\n"
+                       "`define X1 `X0 ^ `X0\n"
+                       "`define X2 (`X1) & `X1 // both\n"
+                       "assign y = `X2;\n"),
+            "\n\n\nassign y = (a ^ a) & a ^ a ;\n");
+}
+
+TEST(Preprocess, SelfReferentialMacroIsAnError) {
+  try {
+    (void)preprocess("`define X `X\nwire `X;\n");
+    FAIL() << "self-referential macro expanded";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.message(), "macro `X nests more than 64 expansions deep");
+    EXPECT_EQ(e.location().line, 2);
+  }
+}
+
+// `X0 is 8 bytes and each `Xk uses `X(k-1) twice, so `X40 would paste a
+// terabyte. The byte cap stops it after about a megabyte of bodies.
+TEST(Preprocess, MacroDoublingChainHitsByteCap) {
+  std::string src = "`define X0 abcdefgh\n";
+  for (int k = 1; k <= 40; ++k) {
+    src += "`define X" + std::to_string(k) + " `X" + std::to_string(k - 1) +
+           " `X" + std::to_string(k - 1) + "\n";
+  }
+  src += "wire `X40;\n";
+  try {
+    (void)preprocess(src);
+    FAIL() << "doubling chain expanded";
+  } catch (const ParseError& e) {
+    EXPECT_NE(e.message().find(" expands past 1048576 bytes"),
+              std::string::npos)
+        << e.message();
+    EXPECT_EQ(e.message().rfind("macro `X", 0), 0u) << e.message();
+  }
+}
+
 // --- lexer -------------------------------------------------------------------
 
 TEST(Lexer, TokenizesIdentifiersAndKeywords) {
@@ -221,6 +263,206 @@ TEST(Lexer, SystemIdentifiers) {
   const auto tokens = lex("$display");
   EXPECT_EQ(tokens[0].kind, TokenKind::kIdentifier);
   EXPECT_EQ(tokens[0].text, "$display");
+}
+
+TEST(Lexer, EveryKeywordClassified) {
+  const std::vector<std::string> keywords = {
+      "module",   "endmodule",   "input",      "output",   "inout",
+      "wire",     "reg",         "assign",     "always",   "initial",
+      "begin",    "end",         "if",         "else",     "case",
+      "casex",    "casez",       "endcase",    "default",  "posedge",
+      "negedge",  "parameter",   "localparam", "integer",  "signed",
+      "and",      "or",          "xor",        "xnor",     "nand",
+      "nor",      "not",         "buf",        "for",      "while",
+      "function", "endfunction", "task",       "endtask",  "generate",
+      "endgenerate", "genvar",   "supply0",    "supply1",  "tri"};
+  for (const std::string& word : keywords) {
+    const auto tokens = lex(word);
+    ASSERT_EQ(tokens.size(), 2u) << word;
+    EXPECT_EQ(tokens[0].kind, TokenKind::kKeyword) << word;
+    EXPECT_EQ(tokens[0].text, word);
+    // A keyword's prefix, extension or capitalization is an identifier.
+    for (const std::string& near :
+         {word.substr(0, word.size() - 1), word + "_", word + "1",
+          std::string(1, static_cast<char>(word[0] - 'a' + 'A')) +
+              word.substr(1)}) {
+      if (near.empty() || std::find(keywords.begin(), keywords.end(),
+                                    near) != keywords.end()) {
+        continue;
+      }
+      const auto near_tokens = lex(near);
+      EXPECT_EQ(near_tokens[0].kind, TokenKind::kIdentifier) << near;
+    }
+  }
+}
+
+/// The message, line and column of the ParseError lex(source) throws.
+struct LexErrorCase {
+  std::string source;
+  std::string message;
+  int line = 0;
+  int column = 0;
+};
+
+TEST(Lexer, ErrorsPinned) {
+  const std::vector<LexErrorCase> cases = {
+      {"wire a;\n  a ` b", "unexpected character '`'", 2, 5},
+      {"wire \xe2\x82\xac;", "unexpected character '\xe2'", 1, 6},
+      {"x = 'q1", "malformed based literal", 1, 5},
+      {"x = 8'sq1", "malformed based literal", 1, 6},
+      {"s = \"abc\nd\";", "unterminated string literal", 1, 5},
+      {"s = \"abc", "unterminated string literal", 1, 5},
+      {"a \\ b", "empty escaped identifier", 1, 3},
+      {"a \\", "empty escaped identifier", 1, 3},
+  };
+  for (const LexErrorCase& c : cases) {
+    try {
+      (void)lex(c.source);
+      ADD_FAILURE() << "no error for: " << c.source;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.message(), c.message) << c.source;
+      EXPECT_EQ(e.location().line, c.line) << c.source;
+      EXPECT_EQ(e.location().column, c.column) << c.source;
+    }
+  }
+}
+
+TEST(Lexer, BackslashNewlineInsideStringIsKept) {
+  const auto tokens = lex("\"a\\\nb\" c");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kString);
+  EXPECT_EQ(tokens[0].text, "a\\\nb");
+  EXPECT_EQ(tokens[0].loc.line, 1);
+  EXPECT_EQ(tokens[0].loc.column, 1);
+  EXPECT_EQ(tokens[1].text, "c");
+  EXPECT_EQ(tokens[1].loc.line, 2);
+  EXPECT_EQ(tokens[1].loc.column, 4);
+}
+
+/// Every token of every golden-corpus source, preprocessed and lexed:
+/// kind, text bytes, line and column, in stream order.
+std::uint64_t token_hash(const std::string& src) {
+  const std::string preprocessed = preprocess(src);
+  const auto tokens = lex(preprocessed);
+  golden::Fnv1a h;
+  h.u64(tokens.size());
+  for (const Token& tok : tokens) {
+    h.u64(static_cast<std::uint64_t>(tok.kind));
+    h.str(tok.text);
+    h.u64(static_cast<std::uint64_t>(tok.loc.line));
+    h.u64(static_cast<std::uint64_t>(tok.loc.column));
+  }
+  return h.value();
+}
+
+// Recorded before the lexer was table-driven; any change to these
+// constants means the parser may see a different token stream.
+const std::map<std::string, std::uint64_t> kTokenHashes = {
+    {"iscas/c432", 0xdedc534c89c936c5ULL},
+    {"iscas_obf/c432", 0xa27258ee4b568feULL},
+    {"iscas/c499", 0xbdda31cfcd9edb0aULL},
+    {"iscas_obf/c499", 0x982eed0c548830c7ULL},
+    {"iscas/c880", 0xdcc7ba0fb58a6782ULL},
+    {"iscas_obf/c880", 0xb0eb88911b4a91faULL},
+    {"iscas/c1355", 0xa78e8a375f2ffa3eULL},
+    {"iscas_obf/c1355", 0xfe899e0522016cdaULL},
+    {"iscas/c1908", 0xddb656f0af02ab0bULL},
+    {"iscas_obf/c1908", 0x642cf2eb586abff3ULL},
+    {"iscas/c6288", 0x89cbb30df9e3ae33ULL},
+    {"iscas_obf/c6288", 0x7259a5d8faee54afULL},
+    {"netlist/nl_adder8", 0xebb8b233db0bdd0fULL},
+    {"netlist/nl_sub8", 0x8ab97c80d1eac8e6ULL},
+    {"netlist/nl_alu4", 0xf0ef64ffaed865c9ULL},
+    {"netlist/nl_mult4", 0x77114318ea3703e3ULL},
+    {"netlist/nl_parity16", 0x7dc88fb2749e90dfULL},
+    {"netlist/nl_cmp8", 0xc141a6a6146f913cULL},
+    {"netlist/nl_dec3to8", 0x3e2f97869efcf628ULL},
+    {"netlist/nl_mux8", 0xe697437a2cece307ULL},
+    {"netlist/nl_gray8", 0xf3f46407559e7e16ULL},
+    {"netlist/nl_prio8", 0xea9286c7ac59bf2aULL},
+    {"netlist/nl_ham12", 0xa7c3fb17b5fce7f9ULL},
+    {"rtl/adder/0", 0x9d5cb958468c8b6fULL},
+    {"rtl/adder/1", 0x5fbca9faf76b1b97ULL},
+    {"rtl/adder/2", 0xe4b0e5c35a597780ULL},
+    {"rtl/alu/0", 0x29e33c20c25d37f0ULL},
+    {"rtl/alu/1", 0x29e33c20c25d37f0ULL},
+    {"rtl/counter/0", 0xf21352b9cc2a23deULL},
+    {"rtl/counter/1", 0x9b3c2cc0a2c91042ULL},
+    {"rtl/gray_counter/0", 0x47f7fc067c31530dULL},
+    {"rtl/gray_counter/1", 0x719649dd4ec97b97ULL},
+    {"rtl/lfsr/0", 0x555803c326d481b7ULL},
+    {"rtl/lfsr/1", 0x46f776380f0b94b9ULL},
+    {"rtl/crc8/0", 0xbfc74e7c0e1a45d3ULL},
+    {"rtl/crc8/1", 0x61ccb43722d72af4ULL},
+    {"rtl/parity/0", 0xdf14e1f348c94a92ULL},
+    {"rtl/parity/1", 0xaae84bd643a096b3ULL},
+    {"rtl/shift_reg/0", 0x377c99124b6a51ffULL},
+    {"rtl/shift_reg/1", 0xcea656056590e326ULL},
+    {"rtl/fifo_ctrl/0", 0x1748b2c352814ddaULL},
+    {"rtl/fifo_ctrl/1", 0x69995a55c72135b1ULL},
+    {"rtl/uart_tx/0", 0x1970c7d2dafa2577ULL},
+    {"rtl/uart_tx/1", 0x48e32c1f89fa5120ULL},
+    {"rtl/uart_rx/0", 0x56dbd65dfcc91490ULL},
+    {"rtl/uart_rx/1", 0xa91765f9253da4ULL},
+    {"rtl/spi_master/0", 0x3a4e41119987fd80ULL},
+    {"rtl/spi_master/1", 0x8e77428b1d3b8c70ULL},
+    {"rtl/pwm/0", 0x5926e378ab59ebedULL},
+    {"rtl/pwm/1", 0xbc4c7e8e9d50333aULL},
+    {"rtl/traffic_fsm/0", 0x321354c675e37aaULL},
+    {"rtl/traffic_fsm/1", 0x1541160f940bd0e8ULL},
+    {"rtl/seq_detector/0", 0xddab70af0324b765ULL},
+    {"rtl/seq_detector/1", 0x95e7dd99244f25a7ULL},
+    {"rtl/multiplier/0", 0xc2f2e42198e9830dULL},
+    {"rtl/multiplier/1", 0xe397e31d4aa365f2ULL},
+    {"rtl/hamming_enc/0", 0xdd6bbafdc504a0a3ULL},
+    {"rtl/hamming_enc/1", 0xce1e75d14f3a1248ULL},
+    {"rtl/fpa/0", 0x6b1a8c09362f6bbeULL},
+    {"rtl/fpa/1", 0x11703717ca805ecdULL},
+    {"rtl/aes_round/0", 0x29181fba99bea1fcULL},
+    {"rtl/aes_round/1", 0x7e1b644c3216229fULL},
+    {"rtl/mips_single/0", 0x81179889fd1118f6ULL},
+    {"rtl/mips_single/1", 0x81179889fd1118f6ULL},
+    {"rtl/mips_pipeline/0", 0x3a0cba2fa3633a0dULL},
+    {"rtl/mips_pipeline/1", 0x3a0cba2fa3633a0dULL},
+    {"rtl/mips_multicycle/0", 0xdaee38efc81dbdb9ULL},
+    {"rtl/mips_multicycle/1", 0xdaee38efc81dbdb9ULL},
+    {"rtl/barrel_shifter/0", 0x54b014c310f0622dULL},
+    {"rtl/barrel_shifter/1", 0xc61074686c6b891dULL},
+    {"rtl/bcd_counter/0", 0x4fe4dd62af25df27ULL},
+    {"rtl/bcd_counter/1", 0x788c8dfeb87fa244ULL},
+    {"rtl/johnson_counter/0", 0x87b5814321f59dfeULL},
+    {"rtl/johnson_counter/1", 0x7c89f13fd93d6636ULL},
+    {"rtl/clock_divider/0", 0xd5a22573f414caf2ULL},
+    {"rtl/clock_divider/1", 0x5b697cd7519e3f1ULL},
+    {"rtl/debouncer/0", 0x908390baa26e8047ULL},
+    {"rtl/debouncer/1", 0x240525a21c166b34ULL},
+    {"rtl/majority_voter/0", 0x86a376e2b7723327ULL},
+    {"rtl/majority_voter/1", 0xd7e0575d7722905dULL},
+    {"rtl/popcount/0", 0x3924f2591a575d7dULL},
+    {"rtl/popcount/1", 0xa3caf6ddf7abf41dULL},
+    {"rtl/divider/0", 0xf0ee6355edc13b82ULL},
+    {"rtl/divider/1", 0xc1544c2373685718ULL},
+    {"rtl/rr_arbiter/0", 0x74890f99a088a22eULL},
+    {"rtl/rr_arbiter/1", 0xf1597febffc3778bULL},
+    {"rtl/moving_average/0", 0x9bd91a81120d9630ULL},
+    {"rtl/moving_average/1", 0x11c47f85ca13d92eULL},
+    {"rtl/sqrt/0", 0x882bd48feaa196e7ULL},
+    {"rtl/sqrt/1", 0xc2bff069d84b204ULL},
+};
+
+TEST(LexerGolden, TokenStreamsByteIdentical) {
+  const auto designs = golden::designs();
+  EXPECT_EQ(designs.size(), kTokenHashes.size());
+  for (const auto& [label, src] : designs) {
+    const std::uint64_t hash = token_hash(src);
+    const auto it = kTokenHashes.find(label);
+    if (it == kTokenHashes.end()) {
+      ADD_FAILURE() << "no golden hash: {\"" << label << "\", 0x" << std::hex
+                    << hash << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(hash, it->second) << label;
+  }
 }
 
 // --- parser ------------------------------------------------------------------
