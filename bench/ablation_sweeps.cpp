@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
 #include "data/corpus.h"
+#include "dfg/pipeline.h"
 
 namespace {
 
@@ -34,14 +36,24 @@ bench::TrainSetup reduced_setup() {
   return setup;
 }
 
-double run_config(const std::vector<data::CorpusItem>& items,
-                  const gnn::Hw2VecConfig& config, bool run_trim) {
-  dfg::PipelineOptions pipeline;
-  pipeline.run_trim = run_trim;
+/// make_graph_entries without the trim: dfg::build_dfg's graphs.
+std::vector<train::GraphEntry> untrimmed_entries(
+    const std::vector<data::CorpusItem>& items) {
+  std::vector<train::GraphEntry> entries;
+  entries.reserve(items.size());
+  for (const data::CorpusItem& item : items) {
+    entries.push_back(
+        {item.name, item.design, gnn::featurize(dfg::build_dfg(item.verilog))});
+  }
+  return entries;
+}
+
+double run_config(std::vector<train::GraphEntry> entries,
+                  const gnn::Hw2VecConfig& config) {
   bench::TrainSetup setup = reduced_setup();
   setup.model = config;
   const bench::TrainedModel tm =
-      bench::train_model(make_graph_entries(items, pipeline), setup);
+      bench::train_model(std::move(entries), setup);
   return tm.eval.confusion.accuracy();
 }
 
@@ -51,6 +63,7 @@ int main() {
   bench::print_header("Ablations: readout / pooling ratio / depth / trim");
   const auto items = ablation_corpus();
   std::printf("corpus: %zu RTL instances over 10 families\n", items.size());
+  const std::vector<train::GraphEntry> trimmed = make_graph_entries(items);
 
   {
     std::printf("\nAblation 1 — readout operator (paper: max)\n");
@@ -60,7 +73,7 @@ int main() {
       gnn::Hw2VecConfig config;
       config.readout = r;
       std::printf("  %-10s %9.2f%%\n", to_string(r),
-                  100.0 * run_config(items, config, true));
+                  100.0 * run_config(trimmed, config));
     }
   }
 
@@ -71,7 +84,7 @@ int main() {
       gnn::Hw2VecConfig config;
       config.pool_ratio = ratio;
       std::printf("  %-10.2f %9.2f%%\n", static_cast<double>(ratio),
-                  100.0 * run_config(items, config, true));
+                  100.0 * run_config(trimmed, config));
     }
   }
 
@@ -82,18 +95,18 @@ int main() {
       gnn::Hw2VecConfig config;
       config.num_layers = layers;
       std::printf("  %-10zu %9.2f%%\n", layers,
-                  100.0 * run_config(items, config, true));
+                  100.0 * run_config(trimmed, config));
     }
   }
 
   {
     std::printf("\nAblation 4 — DFG trim pass (paper: on, Fig. 2 phase 5)\n");
     std::printf("  %-10s %10s\n", "trim", "accuracy");
-    for (const bool run_trim : {true, false}) {
-      gnn::Hw2VecConfig config;
-      std::printf("  %-10s %9.2f%%\n", run_trim ? "on" : "off",
-                  100.0 * run_config(items, config, run_trim));
-    }
+    std::printf("  %-10s %9.2f%%\n", "on",
+                100.0 * run_config(trimmed, gnn::Hw2VecConfig{}));
+    std::printf("  %-10s %9.2f%%\n", "off",
+                100.0 * run_config(untrimmed_entries(items),
+                                   gnn::Hw2VecConfig{}));
   }
 
   std::printf(

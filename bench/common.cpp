@@ -3,6 +3,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+
+#include "core/cosine_kernels.h"
 
 namespace gnn4ip::bench {
 
@@ -34,10 +37,10 @@ tensor::Matrix TrainedModel::embed(const train::GraphEntry& entry) const {
 }
 
 float cosine(const tensor::Matrix& a, const tensor::Matrix& b) {
-  const float ab = tensor::dot(a, b);
-  const float denom =
-      std::max(a.frobenius_norm() * b.frobenius_norm(), 1e-8F);
-  return ab / denom;
+  const std::span<const float> x = a.data();
+  const std::span<const float> y = b.data();
+  return core::cosine_cell(x.data(), y.data(), x.size(),
+                           core::row_norm(x) * core::row_norm(y));
 }
 
 TrainedModel train_model(std::vector<train::GraphEntry> entries,

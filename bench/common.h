@@ -48,7 +48,8 @@ struct TrainedModel {
   [[nodiscard]] tensor::Matrix embed(const train::GraphEntry& entry) const;
 };
 
-/// Cosine similarity of two embedding rows.
+/// Cosine similarity of two embedding rows: core::cosine_cell, the
+/// cell the trainer tunes δ on and every verdict is scored with.
 [[nodiscard]] float cosine(const tensor::Matrix& a, const tensor::Matrix& b);
 
 struct TrainSetup {

@@ -26,6 +26,7 @@
 #include "dist/shard_server.h"
 #include "train/trainer.h"
 #include "verilog/parser.h"
+#include "verilog/preprocess.h"
 
 namespace {
 

@@ -26,6 +26,9 @@ break them:
                   reduction order is the determinism contract's hot
                   surface; it is centralized in the kernel file where
                   the ascending-k fold order is pinned and tested.
+                  Calls to tensor::dot( and .frobenius_norm( count too:
+                  they fold in double inside src/tensor, so a score
+                  built from them drifts from cosine_cell's bits.
 
   unordered-iter  Range-for over a declared unordered container in
                   src/core or src/audit. Iteration order of
@@ -92,7 +95,10 @@ RAW_SOCKET_RE = re.compile(
     r"|#\s*include\s*<(?:sys/socket\.h|sys/un\.h|sys/uio\.h|netinet/[\w/.]+"
     r"|arpa/[\w/.]+|netdb\.h|poll\.h)>"
 )
-ACCUM_CALL_RE = re.compile(r"std::(?:accumulate|reduce)\b")
+ACCUM_CALL_RE = re.compile(
+    r"std::(?:accumulate|reduce)\b"
+    r"|\btensor::dot\s*\(|\.\s*frobenius_norm\s*\("
+)
 # A float/double scalar or C array (`float acc[8] = {}`), or a
 # std::array of them (`std::array<float, 8> acc{}`): the names whose
 # `+=`/`-=` is an accumulation. Group 1 or group 2 holds the name.

@@ -109,6 +109,17 @@ check("fp-accum quiet on reads and stores of an array",
 check("fp-accum fires on std::accumulate",
       {"src/audit/a.cpp": "auto s = std::accumulate(v.begin(), v.end(), 0.0);\n"},
       ["fp-accum"])
+check("fp-accum fires on a tensor::dot / frobenius_norm score",
+      {"src/core/gnn4ip.cpp":
+       "const float ab = tensor::dot(ha, hb);\n"
+       "const float n = ha.frobenius_norm() * hb.frobenius_norm();\n"},
+      ["fp-accum", "fp-accum"])
+check("fp-accum quiet on tensor::dot outside core/audit and on cosine_cell",
+      {"src/train/a.cpp": "const float ab = tensor::dot(ha, hb);\n",
+       "src/core/gnn4ip.cpp":
+       "return core::cosine_cell(a, b, d, row_norm(a) * row_norm(b));\n"
+       "const float n = frobenius_norm_of(x);\n"},
+      [])
 
 # ------------------------------------------------------------ unordered-iter
 check("unordered-iter fires on range-for over unordered member",

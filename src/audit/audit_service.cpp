@@ -155,7 +155,6 @@ AuditService::AuditService(gnn::Hw2Vec model, const AuditOptions& options,
     : options_(options),
       model_(std::move(model)),
       model_fingerprint_(gnn::model_fingerprint(model_)),
-      pipeline_(options.pipeline),
       queue_(options.queue_capacity),
       corpus_(std::move(corpus)) {
   GNN4IP_ENSURE(corpus_ != nullptr,
@@ -223,24 +222,6 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
       drop(evictable_.front());
     }
   }
-  // Per-shard budgets, enforced in the same order and with the same
-  // pinning rules but restricted to rows placed in the over-budget
-  // shard: one hot shard (hash skew, adversarial names) cannot crowd
-  // out the rest of the resident cache. A shard holding only pinned
-  // library IP stays over budget.
-  if (options_.shard_budget > 0) {
-    for (std::size_t s = 0; s < corpus_->num_shards(); ++s) {
-      std::size_t pos = 0;  // evictable_[pos, ...) not yet ruled out
-      while (corpus_->shard_live_count(s) > options_.shard_budget) {
-        while (pos < evictable_.size() &&
-               corpus_->shard_of(evictable_[pos]) != s) {
-          ++pos;
-        }
-        if (pos == evictable_.size()) break;
-        drop(evictable_[pos]);
-      }
-    }
-  }
   // No tombstones (nothing evicted or replaced): indices are already
   // final, so skip the compaction pass and the name-index rewrite —
   // this keeps building a large pinned library O(N), not O(N²). An
@@ -279,7 +260,7 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
 
 Submission AuditService::add_library(std::string name,
                                      const std::string& verilog_source) {
-  const CompileResult compiled = pipeline_.compile(verilog_source);
+  const CompileResult compiled = compile_rtl(verilog_source);
   if (!compiled.ok) {
     Submission s;
     s.name = std::move(name);
@@ -439,7 +420,7 @@ std::vector<ScreenReport> AuditService::screen_batch(
       AuditItem& item = batch[i];
       reports[i].submission.name = item.name;
       if (item.from_source) {
-        CompileResult compiled = pipeline_.compile(item.source);
+        CompileResult compiled = compile_rtl(item.source);
         if (!compiled.ok) {
           reports[i].submission.error = std::move(compiled.error);
           return;

@@ -17,9 +17,9 @@
 //
 // Error handling is Result-style per submission: a malformed design
 // yields a Diagnostic in its ScreenReport and never kills the batch.
-// The resident cache is bounded by max_resident, plus an optional
-// per-shard budget; the victim is always the oldest unpinned row by
-// admission order, and pinned library entries are never evicted.
+// The resident cache is bounded by max_resident; the victim is always
+// the oldest unpinned row by admission order, and pinned library
+// entries are never evicted.
 //
 // Commit semantics (the determinism contract): every submission commits
 // *individually*, in admission-ticket order — admit, score against the
@@ -70,7 +70,7 @@ struct AuditOptions {
   core::ScorerOptions scorer;
   /// Shards of the resident corpus (deterministic name-hash placement).
   /// Verdicts are bit-identical for any value; more shards buy parallel
-  /// scoring fan-out and independent eviction budgets.
+  /// scoring fan-out.
   std::size_t num_shards = 1;
   /// Resident-cache bound (live rows). 0 = unbounded. Over the bound,
   /// the oldest unpinned row by admission order is evicted (the service
@@ -78,15 +78,9 @@ struct AuditOptions {
   /// it the newest). Pinned library entries count toward the bound but
   /// are never evicted, so a fully pinned corpus may exceed it.
   std::size_t max_resident = 0;
-  /// Per-shard live-row budget (0 = unbounded). Enforced after
-  /// max_resident with the same order and pinning rules — the victim is
-  /// the hot shard's oldest unpinned row — so one hot shard cannot
-  /// monopolize the resident cache.
-  std::size_t shard_budget = 0;
   /// Capacity of the bounded submission queue; submit() refuses work
   /// beyond this until the consumer screens.
   std::size_t queue_capacity = 256;
-  dfg::PipelineOptions pipeline;
 };
 
 /// One design handed to screen_batch(): either Verilog source to
@@ -315,11 +309,10 @@ class AuditService {
   void drop(std::size_t index) GNN4IP_REQUIRES(state_mu_);
   /// Remove `index` from evictable_ if it is there.
   void forget_evictable(std::size_t index) GNN4IP_REQUIRES(state_mu_);
-  /// Evict down to max_resident, then down to shard_budget per shard
-  /// (never pinned entries), then compact the corpus and remap the name
-  /// index. Returns the old→new mapping; empty when nothing was removed
-  /// (indices unchanged). Caller holds the commit slot and state_mu_
-  /// exclusively.
+  /// Evict down to max_resident (never pinned entries), then compact
+  /// the corpus and remap the name index. Returns the old→new mapping;
+  /// empty when nothing was removed (indices unchanged). Caller holds
+  /// the commit slot and state_mu_ exclusively.
   std::vector<std::size_t> enforce_capacity_and_compact()
       GNN4IP_REQUIRES(state_mu_);
 
@@ -327,7 +320,6 @@ class AuditService {
   gnn::Hw2Vec model_;
   /// Computed once at construction; snapshots record and validate it.
   std::string model_fingerprint_;
-  Pipeline pipeline_;
   util::BoundedQueue<AuditItem> queue_;
 
   /// The one lock of the resident corpus and the service state around

@@ -1,14 +1,11 @@
 #include "audit/pipeline.h"
 
-#include "util/thread_pool.h"
-
 namespace gnn4ip::audit {
 
-CompileResult compile_rtl(const std::string& verilog_source,
-                          const dfg::PipelineOptions& pipeline) {
+CompileResult compile_rtl(const std::string& verilog_source) {
   CompileResult result;
   try {
-    result.design.dfg = dfg::extract_dfg(verilog_source, pipeline);
+    result.design.dfg = dfg::extract_dfg(verilog_source);
     result.design.tensors = gnn::featurize(result.design.dfg);
     result.ok = true;
   } catch (const verilog::ParseError& e) {
@@ -20,15 +17,6 @@ CompileResult compile_rtl(const std::string& verilog_source,
     result.error = {e.what(), {}};
   }
   return result;
-}
-
-std::vector<CompileResult> Pipeline::compile_batch(
-    std::span<const std::string> sources, std::size_t num_threads) const {
-  std::vector<CompileResult> results(sources.size());
-  util::parallel_for(sources.size(), num_threads, [&](std::size_t i) {
-    results[i] = compile(sources[i]);
-  });
-  return results;
 }
 
 }  // namespace gnn4ip::audit

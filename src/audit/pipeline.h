@@ -3,16 +3,12 @@
 // packaged so one malformed design yields a per-design Diagnostic
 // instead of an exception that kills the whole batch.
 //
-// These are the stable, composable stage signatures the AuditService is
-// built on; anything that needs "Verilog text in, GNN tensors out"
-// (examples, the CLI, a future daemon) goes through compile_rtl /
-// Pipeline rather than hand-wiring dfg::extract_dfg + gnn::featurize.
+// compile_rtl is the stage the AuditService is built on; anything that
+// needs "Verilog text in, GNN tensors out" (examples, the CLI) goes
+// through it rather than hand-wiring dfg::extract_dfg + gnn::featurize.
 #pragma once
 
-#include <cstddef>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "dfg/pipeline.h"
 #include "gnn/featurize.h"
@@ -51,33 +47,6 @@ struct CompileResult {
 /// Compile one Verilog source (RTL or gate-level netlist) into GNN
 /// tensors. Malformed input is reported through the returned Diagnostic;
 /// only internal library bugs (util::ContractViolation) still throw.
-[[nodiscard]] CompileResult compile_rtl(
-    const std::string& verilog_source,
-    const dfg::PipelineOptions& pipeline = {});
-
-/// Reusable compile stage with fixed options — the form AuditService
-/// holds, and the unit a batch fan-out parallelizes over.
-class Pipeline {
- public:
-  explicit Pipeline(const dfg::PipelineOptions& pipeline = {})
-      : pipeline_(pipeline) {}
-
-  [[nodiscard]] CompileResult compile(const std::string& verilog_source) const {
-    return compile_rtl(verilog_source, pipeline_);
-  }
-
-  /// Compile a batch in parallel (0 threads = shared pool). Results are
-  /// positionally aligned with `sources`; designs are independent, so
-  /// the output is bit-identical for any worker count.
-  [[nodiscard]] std::vector<CompileResult> compile_batch(
-      std::span<const std::string> sources, std::size_t num_threads = 0) const;
-
-  [[nodiscard]] const dfg::PipelineOptions& pipeline_options() const {
-    return pipeline_;
-  }
-
- private:
-  dfg::PipelineOptions pipeline_;
-};
+[[nodiscard]] CompileResult compile_rtl(const std::string& verilog_source);
 
 }  // namespace gnn4ip::audit

@@ -2,8 +2,8 @@
 //
 // audit::AuditService drives exactly one corpus surface: admissions
 // (add/remove/compact), verdict-shaped screening (screen_new_rows),
-// ranking (top_k), shard introspection for the eviction budgets,
-// snapshot save/restore, and the worker fan-out its batch phases ride.
+// ranking (top_k), the shard count, snapshot save/restore, and the
+// worker fan-out its batch phases ride.
 // This interface names that surface, so the commit turnstile,
 // eviction, and snapshot layers run unchanged on top of any
 // implementation:
@@ -84,10 +84,7 @@ class CorpusBackend {
   [[nodiscard]] virtual bool live(std::size_t i) const = 0;
   [[nodiscard]] virtual const std::string& name(std::size_t i) const = 0;
 
-  // ---- Shard introspection (eviction budgets) ---------------------------
   [[nodiscard]] virtual std::size_t num_shards() const = 0;
-  [[nodiscard]] virtual std::size_t shard_of(std::size_t i) const = 0;
-  [[nodiscard]] virtual std::size_t shard_live_count(std::size_t s) const = 0;
 
   // ---- Scoring (bit-identical across implementations) -------------------
   [[nodiscard]] virtual std::vector<ScreenRow> screen_new_rows(

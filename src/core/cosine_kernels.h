@@ -1,13 +1,14 @@
 // Free-function cosine kernel and the scoring knobs every layer shares.
 //
-// Every similarity the repo reports — core::shard_sweep (behind both
-// ShardedCorpus and dist::ShardServer) and, through them,
-// audit::AuditService — is an ascending-k dot finished by
-// cosine_finish, so the arithmetic (accumulation order, norm floor,
-// clamping) is defined exactly once, in this file. That single
-// definition is what makes the repo's determinism guarantee
-// composable: any path that scores the same two rows produces the same
-// bits, no matter which layer asked.
+// Every similarity a verdict reports — core::shard_sweep (behind both
+// ShardedCorpus and dist::ShardServer), through them
+// audit::AuditService, and PiracyDetector::similarity's cosine_cell —
+// and every score δ is tuned on (train::Trainer's evaluate and
+// score_pairs) is an ascending-k dot finished by cosine_finish, so the
+// arithmetic (accumulation order, norm floor, clamping) is defined
+// exactly once, in this file. That single definition is what makes the
+// repo's determinism guarantee composable: any path that scores the
+// same two rows produces the same bits, no matter which layer asked.
 //
 // Per-cell arithmetic: dot product accumulated in ascending-k order
 // starting from 0, norms as sqrt of an ascending-k sum of squares,
@@ -47,10 +48,9 @@ struct PairScore {
   float similarity = 0.0F;  // Ŷ ∈ [−1, 1]
 };
 
-/// Guard on the norm *product*, exactly like PiracyDetector::similarity:
-/// all-zero embeddings score 0 instead of NaN, and the result is clamped
-/// into the documented [-1, 1] so every path agrees bit-for-bit on
-/// degenerate inputs too.
+/// Guard on the norm *product*: all-zero embeddings score 0 instead of
+/// NaN, and the result is clamped into the documented [-1, 1] so every
+/// path agrees bit-for-bit on degenerate inputs too.
 inline constexpr float kNormFloor = 1e-8F;
 
 /// Euclidean norm of one row (ascending-k sum of squares, then sqrt) —

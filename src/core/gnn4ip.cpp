@@ -1,29 +1,27 @@
 #include "core/gnn4ip.h"
 
-#include <algorithm>
-#include <cmath>
+#include <span>
 
+#include "core/cosine_kernels.h"
 #include "gnn/model_io.h"
 
 namespace gnn4ip {
 
-train::GraphEntry make_graph_entry(const data::CorpusItem& item,
-                                   const dfg::PipelineOptions& pipeline) {
+train::GraphEntry make_graph_entry(const data::CorpusItem& item) {
   train::GraphEntry entry;
   entry.name = item.name;
   entry.design = item.design;
-  const graph::Digraph g = dfg::extract_dfg(item.verilog, pipeline);
+  const graph::Digraph g = dfg::extract_dfg(item.verilog);
   entry.tensors = gnn::featurize(g);
   return entry;
 }
 
 std::vector<train::GraphEntry> make_graph_entries(
-    const std::vector<data::CorpusItem>& items,
-    const dfg::PipelineOptions& pipeline) {
+    const std::vector<data::CorpusItem>& items) {
   std::vector<train::GraphEntry> entries;
   entries.reserve(items.size());
   for (const data::CorpusItem& item : items) {
-    entries.push_back(make_graph_entry(item, pipeline));
+    entries.push_back(make_graph_entry(item));
   }
   return entries;
 }
@@ -45,7 +43,7 @@ train::EvalResult PiracyDetector::train_on(
 }
 
 tensor::Matrix PiracyDetector::embed(const std::string& verilog_source) {
-  const graph::Digraph g = dfg::extract_dfg(verilog_source, config_.pipeline);
+  const graph::Digraph g = dfg::extract_dfg(verilog_source);
   const gnn::GraphTensors tensors = gnn::featurize(g);
   return model_.embed_inference(tensors);
 }
@@ -58,11 +56,12 @@ float PiracyDetector::similarity(const std::string& verilog_a,
                                  const std::string& verilog_b) {
   const tensor::Matrix ha = embed(verilog_a);
   const tensor::Matrix hb = embed(verilog_b);
-  const float ab = tensor::dot(ha, hb);
-  const float denom =
-      std::max(ha.frobenius_norm() * hb.frobenius_norm(), 1e-8F);
-  // Clamp float rounding so Ŷ stays within the documented [-1, 1].
-  return std::clamp(ab / denom, -1.0F, 1.0F);
+  const std::span<const float> a = ha.data();
+  const std::span<const float> b = hb.data();
+  // The corpus sweep's cell: a pair scores the same bits here as
+  // through audit::AuditService.
+  return core::cosine_cell(a.data(), b.data(), a.size(),
+                           core::row_norm(a) * core::row_norm(b));
 }
 
 Verdict PiracyDetector::check(const std::string& verilog_a,

@@ -27,17 +27,13 @@ namespace gnn4ip {
 
 /// Convert one corpus item (Verilog text + labels) into a featurized
 /// dataset entry. Throws verilog::ParseError on malformed sources.
-[[nodiscard]] train::GraphEntry make_graph_entry(
-    const data::CorpusItem& item,
-    const dfg::PipelineOptions& pipeline = {});
+[[nodiscard]] train::GraphEntry make_graph_entry(const data::CorpusItem& item);
 
 [[nodiscard]] std::vector<train::GraphEntry> make_graph_entries(
-    const std::vector<data::CorpusItem>& items,
-    const dfg::PipelineOptions& pipeline = {});
+    const std::vector<data::CorpusItem>& items);
 
 struct DetectorConfig {
   gnn::Hw2VecConfig model;         // paper §IV defaults
-  dfg::PipelineOptions pipeline;
   float delta = 0.5F;              // decision boundary δ
   /// Pair-set construction for train_on; defaults to the paper's
   /// ~3.49:1 different:similar ratio (§IV-A).

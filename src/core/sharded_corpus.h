@@ -6,7 +6,7 @@
 // EmbeddingStore shards by a deterministic hash of the design *name*
 // (FNV-1a — stable across runs, platforms, and shard-local history), so
 // placement never depends on arrival order, and per-shard work (scoring
-// sweeps, compaction, eviction budgets) can proceed independently.
+// sweeps, compaction) can proceed independently.
 //
 // Callers never see shard-local indices. Every public index is a
 // *global* id assigned in insertion order: add() returns N, remove(i)
@@ -93,8 +93,9 @@ class ShardedCorpus final : public CorpusBackend {
 
   // ---- Shard introspection ----------------------------------------------
   [[nodiscard]] std::size_t num_shards() const override { return shards_.size(); }
-  [[nodiscard]] std::size_t shard_of(std::size_t i) const override;
-  [[nodiscard]] std::size_t shard_live_count(std::size_t s) const override;
+  /// The shard holding global row `i`, and shard `s`'s live rows.
+  [[nodiscard]] std::size_t shard_of(std::size_t i) const;
+  [[nodiscard]] std::size_t shard_live_count(std::size_t s) const;
 
   // ---- Scoring (bit-identical for any shard count × worker count) ------
   /// Verdict-shaped screening: for every row with global index ≥

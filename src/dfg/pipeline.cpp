@@ -3,23 +3,23 @@
 #include "dfg/dataflow.h"
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
+#include "dfg/trim.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
 
 namespace gnn4ip::dfg {
 
-graph::Digraph extract_dfg(const std::string& verilog_source,
-                           const PipelineOptions& options) {
-  const verilog::Design design =
-      verilog::parse(verilog_source, options.preprocess);
-  const std::string top =
-      options.top.empty() ? verilog::infer_top_module(design) : options.top;
-  const verilog::Module flat = verilog::elaborate(design, top);
+graph::Digraph build_dfg(const std::string& verilog_source) {
+  const verilog::Design design = verilog::parse(verilog_source);
+  const verilog::Module flat =
+      verilog::elaborate(design, verilog::infer_top_module(design));
   const std::vector<SignalDriver> drivers = analyze_dataflow(flat);
-  graph::Digraph g = merge_drivers(flat, drivers);
-  if (options.run_trim) {
-    trim(g, options.trim);
-  }
+  return merge_drivers(flat, drivers);
+}
+
+graph::Digraph extract_dfg(const std::string& verilog_source) {
+  graph::Digraph g = build_dfg(verilog_source);
+  trim(g);
   return g;
 }
 

@@ -2,28 +2,26 @@
 //   preprocess → parse HDL → data-flow analysis → merge graphs → trim.
 //
 // Works for both RTL code and gate-level netlists in Verilog format.
+// The one configuration: the top module is inferred (the unique
+// uninstantiated module) and the trim always runs. build_dfg is every
+// stage but the trim, for the trim ablation and the tests that look at
+// the graph before it.
 #pragma once
 
 #include <string>
 
-#include "dfg/trim.h"
 #include "graph/digraph.h"
-#include "verilog/preprocess.h"
 
 namespace gnn4ip::dfg {
 
-struct PipelineOptions {
-  /// Top module name; empty = infer (unique uninstantiated module).
-  std::string top;
-  verilog::PreprocessOptions preprocess;
-  bool run_trim = true;
-  TrimOptions trim;
-};
-
-/// Extract the final DFG for a Verilog source buffer. Throws
+/// The merged DFG of a Verilog source buffer, untrimmed: parse →
+/// elaborate the inferred top → data-flow analysis → merge. Throws
 /// verilog::ParseError on malformed input.
-[[nodiscard]] graph::Digraph extract_dfg(const std::string& verilog_source,
-                                         const PipelineOptions& options = {});
+[[nodiscard]] graph::Digraph build_dfg(const std::string& verilog_source);
+
+/// Extract the final DFG for a Verilog source buffer: build_dfg, then
+/// trim. Throws verilog::ParseError on malformed input.
+[[nodiscard]] graph::Digraph extract_dfg(const std::string& verilog_source);
 
 /// Summary counters useful for Table-I style reporting.
 struct DfgSummary {

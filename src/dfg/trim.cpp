@@ -8,36 +8,29 @@
 
 namespace gnn4ip::dfg {
 
-TrimStats trim(graph::Digraph& g, const TrimOptions& options) {
+void trim(graph::Digraph& g) {
   using graph::NodeId;
-  TrimStats stats;
 
-  if (options.drop_dead_constants) {
-    std::vector<NodeId> dead;
-    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-      const auto id = static_cast<NodeId>(v);
-      if (g.node(id).kind == static_cast<int>(NodeKind::kConstant) &&
-          g.in_degree(id) == 0) {
-        dead.push_back(id);
-      }
+  std::vector<NodeId> dead;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<NodeId>(v);
+    if (g.node(id).kind == static_cast<int>(NodeKind::kConstant) &&
+        g.in_degree(id) == 0) {
+      dead.push_back(id);
     }
-    stats.removed_constants = dead.size();
-    if (!dead.empty()) g.remove_nodes(dead);
   }
+  if (!dead.empty()) g.remove_nodes(dead);
 
-  if (options.drop_isolated) {
-    std::vector<NodeId> isolated;
-    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-      const auto id = static_cast<NodeId>(v);
-      if (g.in_degree(id) == 0 && g.out_degree(id) == 0) {
-        isolated.push_back(id);
-      }
+  std::vector<NodeId> isolated;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<NodeId>(v);
+    if (g.in_degree(id) == 0 && g.out_degree(id) == 0) {
+      isolated.push_back(id);
     }
-    stats.removed_isolated = isolated.size();
-    if (!isolated.empty()) g.remove_nodes(isolated);
   }
+  if (!isolated.empty()) g.remove_nodes(isolated);
 
-  if (options.drop_componentless_outputs && g.num_nodes() > 0) {
+  if (g.num_nodes() > 0) {
     const std::vector<int> component = graph::weakly_connected_components(g);
     const int num_components =
         1 + *std::max_element(component.begin(), component.end());
@@ -69,12 +62,9 @@ TrimStats trim(graph::Digraph& g, const TrimOptions& options) {
           to_remove.push_back(static_cast<NodeId>(v));
         }
       }
-      stats.removed_disconnected = to_remove.size();
       if (!to_remove.empty()) g.remove_nodes(to_remove);
     }
   }
-
-  return stats;
 }
 
 }  // namespace gnn4ip::dfg

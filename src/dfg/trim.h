@@ -6,26 +6,12 @@
 
 namespace gnn4ip::dfg {
 
-struct TrimOptions {
-  /// Drop weakly-connected components that contain no output node. When a
-  /// graph has no output node at all, the largest component is kept.
-  bool drop_componentless_outputs = true;
-  /// Remove isolated nodes (degree zero) — typically declared-but-unused
-  /// nets.
-  bool drop_isolated = true;
-  /// Remove constant nodes that feed nothing (can appear when a driver
-  /// tree was rewritten away).
-  bool drop_dead_constants = true;
-};
-
-/// Statistics returned by trim for logging/tests.
-struct TrimStats {
-  std::size_t removed_isolated = 0;
-  std::size_t removed_disconnected = 0;
-  std::size_t removed_constants = 0;
-};
-
-/// Trim `g` in place; returns what was removed.
-TrimStats trim(graph::Digraph& g, const TrimOptions& options = {});
+/// Trim `g` in place, in three steps:
+///   1. constant nodes that feed nothing (a driver tree rewritten away);
+///   2. isolated nodes (degree zero) — typically declared-but-unused
+///      nets;
+///   3. weakly-connected components that contain no output node. When a
+///      graph has no output node at all, the largest component is kept.
+void trim(graph::Digraph& g);
 
 }  // namespace gnn4ip::dfg

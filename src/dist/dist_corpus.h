@@ -92,8 +92,9 @@ class DistCorpus final : public core::CorpusBackend {
 
   // ---- Shard introspection ----------------------------------------------
   [[nodiscard]] std::size_t num_shards() const override;
-  [[nodiscard]] std::size_t shard_of(std::size_t i) const override;
-  [[nodiscard]] std::size_t shard_live_count(std::size_t s) const override;
+  /// The shard holding global row `i`, and shard `s`'s live rows.
+  [[nodiscard]] std::size_t shard_of(std::size_t i) const;
+  [[nodiscard]] std::size_t shard_live_count(std::size_t s) const;
 
   // ---- Scoring (bit-identical to ShardedCorpus) -------------------------
   [[nodiscard]] std::vector<core::ScreenRow> screen_new_rows(

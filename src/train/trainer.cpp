@@ -5,7 +5,9 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <span>
 
+#include "core/cosine_kernels.h"
 #include "util/contract.h"
 #include "util/thread_pool.h"
 
@@ -17,12 +19,14 @@ namespace {
 /// similarity the tape would have computed.
 constexpr float kCosineEps = 1e-8F;
 
-/// Cosine similarity of two dense rows (inference path, no tape).
+/// Cosine similarity of two embeddings (inference path, no tape):
+/// core::cosine_cell, the cell every verdict is scored with, so δ is
+/// tuned on the same bits it is later compared against.
 float cosine(const tensor::Matrix& a, const tensor::Matrix& b) {
-  const float ab = tensor::dot(a, b);
-  const float na = a.frobenius_norm();
-  const float nb = b.frobenius_norm();
-  return ab / std::max(na * nb, kCosineEps);
+  const std::span<const float> x = a.data();
+  const std::span<const float> y = b.data();
+  return core::cosine_cell(x.data(), y.data(), x.size(),
+                           core::row_norm(x) * core::row_norm(y));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/contract.h"
+#include "verilog/preprocess.h"
 
 namespace gnn4ip::verilog {
 namespace {
@@ -846,8 +847,8 @@ class Parser {
 
 }  // namespace
 
-Design parse(const std::string& source, const PreprocessOptions& pp_options) {
-  const std::string preprocessed = preprocess(source, pp_options);
+Design parse(const std::string& source) {
+  const std::string preprocessed = preprocess(source);
   return parse_tokens(lex(preprocessed));
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "verilog/ast.h"
-#include "verilog/preprocess.h"
 #include "verilog/token.h"
 
 namespace gnn4ip::verilog {
@@ -20,8 +19,7 @@ namespace gnn4ip::verilog {
 inline constexpr int kMaxNestingDepth = 1000;
 
 /// Preprocess + lex + parse a Verilog source buffer.
-[[nodiscard]] Design parse(const std::string& source,
-                           const PreprocessOptions& pp_options = {});
+[[nodiscard]] Design parse(const std::string& source);
 
 /// Parse an already-lexed token stream. The tokens view the buffer they
 /// were lexed from, which must outlive this call; the returned Design

@@ -1,6 +1,7 @@
 #include "verilog/preprocess.h"
 
 #include <cctype>
+#include <map>
 #include <vector>
 
 #include "util/string_util.h"
@@ -42,24 +43,13 @@ struct Cursor {
 
 class Preprocessor {
  public:
-  Preprocessor(const PreprocessOptions& options) : options_(options) {
-    defines_ = options.defines;
-  }
-
-  /// Conditionals balance within each file: `base` is the depth of
-  /// `cond_stack_` when this file starts, which its `else/`endif may not
-  /// pop below and at which it must end.
-  std::string run(const std::string& source, int depth) {
-    if (depth > options_.max_include_depth) {
-      throw ParseError("maximum `include depth exceeded", {1, 1});
-    }
-    const std::size_t base = cond_stack_.size();
+  std::string run(const std::string& source) {
     Cursor cur;
     cur.text = &source;
     std::string out;
     out.reserve(source.size());
-    scan(cur, out, depth, base);
-    if (cond_stack_.size() != base) {
+    scan(cur, out, 0);
+    if (!cond_stack_.empty()) {
       throw ParseError("unterminated `ifdef/`ifndef", cur.loc());
     }
     return out;
@@ -70,17 +60,19 @@ class Preprocessor {
 
   /// Copy `cur`'s text to `out`, minus comments and inactive regions,
   /// running every directive and expanding every macro on the way.
-  void scan(Cursor& cur, std::string& out, int depth, std::size_t base) {
+  /// `base` is the depth of `cond_stack_` when the text starts, which
+  /// its `else/`endif may not pop below.
+  void scan(Cursor& cur, std::string& out, std::size_t base) {
     while (!cur.at_end()) {
       const char c = cur.peek();
       if (c == '/' && cur.peek(1) == '/') {
-        skip_line_comment(cur, out);
+        skip_line_comment(cur);
       } else if (c == '/' && cur.peek(1) == '*') {
         skip_block_comment(cur, out);
       } else if (c == '"') {
         copy_string_literal(cur, out);
       } else if (c == '`') {
-        handle_directive(cur, out, depth, base);
+        handle_directive(cur, out, base);
       } else {
         if (emitting()) {
           out.push_back(c);
@@ -92,9 +84,9 @@ class Preprocessor {
     }
   }
 
-  static void skip_line_comment(Cursor& cur, std::string& out) {
+  /// Stops at the newline, which the main loop copies.
+  static void skip_line_comment(Cursor& cur) {
     while (!cur.at_end() && cur.peek() != '\n') cur.advance();
-    (void)out;  // newline itself is copied by the main loop
   }
 
   void skip_block_comment(Cursor& cur, std::string& out) {
@@ -129,7 +121,6 @@ class Preprocessor {
         if (emitting()) out.push_back(esc);
         continue;
       }
-      if (c == '"' && out.size() >= 2) return;
       if (c == '"') return;
     }
   }
@@ -164,8 +155,7 @@ class Preprocessor {
     return text;
   }
 
-  void handle_directive(Cursor& cur, std::string& out, int depth,
-                        std::size_t base) {
+  void handle_directive(Cursor& cur, std::string& out, std::size_t base) {
     const SourceLocation start = cur.loc();
     cur.advance();  // '`'
     const std::string name = read_identifier(cur);
@@ -183,6 +173,9 @@ class Preprocessor {
     } else if (name == "undef") {
       skip_spaces(cur);
       const std::string macro = read_identifier(cur);
+      if (macro.empty()) {
+        throw ParseError("`undef requires a macro name", start);
+      }
       if (emitting()) defines_.erase(macro);
       (void)read_rest_of_line(cur);
     } else if (name == "ifdef" || name == "ifndef") {
@@ -211,6 +204,11 @@ class Preprocessor {
       }
       if (!cond_stack_.back()) --inactive_levels_;
       cond_stack_.pop_back();
+    } else if (name == "elsif") {
+      // Part of the conditional group's structure, so it may not be
+      // skipped as an inactive macro use: the `else after it would
+      // pick the wrong branch.
+      throw ParseError("`elsif is not supported", start);
     } else if (name == "include") {
       skip_spaces(cur);
       if (cur.peek() != '"') {
@@ -226,29 +224,23 @@ class Preprocessor {
       }
       cur.advance();
       if (emitting()) {
-        if (!options_.resolver) {
-          throw ParseError("`include \"" + path +
-                               "\" but no include resolver configured",
-                           start);
-        }
-        const auto content = options_.resolver(path);
-        if (!content.has_value()) {
-          throw ParseError("cannot resolve `include \"" + path + "\"", start);
-        }
-        out += run(*content, depth + 1);
+        throw ParseError("`include \"" + path +
+                             "\" is not supported: submit one "
+                             "self-contained source",
+                         start);
       }
     } else if (name == "timescale" || name == "default_nettype" ||
                name == "celldefine" || name == "endcelldefine" ||
                name == "resetall") {
       // Harmless directives for our purposes: consume and drop.
       (void)read_rest_of_line(cur);
-    } else {
-      // Macro usage.
+    } else if (emitting()) {
+      // Macro usage. An inactive group is ignored, its macro uses too.
       const auto it = defines_.find(name);
       if (it == defines_.end()) {
         throw ParseError("undefined macro `" + name, start);
       }
-      if (emitting()) expand_macro(name, it->second, out, depth, start);
+      expand_macro(name, it->second, out, start);
     }
   }
 
@@ -256,7 +248,7 @@ class Preprocessor {
   /// expand too. The body is copied first: its own directives may
   /// redefine or undefine the macro.
   void expand_macro(const std::string& name, std::string body,
-                    std::string& out, int depth, SourceLocation at) {
+                    std::string& out, SourceLocation at) {
     if (macro_depth_ == kMaxMacroDepth) {
       throw ParseError("macro `" + name + " nests more than " +
                            std::to_string(kMaxMacroDepth) + " expansions deep",
@@ -271,7 +263,7 @@ class Preprocessor {
     ++macro_depth_;
     Cursor cur{&body, 0, at.line, at.column};
     const std::size_t base = cond_stack_.size();
-    scan(cur, out, depth, base);
+    scan(cur, out, base);
     if (cond_stack_.size() != base) {
       throw ParseError("unterminated `ifdef/`ifndef in macro `" + name, at);
     }
@@ -284,22 +276,18 @@ class Preprocessor {
     }
   }
 
-  const PreprocessOptions& options_;
   std::map<std::string, std::string> defines_;
   std::vector<bool> cond_stack_;
   /// Number of false entries in `cond_stack_`; text is emitted at zero.
   std::size_t inactive_levels_ = 0;
   int macro_depth_ = 0;          // expansions being rescanned
   std::size_t macro_bytes_ = 0;  // body bytes pasted so far
-
 };
 
 }  // namespace
 
-std::string preprocess(const std::string& source,
-                       const PreprocessOptions& options) {
-  Preprocessor pp(options);
-  return pp.run(source, 0);
+std::string preprocess(const std::string& source) {
+  return Preprocessor().run(source);
 }
 
 }  // namespace gnn4ip::verilog

@@ -386,25 +386,6 @@ TEST(CompileRtl, ReportsDiagnosticsInsteadOfThrowing) {
   EXPECT_NE(bad.error.to_string().find(':'), std::string::npos);
 }
 
-TEST(Pipeline, CompileBatchAlignsResultsWithSources) {
-  const Pipeline pipeline;
-  const std::vector<std::string> sources = {
-      "module A (input a, output y);\n  assign y = a;\nendmodule\n",
-      "module broken (",
-      "module B (input a, input b, output y);\n  assign y = a & b;\n"
-      "endmodule\n",
-  };
-  for (std::size_t threads : {1u, 4u}) {
-    const std::vector<CompileResult> results =
-        pipeline.compile_batch(sources, threads);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[1].ok);
-    EXPECT_TRUE(results[2].ok);
-    EXPECT_FALSE(results[1].error.message.empty());
-  }
-}
-
 TEST(AsyncAuditor, FuturesMatchSynchronousScreenBitForBit) {
   // The daemon changes when screen() runs, never its arithmetic: the
   // reports delivered through futures equal a synchronous service's,
@@ -674,36 +655,6 @@ TEST(AuditEviction, ResubmittedNameBecomesTheNewest) {
   EXPECT_EQ(residents(service), (Names{"c", "a", "d"}));
   screen_as(service, "e", t);
   EXPECT_EQ(residents(service), (Names{"a", "d", "e"}));
-}
-
-TEST(AuditEviction, ShardBudgetEvictsTheHotShardsOldestUnpinnedRow) {
-  gnn::Hw2Vec model;
-  const gnn::GraphTensors t = small_corpus()[0].tensors;
-  // Names by placement: "hot" rows share shard 0, "cold" is in shard 1.
-  Names hot;
-  std::string cold;
-  for (std::size_t i = 0; hot.size() < 5 || cold.empty(); ++i) {
-    const std::string name = "n" + std::to_string(i);
-    if (core::ShardedCorpus::placement(name, 2) == 0) {
-      if (hot.size() < 5) hot.push_back(name);
-    } else if (cold.empty()) {
-      cold = name;
-    }
-  }
-  AuditOptions options;
-  options.num_shards = 2;
-  options.shard_budget = 2;
-  AuditService service(model, options);
-  screen_as(service, hot[0], t);
-  screen_as(service, cold, t);
-  screen_as(service, hot[1], t);
-  EXPECT_EQ(residents(service), (Names{hot[0], cold, hot[1]}));
-  screen_as(service, hot[2], t);
-  EXPECT_EQ(residents(service), (Names{cold, hot[1], hot[2]}));
-  ASSERT_TRUE(service.add_library(hot[3], t).accepted);
-  EXPECT_EQ(residents(service), (Names{cold, hot[2], hot[3]}));
-  screen_as(service, hot[4], t);
-  EXPECT_EQ(residents(service), (Names{cold, hot[3], hot[4]}));
 }
 
 TEST(AuditEviction, SameVictimsAfterSaveAndLoad) {

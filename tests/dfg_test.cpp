@@ -9,17 +9,14 @@
 #include <utility>
 #include <vector>
 
-#include "dfg/dataflow.h"
-#include "dfg/merge.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
+#include "dfg/trim.h"
 #include "gnn/featurize.h"
 #include "gnn/hw2vec.h"
 #include "golden_corpus.h"
 #include "graph/algorithms.h"
 #include "tensor/matrix.h"
-#include "verilog/elaborate.h"
-#include "verilog/parser.h"
 
 namespace gnn4ip::dfg {
 namespace {
@@ -28,9 +25,7 @@ using graph::Digraph;
 using graph::NodeId;
 
 Digraph dfg_of(const std::string& src, bool run_trim = true) {
-  PipelineOptions opts;
-  opts.run_trim = run_trim;
-  return extract_dfg(src, opts);
+  return run_trim ? extract_dfg(src) : build_dfg(src);
 }
 
 NodeKind kind_of_node(const Digraph& g, NodeId id) {
@@ -331,17 +326,18 @@ TEST(Dfg, TrimKeepsEverythingWhenConnected) {
   EXPECT_EQ(trimmed.num_nodes(), untrimmed.num_nodes());
 }
 
-TEST(Dfg, TrimStatsReported) {
-  verilog::Design d = verilog::parse(
+TEST(Dfg, TrimRemovesIsolatedNets) {
+  const std::string src =
       "module m (input a, output y);\n"
       "  wire unused_net;\n"
       "  assign y = a;\n"
-      "endmodule\n");
-  const verilog::Module flat = verilog::elaborate(d, "m");
-  auto drivers = analyze_dataflow(flat);
-  Digraph g = merge_drivers(flat, drivers);
-  const TrimStats stats = trim(g);
-  EXPECT_GE(stats.removed_isolated, 1u);
+      "endmodule\n";
+  Digraph g = dfg_of(src, /*run_trim=*/false);
+  const std::size_t untrimmed = g.num_nodes();
+  ASSERT_NE(g.find_by_name("unused_net"), graph::kInvalidNode);
+  trim(g);
+  EXPECT_EQ(g.find_by_name("unused_net"), graph::kInvalidNode);
+  EXPECT_EQ(g.num_nodes(), untrimmed - 1);
 }
 
 // --- hierarchy ---------------------------------------------------------------

@@ -3,6 +3,12 @@
 // (piracy detection, obfuscation resilience, subset scoring).
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "audit/audit_service.h"
 #include "core/gnn4ip.h"
 #include "data/rtl_designs.h"
 #include "gnn/model_io.h"
@@ -122,6 +128,34 @@ TEST(Facade, UntrainedDetectorStillProducesScores) {
   EXPECT_LE(s, 1.0F);
   // Identical structure, different names: identical embedding.
   EXPECT_NEAR(s, 1.0F, 1e-5F);
+}
+
+TEST(Facade, SimilarityEqualsTheServiceScoreBitForBit) {
+  // PiracyDetector::similarity and the corpus sweep behind AuditService
+  // finish the same cosine cell, so a pair scores the same bits on both
+  // paths (EXPECT_EQ on floats is exact).
+  PiracyDetector detector;
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {data::gen_crc8({0, 11}), data::gen_lfsr({0, 12})},
+      {data::gen_adder({0, 13}), data::gen_alu({1, 14})},
+      {data::gen_counter({1, 15}), data::gen_gray_counter({0, 16})},
+      {data::gen_parity({0, 17}), data::gen_multiplier({1, 18})},
+      {data::gen_uart_tx({0, 19}), data::gen_fifo_ctrl({1, 20})},
+      {data::gen_shift_reg({1, 21}), data::gen_pwm({0, 22})},
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [a, b] = pairs[i];
+    audit::AuditService service(detector.model());
+    ASSERT_TRUE(service.add_library("b", b).accepted) << "pair " << i;
+    ASSERT_TRUE(service.submit("a", a));
+    const std::vector<audit::ScreenReport> reports = service.screen();
+    ASSERT_EQ(reports.size(), 1u);
+    ASSERT_TRUE(reports[0].best.has_value()) << "pair " << i;
+    const float direct = detector.similarity(a, b);
+    const float served = reports[0].best->similarity;
+    EXPECT_EQ(direct, served)
+        << "pair " << i << ": " << std::hexfloat << direct << " vs " << served;
+  }
 }
 
 TEST(Facade, CheckAppliesDelta) {

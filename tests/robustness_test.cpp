@@ -12,6 +12,7 @@
 #include "graph/algorithms.h"
 #include "util/rng.h"
 #include "verilog/parser.h"
+#include "verilog/preprocess.h"
 
 namespace gnn4ip {
 namespace {

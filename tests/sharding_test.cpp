@@ -308,65 +308,6 @@ TEST(ShardedAudit, TopKBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedAudit, PerShardBudgetEvictsOnlyTheHotShard) {
-  gnn::Hw2Vec model;
-  const auto entries = audit_corpus();
-  ASSERT_GE(entries.size(), 8u);
-
-  AuditOptions options;
-  options.num_shards = 2;
-  options.shard_budget = 2;
-  options.scorer.delta = -2.0F;
-  AuditService service(model, options);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.submit(entries[i]));
-  }
-  (void)service.screen();
-
-  // Every shard ends within budget, and exactly the over-budget shards
-  // shrank: total resident = sum of min(placed, budget).
-  std::size_t expected_resident = 0;
-  std::vector<std::size_t> placed(2, 0);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ++placed[core::ShardedCorpus::placement(entries[i].name, 2)];
-  }
-  for (std::size_t s = 0; s < 2; ++s) {
-    expected_resident += std::min<std::size_t>(placed[s], 2);
-    EXPECT_LE(service.corpus().shard_live_count(s), 2u);
-  }
-  EXPECT_EQ(service.resident(), expected_resident);
-  EXPECT_EQ(service.options().shard_budget, 2u);
-}
-
-TEST(ShardedAudit, PinnedEntriesExemptFromShardBudget) {
-  gnn::Hw2Vec model;
-  const auto entries = audit_corpus();
-  ASSERT_GE(entries.size(), 6u);
-
-  AuditOptions options;
-  options.num_shards = 1;  // one shard: the budget bites immediately
-  options.shard_budget = 1;
-  AuditService service(model, options);
-  // Three pinned library entries in a shard budgeted for one: the
-  // budget can never evict them.
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service.add_library(entries[i]).accepted);
-  }
-  EXPECT_EQ(service.resident(), 3u);
-
-  // A screened (unpinned) submission is evicted straight away.
-  ASSERT_TRUE(service.submit(entries[3]));
-  const std::vector<ScreenReport> reports = service.screen();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_TRUE(reports[0].submission.accepted);
-  EXPECT_EQ(reports[0].submission.corpus_index,
-            core::ShardedCorpus::kNoIndex);
-  EXPECT_EQ(service.resident(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(service.contains(entries[i].name));
-  }
-}
-
 TEST(ShardedAudit, EvictionAndResubmissionKeepNameIndexConsistent) {
   // Drive several screen→evict→compact cycles over a sharded corpus and
   // check the service's name index tracks the global remapping.

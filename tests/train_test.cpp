@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
+#include "core/cosine_kernels.h"
 #include "core/gnn4ip.h"
 #include "gnn/model_io.h"
 #include "train/dataset.h"
@@ -424,6 +426,34 @@ TEST(Trainer, ScorePairsMatchesEvaluateScores) {
   ASSERT_EQ(scores.size(), result.scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
     EXPECT_NEAR(scores[i], result.scores[i], 1e-5F);
+  }
+}
+
+// δ is tuned on evaluate()'s scores and then compared against scores
+// from core::cosine_cell (AuditService, PiracyDetector::similarity), so
+// the two must be the same bits, not merely close.
+TEST(Trainer, EvaluateScoresAreCosineCellBitForBit) {
+  gnn::Hw2VecConfig mc;
+  mc.hidden_dim = 8;
+  gnn::Hw2Vec model(mc);
+  const PairDataset ds = PairDataset::all_pairs(toy_entries(3, 6));
+  TrainConfig tc;
+  tc.epochs = 2;
+  tc.seed = 12;
+  Trainer trainer(model, ds, tc);
+  trainer.fit();
+  const std::vector<tensor::Matrix> embeddings = trainer.embed_all();
+  const EvalResult result = trainer.evaluate();
+  const std::vector<std::size_t>& test = trainer.split().test;
+  ASSERT_EQ(result.scores.size(), test.size());
+  ASSERT_GE(test.size(), 6U);
+  for (std::size_t k = 0; k < test.size(); ++k) {
+    const PairSample& p = ds.pairs()[test[k]];
+    const std::span<const float> a = embeddings[p.a].data();
+    const std::span<const float> b = embeddings[p.b].data();
+    const float cell = core::cosine_cell(
+        a.data(), b.data(), a.size(), core::row_norm(a) * core::row_norm(b));
+    EXPECT_EQ(result.scores[k], cell) << "test pair " << k;
   }
 }
 

@@ -4,8 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "golden_corpus.h"
@@ -50,16 +50,6 @@ TEST(Preprocess, IfndefTakesElseBranchWhenDefined) {
   EXPECT_NE(out.find("wire b;"), std::string::npos);
 }
 
-TEST(Preprocess, IncludeResolvesThroughCallback) {
-  PreprocessOptions opts;
-  opts.resolver = [](const std::string& path) -> std::optional<std::string> {
-    if (path == "defs.vh") return std::string("wire from_include;");
-    return std::nullopt;
-  };
-  const std::string out = preprocess("`include \"defs.vh\"\nwire x;", opts);
-  EXPECT_NE(out.find("from_include"), std::string::npos);
-}
-
 TEST(Preprocess, UnknownIncludeThrows) {
   EXPECT_THROW(preprocess("`include \"nope.vh\"\n"), ParseError);
 }
@@ -68,43 +58,64 @@ TEST(Preprocess, UnterminatedIfdefThrows) {
   EXPECT_THROW(preprocess("`ifdef FOO\nwire a;\n"), ParseError);
 }
 
-/// Options resolving exactly one include, "inc.vh", to `text`.
-PreprocessOptions one_include(const std::string& text) {
-  PreprocessOptions opts;
-  opts.resolver = [text](const std::string& path) {
-    return path == "inc.vh" ? std::optional<std::string>(text) : std::nullopt;
+struct PreprocessErrorCase {
+  std::string source;
+  std::string message;
+  int line;
+  int column;
+};
+
+TEST(Preprocess, ErrorsPinned) {
+  const std::vector<PreprocessErrorCase> cases = {
+      {"wire a;\n  `include \"defs.vh\"\n",
+       "`include \"defs.vh\" is not supported: submit one self-contained "
+       "source",
+       2, 3},
+      {"`define ON\n`ifdef ON\n`include \"defs.vh\"\n`endif\n",
+       "`include \"defs.vh\" is not supported: submit one self-contained "
+       "source",
+       3, 1},
+      {"wire y;\nassign y = `FOO_VALUE;\n", "undefined macro `FOO_VALUE", 2,
+       12},
+      {"`define A 1\n`undef\nwire a;\n", "`undef requires a macro name", 2,
+       1},
+      {"`ifdef NOPE\n`undef // no name\n`endif\n",
+       "`undef requires a macro name", 2, 1},
+      // `elsif is not implemented: rejected in an inactive group too,
+      // where skipping it would let the `else take the wrong branch.
+      {"`define B\n`ifdef A\nwire x;\n`elsif B\nwire y;\n`else\nwire z;\n"
+       "`endif\n",
+       "`elsif is not supported", 4, 1},
+      {"`define A\n`ifdef A\nwire x;\n  `elsif B\nwire y;\n`endif\n",
+       "`elsif is not supported", 4, 3},
   };
-  return opts;
-}
-
-TEST(Preprocess, IncludeInsideTakenIfdefExactOutput) {
-  const PreprocessOptions opts =
-      one_include("`ifdef USE_INC\nwire a;\n`else\nwire b;\n`endif\n");
-  const std::string src =
-      "`define USE_INC\n`ifdef USE_INC\n`include \"inc.vh\"\n`endif\nwire x;";
-  EXPECT_EQ(preprocess(src, opts), "\n\n\nwire a;\n\n\n\n\n\nwire x;");
-}
-
-TEST(Preprocess, StrayEndifInIncludedFileThrows) {
-  // The included `endif may not close the includer's `ifdef.
-  const PreprocessOptions opts = one_include("wire a;\n`endif\n");
-  try {
-    (void)preprocess("`define ON\n`ifdef ON\n`include \"inc.vh\"\n`endif\n",
-                     opts);
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.message(), "`endif without matching `ifdef");
-    EXPECT_EQ(e.location().line, 2);  // line 2 of inc.vh
+  for (const PreprocessErrorCase& c : cases) {
+    try {
+      (void)preprocess(c.source);
+      ADD_FAILURE() << "no error for: " << c.source;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.message(), c.message) << c.source;
+      EXPECT_EQ(e.location().line, c.line) << c.source;
+      EXPECT_EQ(e.location().column, c.column) << c.source;
+    }
   }
 }
 
-TEST(Preprocess, UnterminatedIfdefInIncludedFileThrows) {
-  // The includer's `endif may not close the included file's `ifdef.
-  const PreprocessOptions opts = one_include("`ifdef ON\nwire a;\n");
-  EXPECT_THROW((void)preprocess("`include \"inc.vh\"\n`endif\n", opts),
-               ParseError);
-  EXPECT_THROW((void)preprocess("`include \"inc.vh\"\nwire x;\n", opts),
-               ParseError);
+// An inactive group is ignored (IEEE 1364-2005 §19.4): its macro uses
+// are not looked up, and an `include there is skipped. Directive lines
+// keep only their newline.
+TEST(Preprocess, InactiveRegionSkipsMacroUsesAndIncludeExactOutput) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"`ifdef USE_FOO\nassign y = `FOO_VALUE;\n`endif\nwire x;",
+       "\n\n\nwire x;"},
+      {"`ifdef SIM_ONLY\n`pragma protect begin\n`endif\nwire x;",
+       "\n\n\nwire x;"},
+      {"`ifndef SYNTH\nwire a;\n`else\n`include \"defs.vh\"\n`endif\nwire x;",
+       "\nwire a;\n\n\n\nwire x;"},
+  };
+  for (const auto& [source, want] : cases) {
+    EXPECT_EQ(preprocess(source), want) << source;
+  }
 }
 
 TEST(Preprocess, UndefRemovesMacro) {
