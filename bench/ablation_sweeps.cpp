@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md §5 calls out:
+// Ablation benches for four of hw2vec's design choices:
 //   1. readout operator (max vs mean vs sum)      — paper §IV uses max
 //   2. pooling ratio (0.25 / 0.5 / 0.75 / 1.0)    — paper §IV uses 0.5
 //   3. GCN depth (1 / 2 / 3 layers)               — paper §IV uses 2

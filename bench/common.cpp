@@ -47,10 +47,8 @@ TrainedModel train_model(std::vector<train::GraphEntry> entries,
                          const TrainSetup& setup) {
   TrainedModel tm;
   tm.model = std::make_unique<gnn::Hw2Vec>(setup.model);
-  train::PairDataset::PairOptions pair_options;
-  pair_options.max_negative_ratio = setup.negative_ratio;
   tm.dataset = std::make_unique<train::PairDataset>(
-      train::PairDataset::all_pairs(std::move(entries), pair_options));
+      train::PairDataset::all_pairs(std::move(entries), setup.negative_ratio));
   train::TrainConfig tc;
   tc.epochs = setup.epochs;
   tc.batch_graphs = setup.batch_graphs;

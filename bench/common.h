@@ -55,9 +55,9 @@ struct TrainedModel {
 struct TrainSetup {
   int epochs = 120;
   std::size_t batch_graphs = 32;
-  /// The paper trains batch gradient descent at 1e-3; with Adam on the
-  /// smaller synthetic corpus 3e-3 reaches the paper's accuracy band
-  /// (EXPERIMENTS.md records the sweep).
+  /// Adam's step size (train/optimizer.h). The paper states 1e-3; on
+  /// the smaller synthetic corpus 3e-3 reaches the paper's accuracy band
+  /// within these epoch budgets.
   float learning_rate = 3e-3F;
   /// Negative:positive pair ratio, matching the paper's corpus
   /// construction (66631 different / 19094 similar ≈ 3.49).
@@ -66,8 +66,8 @@ struct TrainSetup {
   gnn::Hw2VecConfig model;      // paper §IV defaults
 
   TrainSetup() {
-    // Weight-init seed chosen by a small stability scan (see
-    // EXPERIMENTS.md); benches share it so results are reproducible.
+    // Weight-init seed chosen by a small stability scan over init
+    // seeds; benches share it so results are reproducible.
     model.seed = 5;
   }
 };

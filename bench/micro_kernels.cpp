@@ -212,10 +212,11 @@ const std::vector<train::GraphEntry>& scoring_corpus() {
   return entries;
 }
 
-// One data-parallel training epoch (graph-batch mode) over the 64-design
-// corpus across worker counts. Gradients reduce in fixed graph order, so
-// every Arg trains the exact same trajectory — the axis shows pure
-// thread scaling of the per-graph forward/backward fan-out.
+// One data-parallel training epoch (16 graphs per step, every pair among
+// them) over the 64-design corpus across worker counts. Gradients reduce
+// in fixed graph order, so every Arg trains the exact same trajectory —
+// the axis shows pure thread scaling of the per-graph forward/backward
+// fan-out.
 void BM_TrainEpoch(benchmark::State& state) {
   const train::PairDataset dataset =
       train::PairDataset::all_pairs(scoring_corpus());

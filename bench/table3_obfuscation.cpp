@@ -1,6 +1,6 @@
 // Reproduces Table III: similarity scores for obfuscated ISCAS'85
 // benchmarks (stand-ins regenerated from each benchmark's documented
-// function — see DESIGN.md §1).
+// function — see src/data/iscas.h).
 //
 // Paper values: per-benchmark original-vs-obfuscated means of +0.99…+1.0,
 // overall +0.9976, cross-benchmark mean −0.1606, and 100% recognition of

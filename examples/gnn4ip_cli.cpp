@@ -154,8 +154,11 @@ int cmd_train(const std::string& model_path, int epochs) {
                100.0 * eval.confusion.accuracy(), detector.delta());
   detector.save(model_path);
   std::fprintf(stderr, "saved %s\n", model_path.c_str());
-  // Record the tuned delta on stdout so scripts can capture it.
-  std::printf("%+.6f\n", detector.delta());
+  // Record the tuned delta on stdout so scripts can capture it and pass
+  // it back as `compare`'s or `audit --delta`'s value: nine significant
+  // digits round-trip a float, and the value carries no '+', which
+  // parse_arg's from_chars refuses.
+  std::printf("%.9g\n", detector.delta());
   return 0;
 }
 

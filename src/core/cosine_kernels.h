@@ -3,10 +3,10 @@
 // Every similarity a verdict reports — core::shard_sweep (behind both
 // ShardedCorpus and dist::ShardServer), through them
 // audit::AuditService, and PiracyDetector::similarity's cosine_cell —
-// and every score δ is tuned on (train::Trainer's evaluate and
-// score_pairs) is an ascending-k dot finished by cosine_finish, so the
-// arithmetic (accumulation order, norm floor, clamping) is defined
-// exactly once, in this file. That single definition is what makes the
+// and every score δ is tuned on (train::Trainer::evaluate) is an
+// ascending-k dot finished by cosine_finish, so the arithmetic
+// (accumulation order, norm floor, clamping) is defined exactly once,
+// in this file. That single definition is what makes the
 // repo's determinism guarantee composable: any path that scores the
 // same two rows produces the same bits, no matter which layer asked.
 //

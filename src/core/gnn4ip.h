@@ -35,9 +35,6 @@ namespace gnn4ip {
 struct DetectorConfig {
   gnn::Hw2VecConfig model;         // paper §IV defaults
   float delta = 0.5F;              // decision boundary δ
-  /// Pair-set construction for train_on; defaults to the paper's
-  /// ~3.49:1 different:similar ratio (§IV-A).
-  train::PairDataset::PairOptions pair_options{3.49, 97};
 };
 
 /// Pair verdict (Alg. 1 output plus the raw score Ŷ).
@@ -50,8 +47,9 @@ class PiracyDetector {
  public:
   explicit PiracyDetector(const DetectorConfig& config = {});
 
-  /// Train hw2vec on labeled graph entries; returns the held-out
-  /// evaluation (δ is re-tuned on the training split).
+  /// Train hw2vec on labeled graph entries, over pairs built at the
+  /// paper's ~3.49:1 different:similar ratio (§IV-A); returns the
+  /// held-out evaluation (δ is re-tuned on the training split).
   train::EvalResult train_on(std::vector<train::GraphEntry> entries,
                              const train::TrainConfig& train_config = {});
 

@@ -56,8 +56,6 @@ class Hw2Vec {
   [[nodiscard]] std::size_t embedding_dim() const {
     return config_.hidden_dim;
   }
-  [[nodiscard]] std::vector<GcnLayer>& conv_layers() { return convs_; }
-  [[nodiscard]] SagPool& pool() { return pool_; }
 
  private:
   Hw2VecConfig config_;

@@ -3,9 +3,9 @@
 // A Tape owns a sequence of nodes created by operator methods; calling
 // backward(loss) seeds dL/dL = 1 and runs the recorded closures in
 // reverse order. Leaves created from a Parameter accumulate their
-// gradient into Parameter::grad by default, so one Tape per mini-batch
-// implements exactly the "sum gradients over batch, then step" loop the
-// paper's batch gradient descent requires.
+// gradient into Parameter::grad by default, so a whole batch's loss
+// built on one Tape leaves the batch's summed gradient there (the
+// reference the trainer's gradient test builds).
 //
 // For data-parallel training each batch graph runs forward + backward on
 // its own Tape with a GradSink installed: parameter leaves then
@@ -37,7 +37,9 @@ namespace gnn4ip::tensor {
 class Tape;
 
 /// Trainable weight living outside any tape. `grad` accumulates across
-/// backward() calls until the optimizer consumes and clears it.
+/// backward() calls and GradSink folds until zero_grad(). The trainer
+/// zeroes it right before each step's fold, so after a step it holds
+/// that step's reduced gradient.
 struct Parameter {
   explicit Parameter(Matrix init)
       : value(std::move(init)), grad(value.rows(), value.cols(), 0.0F) {}

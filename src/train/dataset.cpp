@@ -4,9 +4,15 @@
 #include "util/rng.h"
 
 namespace gnn4ip::train {
+namespace {
+
+/// Seed of the negative subsampling shuffle.
+constexpr std::uint64_t kSubsampleSeed = 97;
+
+}  // namespace
 
 PairDataset PairDataset::all_pairs(std::vector<GraphEntry> graphs,
-                                   const PairOptions& options) {
+                                   double max_negative_ratio) {
   PairDataset ds;
   ds.graphs_ = std::move(graphs);
   const std::size_t n = ds.graphs_.size();
@@ -25,11 +31,11 @@ PairDataset PairDataset::all_pairs(std::vector<GraphEntry> graphs,
       }
     }
   }
-  if (options.max_negative_ratio > 0.0) {
+  if (max_negative_ratio > 0.0) {
     const auto cap = static_cast<std::size_t>(
-        options.max_negative_ratio * static_cast<double>(ds.num_similar_));
+        max_negative_ratio * static_cast<double>(ds.num_similar_));
     if (negatives.size() > cap && cap > 0) {
-      util::Rng rng(options.seed);
+      util::Rng rng(kSubsampleSeed);
       rng.shuffle(negatives);
       negatives.resize(cap);
     }
@@ -37,10 +43,6 @@ PairDataset PairDataset::all_pairs(std::vector<GraphEntry> graphs,
   ds.num_different_ = negatives.size();
   ds.pairs_.insert(ds.pairs_.end(), negatives.begin(), negatives.end());
   return ds;
-}
-
-PairDataset PairDataset::all_pairs(std::vector<GraphEntry> graphs) {
-  return all_pairs(std::move(graphs), PairOptions{});
 }
 
 PairDataset::Split PairDataset::split(double test_fraction,

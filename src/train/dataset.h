@@ -33,22 +33,14 @@ class PairDataset {
  public:
   PairDataset() = default;
 
-  struct PairOptions {
-    /// Cap on different-design pairs per similar pair. The paper's corpus
-    /// has 66631 different vs 19094 similar pairs (ratio ≈ 3.49); an
-    /// all-pairs set over few families is far more imbalanced, which
-    /// starves recall. 0 disables subsampling.
-    double max_negative_ratio = 0.0;
-    std::uint64_t seed = 97;  // subsampling determinism
-  };
-
-  /// Form all unordered pairs over `graphs` (negatives optionally
-  /// subsampled per `options`). The overload without options keeps every
-  /// pair. (Two overloads rather than a `= {}` default because GCC
-  /// rejects brace-defaulting a nested aggregate with NSDMIs here.)
+  /// Form all unordered pairs over `graphs`. A positive
+  /// `max_negative_ratio` caps the different-design pairs at that many
+  /// per similar pair, keeping a fixed-seed random subset. The paper's
+  /// corpus has 66631 different vs 19094 similar pairs (ratio ≈ 3.49); an
+  /// all-pairs set over few families is far more imbalanced, which
+  /// starves recall. 0 keeps every pair.
   [[nodiscard]] static PairDataset all_pairs(std::vector<GraphEntry> graphs,
-                                             const PairOptions& options);
-  [[nodiscard]] static PairDataset all_pairs(std::vector<GraphEntry> graphs);
+                                             double max_negative_ratio = 0.0);
 
   [[nodiscard]] const std::vector<GraphEntry>& graphs() const {
     return graphs_;

@@ -2,57 +2,17 @@
 
 #include <cmath>
 
-#include "util/contract.h"
-
 namespace gnn4ip::train {
+namespace {
 
-void Optimizer::zero_grad() {
-  for (tensor::Parameter* p : params_) p->zero_grad();
-}
+constexpr float kBeta1 = 0.9F;
+constexpr float kBeta2 = 0.999F;
+constexpr float kEps = 1e-8F;
 
-Sgd::Sgd(std::vector<tensor::Parameter*> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  velocity_.reserve(params_.size());
-  for (tensor::Parameter* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols(), 0.0F);
-  }
-}
+}  // namespace
 
-void Sgd::step() {
-  // The reduced gradient is read in place; a copy is only taken on the
-  // weight-decay path, which has to combine it with the weights.
-  tensor::Matrix decayed;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensor::Parameter& p = *params_[i];
-    const tensor::Matrix* g = &p.grad;
-    if (weight_decay_ != 0.0F) {
-      decayed = p.grad;
-      decayed.axpy_in_place(weight_decay_, p.value);
-      g = &decayed;
-    }
-    if (momentum_ != 0.0F) {
-      velocity_[i].scale_in_place(momentum_);
-      velocity_[i].add_in_place(*g);
-      p.value.axpy_in_place(-lr_, velocity_[i]);
-    } else {
-      p.value.axpy_in_place(-lr_, *g);
-    }
-    p.zero_grad();
-  }
-}
-
-Adam::Adam(std::vector<tensor::Parameter*> params, float lr, float beta1,
-           float beta2, float eps, float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
+Adam::Adam(std::vector<tensor::Parameter*> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   first_moment_.reserve(params_.size());
   second_moment_.reserve(params_.size());
   for (tensor::Parameter* p : params_) {
@@ -63,44 +23,22 @@ Adam::Adam(std::vector<tensor::Parameter*> params, float lr, float beta1,
 
 void Adam::step() {
   ++step_count_;
-  const float bias1 =
-      1.0F - std::pow(beta1_, static_cast<float>(step_count_));
-  const float bias2 =
-      1.0F - std::pow(beta2_, static_cast<float>(step_count_));
-  tensor::Matrix decayed;
+  const float bias1 = 1.0F - std::pow(kBeta1, static_cast<float>(step_count_));
+  const float bias2 = 1.0F - std::pow(kBeta2, static_cast<float>(step_count_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     tensor::Parameter& p = *params_[i];
-    const tensor::Matrix* g = &p.grad;
-    if (weight_decay_ != 0.0F) {
-      decayed = p.grad;
-      decayed.axpy_in_place(weight_decay_, p.value);
-      g = &decayed;
-    }
     auto m = first_moment_[i].data();
     auto v = second_moment_[i].data();
-    const auto gd = g->data();
+    const auto gd = p.grad.data();
     auto w = p.value.data();
     for (std::size_t j = 0; j < gd.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0F - beta1_) * gd[j];
-      v[j] = beta2_ * v[j] + (1.0F - beta2_) * gd[j] * gd[j];
+      m[j] = kBeta1 * m[j] + (1.0F - kBeta1) * gd[j];
+      v[j] = kBeta2 * v[j] + (1.0F - kBeta2) * gd[j] * gd[j];
       const float m_hat = m[j] / bias1;
       const float v_hat = v[j] / bias2;
-      w[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      w[j] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
     }
-    p.zero_grad();
   }
-}
-
-std::unique_ptr<Optimizer> make_optimizer(
-    OptimizerKind kind, std::vector<tensor::Parameter*> params, float lr) {
-  switch (kind) {
-    case OptimizerKind::kSgd:
-      return std::make_unique<Sgd>(std::move(params), lr);
-    case OptimizerKind::kAdam:
-      return std::make_unique<Adam>(std::move(params), lr);
-  }
-  GNN4IP_ENSURE(false, "unknown optimizer kind");
-  return nullptr;
 }
 
 }  // namespace gnn4ip::train

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
-#include <numeric>
 #include <span>
 
 #include "core/cosine_kernels.h"
@@ -13,6 +11,9 @@
 
 namespace gnn4ip::train {
 namespace {
+
+/// Share of the pairs held out for evaluation (§IV-A).
+constexpr double kTestFraction = 0.2;
 
 /// Norm-product floor shared with Tape::cosine_similarity, so the
 /// closed-form pair gradient in parallel_step differentiates exactly the
@@ -36,11 +37,9 @@ Trainer::Trainer(gnn::Hw2Vec& model, const PairDataset& dataset,
     : model_(model),
       dataset_(dataset),
       config_(config),
+      optimizer_(model.parameters(), config.learning_rate),
       rng_(config.seed) {
-  split_ = dataset_.split(config_.test_fraction, rng_);
-  optimizer_ =
-      make_optimizer(config_.optimizer, model_.parameters(),
-                     config_.learning_rate);
+  split_ = dataset_.split(kTestFraction, rng_);
 }
 
 util::ThreadPool& Trainer::pool() {
@@ -49,12 +48,6 @@ util::ThreadPool& Trainer::pool() {
     owned_pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
   }
   return *owned_pool_;
-}
-
-EpochStats Trainer::train_epoch() {
-  return config_.mode == TrainConfig::BatchMode::kGraphBatch
-             ? train_epoch_graph_batch()
-             : train_epoch_pair_batch();
 }
 
 EpochStats Trainer::fit() {
@@ -117,15 +110,14 @@ double Trainer::parallel_step(const std::vector<std::size_t>& graphs,
       loss = 1.0F - sim;
       dloss_dsim = -1.0F;
     } else {
-      const float hinge = sim - config_.margin;
+      const float hinge = sim - kMargin;
       loss = hinge > 0.0F ? hinge : 0.0F;
       dloss_dsim = hinge > 0.0F ? 1.0F : 0.0F;
     }
-    const float weight = p.label == 1 ? config_.positive_weight : 1.0F;
-    loss_sum += static_cast<double>(weight * loss);
+    loss_sum += static_cast<double>(loss);
     // d(mean loss)/d sim for this pair; zero on the flat side of the
     // hinge, so those pairs contribute no seed at all.
-    const float ds = weight * inv_pairs * dloss_dsim;
+    const float ds = inv_pairs * dloss_dsim;
     if (ds == 0.0F) continue;
     const float na2 = std::max(na * na, kCosineEps);
     const float nb2 = std::max(nb * nb, kCosineEps);
@@ -149,21 +141,24 @@ double Trainer::parallel_step(const std::vector<std::size_t>& graphs,
 
   // Phase 3 (parallel): backward each touched tape from its seed — the
   // shadows fill independently. Phase 4 (sequential, slot order): fold
-  // the shadows into Parameter::grad; the fixed fold order is what makes
-  // the reduced gradient bit-identical for any worker count.
+  // the shadows into the zeroed Parameter::grad; the fixed fold order is
+  // what makes the reduced gradient bit-identical for any worker count.
+  // The previous step's gradient stays in Parameter::grad until here
+  // (the backward passes write only the shadows).
   const auto backward_one = [&](std::size_t s) {
     if (touched[s]) slot_tapes_[s]->backward(h[s], seeds[s]);
   };
   const auto fold_one = [&](std::size_t s) {
     slot_sinks_[s].add_into_params();
   };
+  for (tensor::Parameter* p : model_.parameters()) p->zero_grad();
   util::parallel_map_reduce(slots, pool(), backward_one, fold_one);
 
-  optimizer_->step();
+  optimizer_.step();
   return loss_sum * static_cast<double>(inv_pairs);
 }
 
-EpochStats Trainer::train_epoch_graph_batch() {
+EpochStats Trainer::train_epoch() {
   EpochStats stats;
   // Which graphs participate in training pairs?
   std::vector<std::size_t> train_graphs;
@@ -179,8 +174,8 @@ EpochStats Trainer::train_epoch_graph_batch() {
   }
   GNN4IP_ENSURE(!train_graphs.empty(), "no training graphs");
 
-  // Fast membership test for training pairs (graph-batch mode must not
-  // train on held-out pairs).
+  // Fast membership test for training pairs (a step must not train on
+  // held-out pairs).
   std::map<std::pair<std::size_t, std::size_t>, int> train_pair_label;
   for (std::size_t pi : split_.train) {
     const PairSample& p = dataset_.pairs()[pi];
@@ -234,44 +229,6 @@ EpochStats Trainer::train_epoch_graph_batch() {
   return stats;
 }
 
-EpochStats Trainer::train_epoch_pair_batch() {
-  EpochStats stats;
-  std::vector<std::size_t> order = split_.train;
-  rng_.shuffle(order);
-  const std::size_t batch = std::max<std::size_t>(1, config_.batch_pairs);
-  const std::size_t steps =
-      std::min(config_.max_steps_per_epoch,
-               (order.size() + batch - 1) / batch);
-  double loss_sum = 0.0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    const std::size_t begin = s * batch;
-    const std::size_t end = std::min(order.size(), begin + batch);
-    if (begin >= end) break;
-
-    // Each unique graph in the pair window is embedded once: collect the
-    // distinct graphs in first-appearance order (deterministic for a
-    // fixed shuffle) and express the pairs in slot coordinates.
-    std::vector<std::size_t> chosen;
-    std::map<std::size_t, std::size_t> slot_of;
-    std::vector<SlotPair> pairs;
-    pairs.reserve(end - begin);
-    auto slot_once = [&](std::size_t g) {
-      const auto [it, inserted] = slot_of.emplace(g, chosen.size());
-      if (inserted) chosen.push_back(g);
-      return it->second;
-    };
-    for (std::size_t k = begin; k < end; ++k) {
-      const PairSample& p = dataset_.pairs()[order[k]];
-      pairs.push_back({slot_once(p.a), slot_once(p.b), p.label});
-    }
-    loss_sum += parallel_step(chosen, pairs);
-    stats.pairs_seen += pairs.size();
-    ++stats.steps;
-  }
-  stats.mean_loss = stats.steps == 0 ? 0.0 : loss_sum / stats.steps;
-  return stats;
-}
-
 std::vector<tensor::Matrix> Trainer::embed_all() {
   // Graphs are independent; each worker fills only its own slot, so the
   // result is bit-identical for any worker count. Each worker thread
@@ -285,18 +242,6 @@ std::vector<tensor::Matrix> Trainer::embed_all() {
   };
   pool().parallel_for(embeddings.size(), embed_one);
   return embeddings;
-}
-
-std::vector<float> Trainer::score_pairs(
-    const std::vector<std::size_t>& pair_indices) {
-  const std::vector<tensor::Matrix> embeddings = embed_all();
-  std::vector<float> scores;
-  scores.reserve(pair_indices.size());
-  for (std::size_t pi : pair_indices) {
-    const PairSample& p = dataset_.pairs()[pi];
-    scores.push_back(cosine(embeddings[p.a], embeddings[p.b]));
-  }
-  return scores;
 }
 
 EvalResult Trainer::evaluate() {
@@ -314,10 +259,8 @@ EvalResult Trainer::evaluate() {
     train_scores.push_back(score_of(pi));
     train_labels.push_back(dataset_.pairs()[pi].label);
   }
-  tuned_delta_ = tune_threshold(train_scores, train_labels);
-
   EvalResult result;
-  result.delta = tuned_delta_;
+  result.delta = tune_threshold(train_scores, train_labels);
   result.scores.reserve(split_.test.size());
   result.labels.reserve(split_.test.size());
   for (std::size_t pi : split_.test) {
@@ -325,7 +268,7 @@ EvalResult Trainer::evaluate() {
     result.labels.push_back(dataset_.pairs()[pi].label);
   }
   result.confusion =
-      confusion_at(result.scores, result.labels, tuned_delta_);
+      confusion_at(result.scores, result.labels, result.delta);
 
   // Per-sample timing without embedding reuse: embed both graphs of a
   // pair and compute the similarity, averaged over up to 64 test pairs.

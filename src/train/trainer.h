@@ -1,14 +1,11 @@
 // Mini-batch trainer for GNN4IP.
 //
-// Two batching strategies:
-//  * kPairBatch  — sample `batch_pairs` labeled pairs per step (the
-//    paper's batch size 64). Each unique graph in the batch is embedded
-//    once, so pairs share forward work.
-//  * kGraphBatch — sample `batch_graphs` graphs and train on all pairs
-//    among them. More pairs per embedding; the default for the benches.
-//
-// Both minimize the mean cosine-embedding loss (Eq. 7, margin 0.5) and
-// step the optimizer once per batch.
+// Each step samples `batch_graphs` training graphs and trains on every
+// labeled training pair among them (held-out pairs are skipped), so
+// each graph is embedded once per step however many pairs it is in. It
+// minimizes the mean cosine-embedding loss (Eq. 7, margin 0.5) over
+// those pairs and takes one Adam step. 20% of the pairs are held out
+// (§IV-A); evaluate() tunes δ on the rest and scores the held-out ones.
 //
 // Training steps are data-parallel with bit-identical results: every
 // batch graph runs forward + backward on its own tensor::Tape (reused
@@ -16,10 +13,10 @@
 // per-graph GradSink shadow buffers, the cross-graph cosine-embedding
 // loss is differentiated in closed form on the coordinating thread and
 // pushed back into each graph's tape as a backward seed, and the shadows
-// are folded into Parameter::grad in fixed graph-index order. The float
-// summation order therefore never depends on the schedule, so fit() with
-// 1, 2, or 8 workers produces byte-equal parameters and loss curves
-// (asserted in tests/train_test.cpp).
+// are folded into the zeroed Parameter::grad in fixed graph-index order.
+// The float summation order therefore never depends on the schedule, so
+// fit() with 1, 2, or 8 workers produces byte-equal parameters and loss
+// curves (asserted in tests/train_test.cpp).
 #pragma once
 
 #include <memory>
@@ -33,23 +30,15 @@
 
 namespace gnn4ip::train {
 
+/// Margin of the cosine-embedding loss for different-design pairs (Eq. 7).
+inline constexpr float kMargin = 0.5F;
+
 struct TrainConfig {
   int epochs = 40;
-  enum class BatchMode { kGraphBatch, kPairBatch };
-  BatchMode mode = BatchMode::kGraphBatch;
-  std::size_t batch_pairs = 64;    // paper §IV
   std::size_t batch_graphs = 32;
-  /// Cap on optimizer steps per epoch (pair mode can have thousands).
+  /// Cap on optimizer steps per epoch.
   std::size_t max_steps_per_epoch = 64;
   float learning_rate = 1e-3F;     // paper §IV
-  float margin = 0.5F;             // paper Eq. 7
-  /// Loss weight for piracy (label +1) pairs. Leave at 1 when the pair
-  /// set is built with the paper's ~3.5:1 negative:positive ratio
-  /// (PairDataset::PairOptions::max_negative_ratio); raise it to balance
-  /// gradients on an unsubsampled all-pairs set.
-  float positive_weight = 1.0F;
-  OptimizerKind optimizer = OptimizerKind::kAdam;
-  double test_fraction = 0.2;      // paper §IV-A
   std::uint64_t seed = 7;
   /// Worker threads for the training-step fan-out (per-graph
   /// forward/backward) and the embed_all fan-out (evaluation / scoring).
@@ -80,7 +69,7 @@ class Trainer {
   Trainer(gnn::Hw2Vec& model, const PairDataset& dataset,
           const TrainConfig& config);
 
-  /// One pass over (a sample of) the training pairs.
+  /// One pass over (a sample of) the training graphs.
   EpochStats train_epoch();
 
   /// Run `epochs` epochs; returns the last epoch's stats.
@@ -89,22 +78,14 @@ class Trainer {
   /// Tune δ on training pairs, evaluate on held-out pairs.
   [[nodiscard]] EvalResult evaluate();
 
-  /// Scores for an arbitrary pair index list (embeddings cached per call).
-  [[nodiscard]] std::vector<float> score_pairs(
-      const std::vector<std::size_t>& pair_indices);
-
   /// Embed every dataset graph once (inference mode), fanned out over
   /// the worker pool (TrainConfig::num_threads); returns row-matrix h_G
   /// per graph index, bit-identical for any worker count.
   [[nodiscard]] std::vector<tensor::Matrix> embed_all();
 
   [[nodiscard]] const PairDataset::Split& split() const { return split_; }
-  [[nodiscard]] float tuned_delta() const { return tuned_delta_; }
 
  private:
-  EpochStats train_epoch_graph_batch();
-  EpochStats train_epoch_pair_batch();
-
   /// One labeled pair of batch slots (indices into a step's graph list).
   struct SlotPair {
     std::size_t a = 0;
@@ -114,7 +95,7 @@ class Trainer {
 
   /// One data-parallel optimizer step over `graphs` (dataset graph
   /// indices; must be distinct) and the labeled `pairs` among them.
-  /// Returns the mean (weighted) pair loss. See the file comment for the
+  /// Returns the mean pair loss. See the file comment for the
   /// determinism contract.
   double parallel_step(const std::vector<std::size_t>& graphs,
                        const std::vector<SlotPair>& pairs);
@@ -128,9 +109,8 @@ class Trainer {
   const PairDataset& dataset_;
   TrainConfig config_;
   PairDataset::Split split_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Adam optimizer_;
   util::Rng rng_;
-  float tuned_delta_ = 0.0F;
   // Per-batch-slot tapes and gradient sinks, reused across steps and
   // epochs (reset()/clear() keep their allocations) so a step allocates
   // no tape or shadow storage after warm-up.

@@ -1,8 +1,9 @@
 // Source locations and the user-facing error type for the Verilog
 // frontend.  Frontend errors are *user input* problems (bad syntax,
 // unknown module, unsupported construct) and therefore get a dedicated
-// exception carrying location info, per the project error-handling
-// strategy (DESIGN.md §6).
+// exception carrying location info, which audit::compile_rtl turns into
+// a per-design diagnostic; a broken contract inside the library is a
+// util::ContractViolation instead, and propagates.
 #pragma once
 
 #include <stdexcept>
