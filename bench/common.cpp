@@ -48,7 +48,8 @@ TrainedModel train_model(std::vector<train::GraphEntry> entries,
   TrainedModel tm;
   tm.model = std::make_unique<gnn::Hw2Vec>(setup.model);
   tm.dataset = std::make_unique<train::PairDataset>(
-      train::PairDataset::all_pairs(std::move(entries), setup.negative_ratio));
+      train::PairDataset::all_pairs(std::move(entries),
+                                    train::kPaperNegativeRatio));
   train::TrainConfig tc;
   tc.epochs = setup.epochs;
   tc.batch_graphs = setup.batch_graphs;

@@ -59,9 +59,6 @@ struct TrainSetup {
   /// the smaller synthetic corpus 3e-3 reaches the paper's accuracy band
   /// within these epoch budgets.
   float learning_rate = 3e-3F;
-  /// Negative:positive pair ratio, matching the paper's corpus
-  /// construction (66631 different / 19094 similar ≈ 3.49).
-  double negative_ratio = 3.49;
   std::uint64_t seed = 7;
   gnn::Hw2VecConfig model;      // paper §IV defaults
 

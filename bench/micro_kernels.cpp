@@ -156,14 +156,21 @@ void BM_GcnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GcnForward);
 
-void BM_Hw2VecEmbedMedium(benchmark::State& state) {
-  const gnn::GraphTensors t = gnn::featurize(dfg::extract_dfg(medium_rtl()));
-  gnn::Hw2Vec model;
+// The inference embed (two GCN layers, SAGPool top-k, max readout) of
+// the six ISCAS stand-ins' featurized DFGs; `nodes` counts each graph.
+void BM_Hw2VecEmbed(benchmark::State& state) {
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const gnn::GraphTensors t =
+      gnn::featurize(dfg::extract_dfg(bench.netlist.to_verilog()));
+  const gnn::Hw2Vec model;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.embed_inference(t));
   }
+  state.SetLabel(bench.name);
+  state.counters["nodes"] = static_cast<double>(t.num_nodes);
 }
-BENCHMARK(BM_Hw2VecEmbedMedium);
+BENCHMARK(BM_Hw2VecEmbed)->DenseRange(0, 5);
 
 void BM_Hw2VecTrainStep(benchmark::State& state) {
   const gnn::GraphTensors t = gnn::featurize(dfg::extract_dfg(medium_rtl()));

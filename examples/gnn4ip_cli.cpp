@@ -58,6 +58,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "audit/async_auditor.h"
@@ -88,11 +89,18 @@ std::string read_file(const std::string& path) {
 /// must parse as a T within [lo, hi]. from_chars takes no sign on
 /// unsigned types, so "-1" is refused rather than wrapped, and a NaN
 /// fails the range test, so a finite range refuses "nan" and "inf".
+/// A floating-point value may carry one leading '+', as `compare` and
+/// `audit` print δ; from_chars itself takes none, so "+-1" and "++1"
+/// are still refused.
 template <typename T>
 T parse_arg(const std::string& text, const char* what, T lo, T hi) {
   T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const char* first = text.data();
+  const char* end = first + text.size();
+  if constexpr (std::is_floating_point_v<T>) {
+    if (text.size() > 1 && text[0] == '+' && text[1] != '-') ++first;
+  }
+  const auto [ptr, ec] = std::from_chars(first, end, value);
   if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
     std::fprintf(stderr, "error: invalid value '%s' for %s\n", text.c_str(),
                  what);
@@ -156,8 +164,7 @@ int cmd_train(const std::string& model_path, int epochs) {
   std::fprintf(stderr, "saved %s\n", model_path.c_str());
   // Record the tuned delta on stdout so scripts can capture it and pass
   // it back as `compare`'s or `audit --delta`'s value: nine significant
-  // digits round-trip a float, and the value carries no '+', which
-  // parse_arg's from_chars refuses.
+  // digits round-trip a float.
   std::printf("%.9g\n", detector.delta());
   return 0;
 }

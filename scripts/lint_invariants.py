@@ -52,6 +52,12 @@ break them:
                   ...), and the header includes no caller can do
                   without.
 
+  serving-tape    tensor::Tape or #include "tensor/tape.h" in src/audit or
+                  src/core. The autograd tape serves training only: the
+                  serving path embeds through the const, tape-free
+                  Hw2Vec::embed_inference, which records no backward
+                  state and keeps no scratch past the call.
+
 Findings are suppressed by a waiver on the offending line or the line
 directly above it, with a mandatory reason:
 
@@ -113,6 +119,7 @@ UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s+(\w+)"
 )
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*(\w+)\s*\)")
+TAPE_RE = re.compile(r'\btensor::Tape\b|#\s*include\s*"tensor/tape\.h"')
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([\w-]+)\)\s*:\s*(\S.*)")
 
 KERNEL_EXEMPT = ("cosine_kernels",)
@@ -197,6 +204,7 @@ class Linter:
         waived = waivers_for(raw_lines)
         rel = path.relative_to(self.root)
         in_net = rel.parts[:2] == ("src", "net")
+        on_serving_path = rel.parts[:2] in (("src", "audit"), ("src", "core"))
         in_determinism_scope = (
             path.parent.name in DETERMINISM_DIRS
             and not path.name.startswith(KERNEL_EXEMPT)
@@ -253,6 +261,13 @@ class Linter:
                     "socket(2)-family syscall or networking header outside "
                     "src/net/; all wire traffic goes through net::Socket so "
                     "framing and typed-error semantics stay in one seam",
+                    waived,
+                )
+            if on_serving_path and TAPE_RE.search(line):
+                self.report(
+                    path, idx, "serving-tape",
+                    "autograd tape on the serving path; embed through the "
+                    "tape-free Hw2Vec::embed_inference",
                     waived,
                 )
             if in_determinism_scope:

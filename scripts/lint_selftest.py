@@ -173,6 +173,21 @@ check("raw-socket in comments and strings is inert",
        "// callers must never call socket(2) directly\n"
        "/* ::connect(fd, addr, len) would bypass the seam */\n"}, [])
 
+# ------------------------------------------------------------ serving-tape
+check("serving-tape fires on a tape or its header in src/audit and src/core",
+      {"src/audit/a.cpp":
+       '#include "tensor/tape.h"\n'
+       "static thread_local tensor::Tape tape;\n",
+       "src/core/b.cpp": "gnn4ip::tensor::Tape tape;\n"},
+      ["serving-tape", "serving-tape", "serving-tape"])
+check("serving-tape quiet in training code and in comments",
+      {"src/train/a.cpp":
+       '#include "tensor/tape.h"\ntensor::Tape tape;\n',
+       "src/audit/a.cpp":
+       "// embeds off the tensor::Tape, unlike training\n"
+       "tensor::Matrix h = model.embed_inference(t);\n"},
+      [])
+
 # ------------------------------------------------------------- exit status
 clean = lint_tree({"src/core/a.cpp": "int x = 0;\n"})
 if clean.findings:

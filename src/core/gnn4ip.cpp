@@ -32,9 +32,8 @@ PiracyDetector::PiracyDetector(const DetectorConfig& config)
 train::EvalResult PiracyDetector::train_on(
     std::vector<train::GraphEntry> entries,
     const train::TrainConfig& train_config) {
-  // The paper's corpus: 66631 different vs 19094 similar pairs.
-  const train::PairDataset dataset =
-      train::PairDataset::all_pairs(std::move(entries), 3.49);
+  const train::PairDataset dataset = train::PairDataset::all_pairs(
+      std::move(entries), train::kPaperNegativeRatio);
   train::Trainer trainer(model_, dataset, train_config);
   trainer.fit();
   train::EvalResult result = trainer.evaluate();

@@ -19,4 +19,20 @@ tensor::Var GcnLayer::forward(tensor::Tape& tape,
   return apply_relu ? tape.relu(with_bias) : with_bias;
 }
 
+void GcnLayer::forward(const tensor::Csr& adj, const tensor::Matrix& x,
+                       tensor::Matrix& t, tensor::Matrix& y,
+                       bool apply_relu) const {
+  tensor::matmul(x, weight_.value, t);
+  adj.multiply(t, y);
+  // add_row_broadcast's y += b, then relu's y > 0 ? y : 0, fused.
+  const auto b = bias_.value.row(0);
+  for (std::size_t r = 0; r < y.rows(); ++r) {
+    const auto yr = y.row(r);
+    for (std::size_t c = 0; c < yr.size(); ++c) {
+      const float v = yr[c] + b[c];
+      yr[c] = apply_relu ? (v > 0.0F ? v : 0.0F) : v;
+    }
+  }
+}
+
 }  // namespace gnn4ip::gnn

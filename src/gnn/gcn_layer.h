@@ -21,6 +21,13 @@ class GcnLayer {
                                     std::shared_ptr<const tensor::Csr> adj,
                                     tensor::Var x, bool apply_relu = true);
 
+  /// The same step off the tape (inference): T = X·W into `t`, then
+  /// Y = Â·T + b, ReLU'd in place when `apply_relu`, into `y`. Both
+  /// buffers are N×out_dim; `y` may be `x`, which is read only into T.
+  /// Every float operation and its order match the tape forward.
+  void forward(const tensor::Csr& adj, const tensor::Matrix& x,
+               tensor::Matrix& t, tensor::Matrix& y, bool apply_relu) const;
+
   [[nodiscard]] std::size_t in_dim() const { return in_dim_; }
   [[nodiscard]] std::size_t out_dim() const { return out_dim_; }
 

@@ -24,7 +24,10 @@ Hw2Vec::Hw2Vec(const Hw2VecConfig& config)
     : config_(config),
       init_rng_(config.seed),
       convs_(build_convs(config_, init_rng_)),
-      pool_(config_.hidden_dim, config_.pool_ratio, init_rng_) {}
+      pool_(config_.hidden_dim, config_.pool_ratio, init_rng_) {
+  GNN4IP_ENSURE(config_.dropout >= 0.0F && config_.dropout < 1.0F,
+                "dropout rate must be in [0,1)");
+}
 
 tensor::Var Hw2Vec::embed(tensor::Tape& tape, const GraphTensors& g,
                           util::Rng& dropout_rng, bool training) {
@@ -46,22 +49,35 @@ tensor::Var Hw2Vec::embed(tensor::Tape& tape, const GraphTensors& g,
   return apply_readout(tape, pool_.forward(tape, g, x).x, config_.readout);
 }
 
-tensor::Matrix Hw2Vec::embed_inference(const GraphTensors& g) {
-  tensor::Tape tape;
-  return embed_inference(tape, g);
+tensor::Matrix Hw2Vec::embed_inference(const GraphTensors& g) const {
+  // The tape forward's checks: feature width, equal node counts, and a
+  // non-empty graph.
+  GNN4IP_ENSURE(g.x.cols() == config_.input_dim,
+                "graph feature width does not match model input_dim");
+  const std::size_t n = g.x.rows();
+  GNN4IP_ENSURE(n > 0, "SagPool on empty graph");
+  GNN4IP_ENSURE(g.adj != nullptr && n == g.num_nodes &&
+                    g.adj->rows() == n && g.adj->cols() == n,
+                "node features, node count and adjacency disagree");
+  // Each layer writes T = X·W into `t` and Y = Â·T + b into `h`, which
+  // the next layer reads as X. Dropout is the identity at inference.
+  tensor::Matrix t(n, config_.hidden_dim);
+  tensor::Matrix h(n, config_.hidden_dim);
+  for (std::size_t l = 0; l < convs_.size(); ++l) {
+    convs_[l].forward(*g.adj, l == 0 ? g.x : h, t, h,
+                      /*apply_relu=*/l + 1 < convs_.size());
+  }
+  // α from the scorer's one channel; top-k, gate and readout as SagPool
+  // and apply_readout do on the tape.
+  tensor::Matrix alpha_t(n, 1);
+  tensor::Matrix alpha(n, 1);
+  pool_.scorer().forward(*g.adj, h, alpha_t, alpha, /*apply_relu=*/false);
+  return gated_readout(h, alpha, pool_.top_k(alpha), config_.readout);
 }
 
-tensor::Matrix Hw2Vec::embed_inference(tensor::Tape& tape,
-                                       const GraphTensors& g) {
-  tape.reset();
-  util::Rng unused(0);
-  tensor::Var h = embed(tape, g, unused, /*training=*/false);
-  tensor::Matrix out = h.value();
-  // Drop the node matrices now (keeping the vector's capacity): a
-  // worker's thread-local tape would otherwise pin the last graph's
-  // whole forward state while the pool sits idle.
-  tape.reset();
-  return out;
+tensor::Matrix Hw2Vec::embed_inference(tensor::Tape& /*tape*/,
+                                       const GraphTensors& g) const {
+  return embed_inference(g);
 }
 
 std::vector<tensor::Parameter*> Hw2Vec::parameters() {

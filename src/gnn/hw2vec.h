@@ -33,20 +33,23 @@ class Hw2Vec {
   explicit Hw2Vec(const Hw2VecConfig& config = {});
 
   /// Embed a featurized graph on a caller-provided tape (training path:
-  /// gradients flow into the model parameters).
+  /// gradients flow into the model parameters). With `training` false
+  /// this is the reference forward embed_inference is pinned to.
   [[nodiscard]] tensor::Var embed(tensor::Tape& tape, const GraphTensors& g,
                                   util::Rng& dropout_rng, bool training);
 
-  /// Inference-only convenience: fresh tape, no dropout; returns h_G.
-  [[nodiscard]] tensor::Matrix embed_inference(const GraphTensors& g);
+  /// Inference: h_G (1×hidden_dim) without dropout, off the tape. The
+  /// forward holds two N×hidden_dim buffers and two N×1 score columns
+  /// per call and records nothing for a backward pass; it is const and
+  /// safe to call from any number of threads at once. Every float
+  /// operation runs in the tape forward's order, so the embedding is
+  /// bit-equal to embed(tape, g, rng, false).value().
+  [[nodiscard]] tensor::Matrix embed_inference(const GraphTensors& g) const;
 
-  /// Inference embed on a caller-provided tape. The tape is reset()
-  /// first, so a worker can reuse one tape across a whole corpus
-  /// (retained node-vector capacity) instead of constructing a fresh
-  /// tape per graph; the arithmetic — and thus the embedding — is
-  /// bit-identical to the fresh-tape overload.
+  /// The same forward; the tape is not touched. Kept for callers that
+  /// still pass one (perfbench's front-end replay).
   [[nodiscard]] tensor::Matrix embed_inference(tensor::Tape& tape,
-                                               const GraphTensors& g);
+                                               const GraphTensors& g) const;
 
   /// All trainable parameters (for the optimizer / serialization).
   [[nodiscard]] std::vector<tensor::Parameter*> parameters();

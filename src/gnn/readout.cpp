@@ -1,6 +1,9 @@
 #include "gnn/readout.h"
 
+#include <cmath>
 #include <stdexcept>
+
+#include "util/contract.h"
 
 namespace gnn4ip::gnn {
 
@@ -28,6 +31,31 @@ tensor::Var apply_readout(tensor::Tape& tape, tensor::Var x, Readout readout) {
     case Readout::kMax: return tape.readout_max(x);
   }
   return tape.readout_max(x);
+}
+
+tensor::Matrix gated_readout(const tensor::Matrix& x,
+                             const tensor::Matrix& alpha,
+                             const std::vector<std::size_t>& kept,
+                             Readout readout) {
+  GNN4IP_ENSURE(!kept.empty(), "readout over empty matrix");
+  tensor::Matrix out(1, x.cols());
+  const auto y = out.row(0);  // +0: where the sum and the mean start
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const float gate = std::tanh(alpha.at(kept[i], 0));
+    const auto xr = x.row(kept[i]);
+    for (std::size_t c = 0; c < y.size(); ++c) {
+      const float v = xr[c] * gate;
+      if (readout != Readout::kMax) {
+        y[c] += v;
+      } else if (i == 0 || v > y[c]) {  // the first row, then strict >
+        y[c] = v;
+      }
+    }
+  }
+  if (readout == Readout::kMean) {
+    out.scale_in_place(1.0F / static_cast<float>(kept.size()));
+  }
+  return out;
 }
 
 }  // namespace gnn4ip::gnn

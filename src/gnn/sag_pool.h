@@ -32,6 +32,12 @@ class SagPool {
   [[nodiscard]] Result forward(tensor::Tape& tape, const GraphTensors& g,
                                tensor::Var x);
 
+  /// The rows kept for scores α (N×1, N > 0): the ⌈ratio·N⌉ highest,
+  /// clamped to [1, N], ordered by α descending then index ascending (on
+  /// ties the lowest indices survive); returned in ascending order.
+  [[nodiscard]] std::vector<std::size_t> top_k(
+      const tensor::Matrix& alpha) const;
+
   [[nodiscard]] GcnLayer& scorer() { return scorer_; }
   [[nodiscard]] const GcnLayer& scorer() const { return scorer_; }
   [[nodiscard]] float ratio() const { return ratio_; }

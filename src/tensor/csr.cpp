@@ -1,8 +1,8 @@
 #include "tensor/csr.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "tensor/row_kernel.h"
 #include "util/contract.h"
 
 namespace gnn4ip::tensor {
@@ -35,49 +35,23 @@ Csr::Csr(std::size_t rows, std::size_t cols,
   }
 }
 
-// Tiled CSR × dense kernel. Columns are processed in register-width
-// blocks: the accumulators for one block stay in registers across the
-// whole nonzero list of a row, so the inner loop is a fixed-trip-count
-// FMA the compiler vectorizes. Per output element the accumulation
-// order is ascending k — identical to the scalar kernel — so results
-// are bit-for-bit unchanged by the tiling.
-constexpr std::size_t kColBlock = 8;
-
 Matrix Csr::multiply(const Matrix& x) const {
+  Matrix y(rows_, x.cols());
+  multiply(x, y);
+  return y;
+}
+
+void Csr::multiply(const Matrix& x, Matrix& y) const {
   GNN4IP_ENSURE(x.rows() == cols_, "spmm shape mismatch");
+  GNN4IP_ENSURE(y.rows() == rows_ && y.cols() == x.cols() && &y != &x,
+                "spmm output shape mismatch");
   const std::size_t width = x.cols();
-  Matrix y(rows_, width);
-  if (width == 0) return y;
-  const float* xd = x.data().data();
-  float* yd = y.data().data();
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::size_t k0 = row_offsets_[r];
     const std::size_t k1 = row_offsets_[r + 1];
-    float* yr = yd + r * width;
-    for (std::size_t j0 = 0; j0 < width; j0 += kColBlock) {
-      const std::size_t jn = std::min(kColBlock, width - j0);
-      float acc[kColBlock] = {};
-      if (jn == kColBlock) {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const float v = values_[k];
-          const float* xr = xd + col_indices_[k] * width + j0;
-          for (std::size_t jj = 0; jj < kColBlock; ++jj) {
-            acc[jj] += v * xr[jj];
-          }
-        }
-      } else {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const float v = values_[k];
-          const float* xr = xd + col_indices_[k] * width + j0;
-          for (std::size_t jj = 0; jj < jn; ++jj) {
-            acc[jj] += v * xr[jj];
-          }
-        }
-      }
-      for (std::size_t jj = 0; jj < jn; ++jj) yr[j0 + jj] = acc[jj];
-    }
+    sparse_row_times({col_indices_.data() + k0, k1 - k0}, values_.data() + k0,
+                     x.data().data(), width, y.data().data() + r * width);
   }
-  return y;
 }
 
 Matrix Csr::multiply_transposed(const Matrix& x) const {

@@ -30,6 +30,9 @@ class Csr {
 
   /// Y = S · X  (dense X with X.rows() == cols()).
   [[nodiscard]] Matrix multiply(const Matrix& x) const;
+  /// Y = S · X into `y`, which must be rows()×X.cols() and not X; every
+  /// element is overwritten.
+  void multiply(const Matrix& x, Matrix& y) const;
 
   /// Y = Sᵀ · X (dense X with X.rows() == rows()). Each output element
   /// sums its terms in ascending row of S, as a row walk of a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/row_kernel.h"
 #include "util/contract.h"
 #include "util/string_util.h"
 
@@ -95,24 +96,35 @@ std::string Matrix::shape_string() const {
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  matmul(a, b, c);
+  return c;
+}
+
+void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
   GNN4IP_ENSURE(a.cols() == b.rows(), "matmul shape mismatch: " +
                                           a.shape_string() + " · " +
                                           b.shape_string());
-  Matrix c(a.rows(), b.cols());
-  // i-k-j loop order for cache-friendly access to b and c rows.
+  GNN4IP_ENSURE(c.rows() == a.rows() && c.cols() == b.cols(),
+                "matmul output shape mismatch: " + c.shape_string());
+  GNN4IP_ENSURE(&c != &a && &c != &b, "matmul output aliases an operand");
+  // Row i of A with its zeros dropped is a sparse row, listed once (one
+  // scan, no branch) for every column tile of the row kernel; node
+  // features are one-hot, so most of a first-layer row is dropped.
+  const std::size_t inner = a.cols();
+  std::vector<std::size_t> cols(inner);
+  std::vector<float> values(inner);
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = a_row[k];
-      if (aik == 0.0F) continue;
-      const auto b_row = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        c_row[j] += aik * b_row[j];
-      }
+    const float* ar = a.data().data() + i * inner;
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < inner; ++k) {
+      cols[count] = k;
+      values[count] = ar[k];
+      count += ar[k] != 0.0F ? 1 : 0;
     }
+    sparse_row_times({cols.data(), count}, values.data(), b.data().data(),
+                     b.cols(), c.data().data() + i * b.cols());
   }
-  return c;
 }
 
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {

@@ -65,6 +65,10 @@ class Matrix {
 
 /// C = A·B.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
+/// C = A·B into `c`, which must be A.rows()×B.cols() and neither operand;
+/// every element is overwritten. Each element sums a(i,k)·b(k,j) from +0
+/// in ascending k, skipping a(i,k) == 0 (−0 included).
+void matmul(const Matrix& a, const Matrix& b, Matrix& c);
 /// C = Aᵀ·B (avoids materializing the transpose).
 [[nodiscard]] Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// C = A·Bᵀ.

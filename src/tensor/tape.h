@@ -1,5 +1,9 @@
 // Reverse-mode automatic differentiation on matrices.
 //
+// The tape serves training only: inference (gnn::Hw2Vec::embed_inference)
+// runs a tape-free forward that does the same float operations in the
+// same order, pinned bit for bit against Hw2Vec::embed on a tape.
+//
 // A Tape owns a sequence of nodes created by operator methods; calling
 // backward(loss) seeds dL/dL = 1 and runs the recorded closures in
 // reverse order. Leaves created from a Parameter accumulate their

@@ -15,6 +15,10 @@
 
 namespace gnn4ip::train {
 
+/// The paper's different:similar pair ratio (66631 / 19094 ≈ 3.49,
+/// §IV-A): the cap every production trainer passes to all_pairs.
+inline constexpr double kPaperNegativeRatio = 3.49;
+
 /// One hardware instance with its featurized DFG.
 struct GraphEntry {
   std::string name;    // instance identifier, e.g. "pipeline_mips#3"

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "gnn/model_io.h"
 #include "gnn/readout.h"
 #include "gnn/sag_pool.h"
+#include "golden_corpus.h"
 #include "util/contract.h"
 #include "util/rng.h"
 
@@ -288,34 +290,107 @@ TEST(Hw2Vec, RealDfgEndToEnd) {
   for (float v : h.data()) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(Hw2Vec, ReusedTapeEmbeddingsMatchFreshTapePath) {
-  // embed_inference(tape, g) resets and reuses one tape across graphs
-  // (the corpus embed path: Trainer::embed_all, the audit batch embed);
-  // every embedding must stay bit-identical to the fresh-tape overload,
-  // whatever the tape held before.
-  const std::vector<GraphTensors> graphs = {
-      featurize(tiny_graph()),
-      featurize(dfg::extract_dfg(
-          "module m (input [3:0] a, input [3:0] b, output [3:0] y);\n"
-          "  assign y = (a & b) | (a ^ b);\n"
-          "endmodule\n")),
-      featurize(dfg::extract_dfg(
-          "module n (input [3:0] a, input [3:0] b, output [4:0] s);\n"
-          "  assign s = a + b;\n"
-          "endmodule\n")),
-  };
-  Hw2Vec model;
+bool bits_equal(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// The reference: the training forward on a fresh tape, without dropout.
+tensor::Matrix tape_embedding(Hw2Vec& model, const GraphTensors& t) {
   tensor::Tape tape;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const GraphTensors& g : graphs) {
-      const tensor::Matrix reused = model.embed_inference(tape, g);
-      const tensor::Matrix fresh = model.embed_inference(g);
-      ASSERT_EQ(reused.size(), fresh.size());
-      for (std::size_t c = 0; c < fresh.size(); ++c) {
-        EXPECT_EQ(reused.data()[c], fresh.data()[c]) << "cell " << c;
+  util::Rng unused(0);
+  return model.embed(tape, t, unused, /*training=*/false).value();
+}
+
+TEST(Hw2Vec, InferenceForwardBitEqualsTapeForward) {
+  // embed_inference runs off the tape; every golden-corpus design must
+  // embed to the tape forward's exact bits under every model-file
+  // config: each readout, depth and pooling ratio, and widths 16 and 12
+  // (12 leaves a 4-column tail in every 8-column tile). Biases are
+  // drawn nonzero so the bias step is exercised.
+  std::vector<std::pair<std::string, GraphTensors>> graphs;
+  for (const auto& [label, source] : golden::designs()) {
+    graphs.emplace_back(label, featurize(dfg::extract_dfg(source)));
+  }
+  for (const Readout readout : {Readout::kMax, Readout::kMean, Readout::kSum}) {
+    for (const std::size_t layers : {1, 2, 3}) {
+      for (const float ratio : {0.5F, 0.3F, 1.0F}) {
+        for (const std::size_t hidden : {16, 12}) {
+          Hw2VecConfig config;
+          config.readout = readout;
+          config.num_layers = layers;
+          config.pool_ratio = ratio;
+          config.hidden_dim = hidden;
+          Hw2Vec model(config);
+          const std::vector<tensor::Parameter*> params = model.parameters();
+          util::Rng bias_rng(layers * 100 + hidden);
+          for (std::size_t p = 1; p < params.size(); p += 2) {  // W, b pairs
+            for (float& b : params[p]->value.data()) {
+              b = bias_rng.uniform(-0.5F, 0.5F);
+            }
+          }
+          const std::string where = std::string(to_string(readout)) +
+                                    " layers " + std::to_string(layers) +
+                                    " ratio " + std::to_string(ratio) +
+                                    " hidden " + std::to_string(hidden);
+          for (const auto& [label, t] : graphs) {
+            const tensor::Matrix want = tape_embedding(model, t);
+            ASSERT_TRUE(bits_equal(model.embed_inference(t), want))
+                << label << ", " << where;
+            tensor::Tape unused;
+            ASSERT_TRUE(bits_equal(model.embed_inference(unused, t), want))
+                << label << ", " << where;
+            ASSERT_EQ(unused.num_nodes(), 0u) << "the Tape& overload ran";
+          }
+        }
       }
     }
   }
+}
+
+TEST(Hw2Vec, InferenceForwardKeepsLowestIndicesOnTiedScores) {
+  // A zero scorer weight makes α = b_s on every node, so all scores tie
+  // and the lowest-index rule alone picks the kept rows. The nodes
+  // differ in kind, so which rows survive changes the embedding: listed
+  // in reverse, the same graph keeps the other half.
+  const std::vector<dfg::NodeKind> kinds = {
+      dfg::NodeKind::kOutput, dfg::NodeKind::kXor, dfg::NodeKind::kAnd,
+      dfg::NodeKind::kMux,    dfg::NodeKind::kAdd, dfg::NodeKind::kInput};
+  const auto chain = [&kinds](bool reversed) {
+    graph::Digraph g;
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      const dfg::NodeKind kind = kinds[reversed ? kinds.size() - 1 - i : i];
+      g.add_node("n" + std::to_string(i), static_cast<int>(kind));
+    }
+    for (std::size_t i = 0; i + 1 < kinds.size(); ++i) {
+      g.add_edge(static_cast<graph::NodeId>(i),
+                 static_cast<graph::NodeId>(i + 1));
+    }
+    return featurize(g);
+  };
+  const GraphTensors forward = chain(false);
+  const GraphTensors backward = chain(true);
+  for (const Readout readout : {Readout::kMax, Readout::kMean, Readout::kSum}) {
+    Hw2VecConfig config;
+    config.readout = readout;
+    Hw2Vec model(config);
+    const std::vector<tensor::Parameter*> params = model.parameters();
+    params[params.size() - 2]->value.fill(0.0F);  // scorer weight
+    params.back()->value.fill(0.25F);             // b_s, so tanh(α) ≠ 0
+    const tensor::Matrix h = model.embed_inference(forward);
+    EXPECT_TRUE(bits_equal(h, tape_embedding(model, forward)))
+        << to_string(readout);
+    EXPECT_TRUE(bits_equal(model.embed_inference(backward),
+                           tape_embedding(model, backward)))
+        << to_string(readout);
+    EXPECT_FALSE(bits_equal(h, model.embed_inference(backward)))
+        << to_string(readout);
+  }
+  util::Rng rng(5);
+  const SagPool pool(4, 0.5F, rng);
+  EXPECT_EQ(pool.top_k(tensor::Matrix(6, 1, 0.25F)),
+            (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(ModelIo, SaveLoadRoundTrip) {
