@@ -4,6 +4,7 @@
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
 #include "dfg/trim.h"
+#include "verilog/diagnostics.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
 
@@ -20,6 +21,12 @@ graph::Digraph build_dfg(const std::string& verilog_source) {
 graph::Digraph extract_dfg(const std::string& verilog_source) {
   graph::Digraph g = build_dfg(verilog_source);
   trim(g);
+  // Nothing is left to featurize: like a source with no module, this is
+  // a malformed design, not a library fault.
+  if (g.num_nodes() == 0) {
+    throw verilog::ParseError("design has no dataflow: its trimmed DFG is empty",
+                              {1, 1});
+  }
   return g;
 }
 

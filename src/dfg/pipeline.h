@@ -20,7 +20,8 @@ namespace gnn4ip::dfg {
 [[nodiscard]] graph::Digraph build_dfg(const std::string& verilog_source);
 
 /// Extract the final DFG for a Verilog source buffer: build_dfg, then
-/// trim. Throws verilog::ParseError on malformed input.
+/// trim. Throws verilog::ParseError on malformed input, and at 1:1 when
+/// the trimmed DFG is empty (a design with no dataflow).
 [[nodiscard]] graph::Digraph extract_dfg(const std::string& verilog_source);
 
 /// Summary counters useful for Table-I style reporting.

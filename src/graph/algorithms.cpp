@@ -11,14 +11,17 @@ std::vector<int> weakly_connected_components(const Digraph& g) {
   const std::size_t n = g.num_nodes();
   std::vector<int> label(n, -1);
   int next_label = 0;
-  std::deque<NodeId> queue;
+  // Each node is queued once over the whole walk, so one vector read
+  // from `head` serves as the queue for every component.
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  std::size_t head = 0;
   for (std::size_t start = 0; start < n; ++start) {
     if (label[start] != -1) continue;
     label[start] = next_label;
     queue.push_back(static_cast<NodeId>(start));
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
+    while (head < queue.size()) {
+      const NodeId v = queue[head++];
       auto visit = [&](NodeId u) {
         if (label[static_cast<std::size_t>(u)] == -1) {
           label[static_cast<std::size_t>(u)] = next_label;

@@ -187,9 +187,12 @@ TEST(AuditService, MalformedDesignGetsDiagnosticWithoutKillingBatch) {
 
   ASSERT_TRUE(service.submit("good#1", items[1].verilog));
   ASSERT_TRUE(service.submit("broken", "module oops (input a, ;;;"));
+  // Parses, but trims to an empty DFG: nothing to featurize.
+  ASSERT_TRUE(service.submit("no-logic",
+                             "module m(input a, output y); endmodule\n"));
   ASSERT_TRUE(service.submit("good#2", items[2].verilog));
   const std::vector<ScreenReport> reports = service.screen();
-  ASSERT_EQ(reports.size(), 3u);
+  ASSERT_EQ(reports.size(), 4u);
 
   EXPECT_TRUE(reports[0].submission.accepted);
   EXPECT_TRUE(reports[0].best.has_value());
@@ -198,12 +201,18 @@ TEST(AuditService, MalformedDesignGetsDiagnosticWithoutKillingBatch) {
   EXPECT_GT(reports[1].submission.error.location.line, 0);
   EXPECT_TRUE(reports[1].verdicts.empty());
   EXPECT_FALSE(reports[1].best.has_value());
-  EXPECT_TRUE(reports[2].submission.accepted);
-  EXPECT_TRUE(reports[2].best.has_value());
+  EXPECT_FALSE(reports[2].submission.accepted);
+  EXPECT_EQ(reports[2].submission.error.location.line, 1);
+  EXPECT_TRUE(reports[2].verdicts.empty());
+  EXPECT_TRUE(reports[3].submission.accepted);
+  EXPECT_TRUE(reports[3].best.has_value());
 
   // Only the two good designs joined the corpus.
   EXPECT_EQ(service.resident(), 3u);
   EXPECT_FALSE(service.contains("broken"));
+  EXPECT_FALSE(service.contains("no-logic"));
+  EXPECT_TRUE(service.contains("good#1"));
+  EXPECT_TRUE(service.contains("good#2"));
 }
 
 TEST(AuditService, LibraryParseErrorReportsDiagnostic) {
@@ -212,6 +221,17 @@ TEST(AuditService, LibraryParseErrorReportsDiagnostic) {
   const Submission s = service.add_library("bad-lib", "module (((");
   EXPECT_FALSE(s.accepted);
   EXPECT_FALSE(s.error.message.empty());
+  EXPECT_EQ(service.resident(), 0u);
+}
+
+TEST(AuditService, LibraryWithoutDataflowReportsDiagnostic) {
+  gnn::Hw2Vec model;
+  AuditService service(model);
+  const Submission s =
+      service.add_library("no-logic", "module m(input a, output y); endmodule\n");
+  EXPECT_FALSE(s.accepted);
+  EXPECT_FALSE(s.error.message.empty());
+  EXPECT_EQ(s.error.location.line, 1);
   EXPECT_EQ(service.resident(), 0u);
 }
 
@@ -384,6 +404,14 @@ TEST(CompileRtl, ReportsDiagnosticsInsteadOfThrowing) {
   EXPECT_FALSE(bad.error.message.empty());
   EXPECT_GT(bad.error.location.line, 0);
   EXPECT_NE(bad.error.to_string().find(':'), std::string::npos);
+
+  // A design that parses but has no dataflow trims to an empty DFG.
+  const CompileResult empty =
+      compile_rtl("module m(input a, output y); endmodule\n");
+  ASSERT_FALSE(empty.ok);
+  EXPECT_FALSE(empty.error.message.empty());
+  EXPECT_EQ(empty.error.location.line, 1);
+  EXPECT_EQ(empty.error.location.column, 1);
 }
 
 TEST(AsyncAuditor, FuturesMatchSynchronousScreenBitForBit) {
