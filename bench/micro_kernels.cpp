@@ -22,9 +22,13 @@
 #include "data/corpus.h"
 #include "data/iscas.h"
 #include "data/rtl_designs.h"
+#include "dfg/dataflow.h"
+#include "dfg/merge.h"
+#include "dfg/trim.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
 #include "train/trainer.h"
+#include "verilog/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/preprocess.h"
 
@@ -143,6 +147,28 @@ void BM_Featurize(benchmark::State& state) {
   state.counters["nnz"] = static_cast<double>(gnn::featurize(g).adj->nnz());
 }
 BENCHMARK(BM_Featurize)->DenseRange(0, 5);
+
+// Merge plus trim (phases 4 and 5 of Fig. 2) of the six ISCAS
+// stand-ins; parse, elaborate and dataflow run once, outside the loop.
+// `nodes` counts each trimmed DFG.
+void BM_MergeTrim(benchmark::State& state) {
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const verilog::Design design = verilog::parse(bench.netlist.to_verilog());
+  const verilog::Module flat =
+      verilog::elaborate(design, verilog::infer_top_module(design));
+  const std::vector<dfg::SignalDriver> drivers = dfg::analyze_dataflow(flat);
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    graph::Digraph g = dfg::merge_drivers(flat, drivers);
+    dfg::trim(g);
+    nodes = g.num_nodes();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetLabel(bench.name);
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_MergeTrim)->DenseRange(0, 5);
 
 void BM_GcnForward(benchmark::State& state) {
   const gnn::GraphTensors t = gnn::featurize(dfg::extract_dfg(medium_rtl()));

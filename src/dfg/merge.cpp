@@ -29,6 +29,10 @@ class Merger {
     for (const SignalDriver& driver : drivers_) {
       if (driver.is_register) registers_.insert(driver.signal);
     }
+    const std::size_t expected = flat_.nets.size() + drivers_.size();
+    nodes_.reserve(expected);
+    edges_.reserve(expected);
+    signals_.reserve(expected);
     // Pre-create signal nodes for everything declared or driven so that
     // identifier references resolve to shared vertices. A name's node is
     // created, and classified, at its first declaration (the one a lookup
@@ -39,9 +43,9 @@ class Merger {
     for (const SignalDriver& driver : drivers_) {
       const NodeId sig = signal_node(driver.signal);
       const NodeId root = convert(*driver.tree);
-      g_.add_edge(sig, root);
+      edges_.emplace_back(sig, root);
     }
-    return std::move(g_);
+    return Digraph(std::move(nodes_), edges_);
   }
 
  private:
@@ -65,7 +69,7 @@ class Merger {
                      const verilog::NetDecl* decl = nullptr) {
     const auto it = signals_.find(name);
     if (it != signals_.end()) return it->second;
-    const NodeId id = g_.add_node(
+    const NodeId id = new_node(
         std::string(name), static_cast<int>(classify_signal(name, decl)));
     signals_.emplace(name, id);
     return id;
@@ -74,14 +78,19 @@ class Merger {
   NodeId constant_node(std::string_view literal) {
     const auto it = constants_.find(literal);
     if (it != constants_.end()) return it->second;
-    const NodeId id = g_.add_node(std::string(literal),
-                                  static_cast<int>(NodeKind::kConstant));
+    const NodeId id = new_node(std::string(literal),
+                               static_cast<int>(NodeKind::kConstant));
     constants_.emplace(literal, id);
     return id;
   }
 
   NodeId operator_node(NodeKind kind) {
-    return g_.add_node(to_string(kind), static_cast<int>(kind));
+    return new_node(to_string(kind), static_cast<int>(kind));
+  }
+
+  NodeId new_node(std::string name, int kind) {
+    nodes_.push_back({std::move(name), kind});
+    return static_cast<NodeId>(nodes_.size() - 1);
   }
 
   /// An operator whose operands are being converted.
@@ -137,7 +146,7 @@ class Merger {
     NodeId done = open(&root);
     while (!stack_.empty()) {
       Frame& top = stack_.back();
-      if (done != graph::kInvalidNode) g_.add_edge(top.op, done);
+      if (done != graph::kInvalidNode) edges_.emplace_back(top.op, done);
       if (top.next == top.e->operands.size()) {
         done = top.op;
         stack_.pop_back();
@@ -151,7 +160,10 @@ class Merger {
 
   const verilog::Module& flat_;
   const std::vector<SignalDriver>& drivers_;
-  Digraph g_;
+  // The graph is built once from these, in creation order; a repeated
+  // edge keeps its first occurrence.
+  std::vector<graph::Node> nodes_;
+  std::vector<graph::Edge> edges_;
   // Lookup only, never iterated, so node ids and edges follow creation
   // order. Keys view names in `flat_` and `drivers_`, which outlive the
   // merge.

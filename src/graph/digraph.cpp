@@ -6,12 +6,58 @@
 #include "util/string_util.h"
 
 namespace gnn4ip::graph {
+namespace {
 
-NodeId Digraph::add_node(std::string name, int kind) {
-  nodes_.push_back(Node{std::move(name), kind});
-  out_.emplace_back();
-  in_.emplace_back();
-  return static_cast<NodeId>(nodes_.size() - 1);
+/// Group `edges` into CSR rows keyed by `row_of` (stable, so each row
+/// keeps insertion order), then drop a repeated entry within a row,
+/// keeping its first occurrence. `seen` is n scratch entries.
+template <typename RowOf, typename ColOf>
+void build_rows(std::size_t n, const std::vector<Edge>& edges, RowOf row_of,
+                ColOf col_of, std::vector<std::size_t>& offsets,
+                std::vector<NodeId>& ids, std::vector<NodeId>& seen) {
+  offsets.assign(n + 1, 0);
+  for (const Edge& e : edges) ++offsets[static_cast<std::size_t>(row_of(e)) + 1];
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  ids.resize(edges.size());
+  // offsets[r] serves as row r's fill cursor, then is shifted back.
+  for (const Edge& e : edges) {
+    ids[offsets[static_cast<std::size_t>(row_of(e))]++] = col_of(e);
+  }
+  for (std::size_t v = n; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
+  std::fill(seen.begin(), seen.end(), kInvalidNode);
+  std::size_t write = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t end = offsets[r + 1];
+    for (std::size_t k = begin; k < end; ++k) {
+      const auto col = static_cast<std::size_t>(ids[k]);
+      if (seen[col] == static_cast<NodeId>(r)) continue;
+      seen[col] = static_cast<NodeId>(r);
+      ids[write++] = ids[k];
+    }
+    begin = end;
+    offsets[r + 1] = write;
+  }
+  ids.resize(write);
+}
+
+}  // namespace
+
+Digraph::Digraph(std::vector<Node> nodes, const std::vector<Edge>& edges)
+    : nodes_(std::move(nodes)) {
+  for (const auto& [src, dst] : edges) {
+    check_id(src);
+    check_id(dst);
+  }
+  const std::size_t n = nodes_.size();
+  std::vector<NodeId> seen(n);
+  build_rows(n, edges, [](const Edge& e) { return e.first; },
+             [](const Edge& e) { return e.second; }, out_offsets_, out_ids_,
+             seen);
+  build_rows(n, edges, [](const Edge& e) { return e.second; },
+             [](const Edge& e) { return e.first; }, in_offsets_, in_ids_,
+             seen);
 }
 
 void Digraph::check_id(NodeId id) const {
@@ -20,20 +66,9 @@ void Digraph::check_id(NodeId id) const {
                              nodes_.size()));
 }
 
-void Digraph::add_edge(NodeId src, NodeId dst, bool allow_self_loop) {
-  check_id(src);
-  check_id(dst);
-  if (src == dst && !allow_self_loop) return;
-  if (has_edge(src, dst)) return;
-  out_[static_cast<std::size_t>(src)].push_back(dst);
-  in_[static_cast<std::size_t>(dst)].push_back(src);
-  ++num_edges_;
-}
-
 bool Digraph::has_edge(NodeId src, NodeId dst) const {
-  check_id(src);
   check_id(dst);
-  const auto& row = out_[static_cast<std::size_t>(src)];
+  const auto row = out_neighbors(src);
   return std::find(row.begin(), row.end(), dst) != row.end();
 }
 
@@ -42,83 +77,101 @@ const Node& Digraph::node(NodeId id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-Node& Digraph::node(NodeId id) {
-  check_id(id);
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
 std::span<const NodeId> Digraph::out_neighbors(NodeId id) const {
   check_id(id);
-  return out_[static_cast<std::size_t>(id)];
+  const auto v = static_cast<std::size_t>(id);
+  return {out_ids_.data() + out_offsets_[v], out_offsets_[v + 1] - out_offsets_[v]};
 }
 
 std::span<const NodeId> Digraph::in_neighbors(NodeId id) const {
   check_id(id);
-  return in_[static_cast<std::size_t>(id)];
+  const auto v = static_cast<std::size_t>(id);
+  return {in_ids_.data() + in_offsets_[v], in_offsets_[v + 1] - in_offsets_[v]};
 }
 
-std::vector<std::pair<NodeId, NodeId>> Digraph::edges() const {
-  std::vector<std::pair<NodeId, NodeId>> result;
-  result.reserve(num_edges_);
-  for (std::size_t s = 0; s < out_.size(); ++s) {
-    for (NodeId d : out_[s]) {
-      result.emplace_back(static_cast<NodeId>(s), d);
+std::vector<Edge> Digraph::edges() const {
+  std::vector<Edge> result;
+  result.reserve(out_ids_.size());
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    for (std::size_t k = out_offsets_[s]; k < out_offsets_[s + 1]; ++k) {
+      result.emplace_back(static_cast<NodeId>(s), out_ids_[k]);
     }
   }
   return result;
 }
 
+void Digraph::rebuild_in_from_out() {
+  const std::size_t n = nodes_.size();
+  in_offsets_.assign(n + 1, 0);
+  for (const NodeId d : out_ids_) ++in_offsets_[static_cast<std::size_t>(d) + 1];
+  for (std::size_t v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
+  in_ids_.resize(out_ids_.size());
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = out_offsets_[s]; k < out_offsets_[s + 1]; ++k) {
+      in_ids_[in_offsets_[static_cast<std::size_t>(out_ids_[k])]++] =
+          static_cast<NodeId>(s);
+    }
+  }
+  for (std::size_t v = n; v > 0; --v) in_offsets_[v] = in_offsets_[v - 1];
+  in_offsets_[0] = 0;
+}
+
 std::vector<NodeId> Digraph::remove_nodes(const std::vector<NodeId>& to_remove) {
-  std::vector<bool> removed(nodes_.size(), false);
+  std::vector<NodeId> remap(nodes_.size(), 0);
   for (NodeId id : to_remove) {
     check_id(id);
-    removed[static_cast<std::size_t>(id)] = true;
+    remap[static_cast<std::size_t>(id)] = kInvalidNode;
   }
-  std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
   NodeId next = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!removed[i]) remap[i] = next++;
+  for (NodeId& r : remap) {
+    if (r != kInvalidNode) r = next++;
   }
-
-  Digraph rebuilt;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!removed[i]) {
-      rebuilt.add_node(std::move(nodes_[i].name), nodes_[i].kind);
-    }
-  }
-  for (std::size_t s = 0; s < out_.size(); ++s) {
-    if (removed[s]) continue;
-    for (NodeId d : out_[s]) {
-      if (!removed[static_cast<std::size_t>(d)]) {
-        rebuilt.add_edge(remap[s], remap[static_cast<std::size_t>(d)]);
+  // Survivors move down in place; a row is read before anything that
+  // could overwrite it is written, since new ids never exceed old ones.
+  std::size_t write = 0;
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    const std::size_t end = out_offsets_[s + 1];
+    const NodeId to = remap[s];
+    if (to != kInvalidNode) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const NodeId d = remap[static_cast<std::size_t>(out_ids_[k])];
+        if (d != kInvalidNode) out_ids_[write++] = d;
       }
+      nodes_[static_cast<std::size_t>(to)] = std::move(nodes_[s]);
+      out_offsets_[static_cast<std::size_t>(to) + 1] = write;
     }
+    begin = end;
   }
-  *this = std::move(rebuilt);
+  nodes_.resize(static_cast<std::size_t>(next));
+  out_offsets_.resize(static_cast<std::size_t>(next) + 1);
+  out_ids_.resize(write);
+  rebuild_in_from_out();
   return remap;
 }
 
 Digraph Digraph::induced_subgraph(const std::vector<NodeId>& keep) const {
   std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
-  Digraph sub;
+  std::vector<Node> nodes;
+  nodes.reserve(keep.size());
   for (std::size_t pos = 0; pos < keep.size(); ++pos) {
     const NodeId id = keep[pos];
     check_id(id);
     GNN4IP_ENSURE(remap[static_cast<std::size_t>(id)] == kInvalidNode,
                   "duplicate node in induced_subgraph keep list");
-    remap[static_cast<std::size_t>(id)] =
-        sub.add_node(nodes_[static_cast<std::size_t>(id)].name,
-                     nodes_[static_cast<std::size_t>(id)].kind);
+    remap[static_cast<std::size_t>(id)] = static_cast<NodeId>(pos);
+    nodes.push_back(nodes_[static_cast<std::size_t>(id)]);
   }
+  std::vector<Edge> edges;
   for (NodeId src : keep) {
-    for (NodeId dst : out_[static_cast<std::size_t>(src)]) {
+    for (NodeId dst : out_neighbors(src)) {
       const NodeId new_dst = remap[static_cast<std::size_t>(dst)];
       if (new_dst != kInvalidNode) {
-        sub.add_edge(remap[static_cast<std::size_t>(src)], new_dst);
+        edges.emplace_back(remap[static_cast<std::size_t>(src)], new_dst);
       }
     }
   }
-  return sub;
+  return Digraph(std::move(nodes), edges);
 }
 
 NodeId Digraph::find_by_name(std::string_view name) const {

@@ -5,15 +5,23 @@
 // vocabulary, and the GNN featurizes node kinds into one-hot rows and the
 // edge list into a normalized sparse adjacency.
 //
-// Mutations (adding nodes/edges, removing node subsets) are supported so
-// the trim pass can rewrite graphs in place; `remove_nodes()` renumbers
-// the surviving node ids densely.
+// Storage is two CSR arrays, as in tensor::Csr: successors and
+// predecessors, each n+1 offsets into one flat id array. A graph is made
+// in one step, by the constructor, from its node list and its edge list
+// in insertion order. The ordering contract:
+//   - a repeated (src, dst) keeps its first occurrence; self-loops stay;
+//   - out_neighbors(v) and edges() list edges by source, then insertion;
+//   - in_neighbors(v) lists predecessors in edge insertion order, and,
+//     after remove_nodes(), in ascending source order.
+// remove_nodes() compacts in place and renumbers the surviving ids
+// densely in their relative order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gnn4ip::graph {
@@ -30,26 +38,24 @@ struct Node {
   int kind = 0;
 };
 
-/// Mutable directed multigraph-free graph (parallel edges are collapsed).
+/// A directed edge (src, dst).
+using Edge = std::pair<NodeId, NodeId>;
+
+/// Directed graph without parallel edges.
 class Digraph {
  public:
   Digraph() = default;
 
-  /// Append a node; returns its id.
-  NodeId add_node(std::string name, int kind);
-
-  /// Add edge src -> dst. Duplicate edges are ignored. Self-loops allowed
-  /// only when `allow_self_loop` (DFGs for sequential logic contain
-  /// register feedback loops).
-  void add_edge(NodeId src, NodeId dst, bool allow_self_loop = true);
+  /// Nodes get ids in list order. Throws util::ContractViolation when an
+  /// edge names an id outside [0, nodes.size()).
+  Digraph(std::vector<Node> nodes, const std::vector<Edge>& edges);
 
   [[nodiscard]] bool has_edge(NodeId src, NodeId dst) const;
 
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
+  [[nodiscard]] std::size_t num_edges() const { return out_ids_.size(); }
 
   [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] Node& node(NodeId id);
 
   [[nodiscard]] std::span<const NodeId> out_neighbors(NodeId id) const;
   [[nodiscard]] std::span<const NodeId> in_neighbors(NodeId id) const;
@@ -62,7 +68,7 @@ class Digraph {
   }
 
   /// All edges as (src, dst) pairs, ordered by src then insertion.
-  [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> edges() const;
+  [[nodiscard]] std::vector<Edge> edges() const;
 
   /// Remove the given nodes (and incident edges), then renumber ids
   /// densely preserving relative order. Returns old-id -> new-id map
@@ -83,11 +89,15 @@ class Digraph {
 
  private:
   void check_id(NodeId id) const;
+  /// Rebuild the predecessor arrays from the successor arrays, so each
+  /// row lists its sources in ascending order.
+  void rebuild_in_from_out();
 
   std::vector<Node> nodes_;
-  std::vector<std::vector<NodeId>> out_;
-  std::vector<std::vector<NodeId>> in_;
-  std::size_t num_edges_ = 0;
+  std::vector<std::size_t> out_offsets_;
+  std::vector<NodeId> out_ids_;
+  std::vector<std::size_t> in_offsets_;
+  std::vector<NodeId> in_ids_;
 };
 
 }  // namespace gnn4ip::graph

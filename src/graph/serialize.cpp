@@ -62,7 +62,8 @@ Digraph read_text(std::istream& is) {
     std::string tag;
     if (!(ls >> tag >> n) || tag != "nodes") malformed("bad node count line");
   }
-  Digraph g;
+  // The counts are untrusted: nothing is reserved from them.
+  std::vector<Node> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::getline(is, line)) malformed("truncated node list");
     const std::size_t space = line.find(' ');
@@ -73,7 +74,7 @@ Digraph read_text(std::istream& is) {
     } catch (const std::exception&) {
       malformed("bad node kind");
     }
-    g.add_node(line.substr(space + 1), kind);
+    nodes.push_back({line.substr(space + 1), kind});
   }
   std::size_t m = 0;
   if (!std::getline(is, line)) malformed("missing edge count");
@@ -82,16 +83,20 @@ Digraph read_text(std::istream& is) {
     std::string tag;
     if (!(ls >> tag >> m) || tag != "edges") malformed("bad edge count line");
   }
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < m; ++i) {
     if (!std::getline(is, line)) malformed("truncated edge list");
     std::istringstream ls(line);
     NodeId src = 0;
     NodeId dst = 0;
     if (!(ls >> src >> dst)) malformed("bad edge line");
-    if (!g.valid(src) || !g.valid(dst)) malformed("edge endpoint out of range");
-    g.add_edge(src, dst);
+    if (src < 0 || dst < 0 || static_cast<std::size_t>(src) >= nodes.size() ||
+        static_cast<std::size_t>(dst) >= nodes.size()) {
+      malformed("edge endpoint out of range");
+    }
+    edges.emplace_back(src, dst);
   }
-  return g;
+  return Digraph(std::move(nodes), edges);
 }
 
 }  // namespace gnn4ip::graph

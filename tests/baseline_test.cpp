@@ -13,13 +13,13 @@ namespace gnn4ip::baseline {
 namespace {
 
 graph::Digraph star(int leaves, int center_kind, int leaf_kind) {
-  graph::Digraph g;
-  g.add_node("c", center_kind);
+  std::vector<graph::Node> nodes{{"c", center_kind}};
+  std::vector<graph::Edge> edges;
   for (int i = 0; i < leaves; ++i) {
-    g.add_node("l" + std::to_string(i), leaf_kind);
-    g.add_edge(0, static_cast<graph::NodeId>(i + 1));
+    nodes.push_back({"l" + std::to_string(i), leaf_kind});
+    edges.emplace_back(0, static_cast<graph::NodeId>(i + 1));
   }
-  return g;
+  return graph::Digraph(std::move(nodes), edges);
 }
 
 TEST(NeighborMatching, IdenticalGraphsScoreOne) {
@@ -70,14 +70,8 @@ TEST(WlHistogram, DifferentKindsScoreZero) {
 TEST(WlHistogram, MoreRoundsMoreDiscrimination) {
   // A chain and a star with identical kind multiset: round-0 histograms
   // collide, deeper rounds separate them.
-  graph::Digraph chain;
-  chain.add_node("a", 1);
-  chain.add_node("b", 2);
-  chain.add_node("c", 2);
-  chain.add_node("d", 2);
-  chain.add_edge(0, 1);
-  chain.add_edge(1, 2);
-  chain.add_edge(2, 3);
+  const graph::Digraph chain({{"a", 1}, {"b", 2}, {"c", 2}, {"d", 2}},
+                             {{0, 1}, {1, 2}, {2, 3}});
   const graph::Digraph s = star(3, 1, 2);
   const double shallow = wl_histogram_similarity(chain, s, {.rounds = 0});
   const double deep = wl_histogram_similarity(chain, s, {.rounds = 3});

@@ -340,6 +340,97 @@ TEST(Dfg, TrimRemovesIsolatedNets) {
   EXPECT_EQ(g.num_nodes(), untrimmed - 1);
 }
 
+/// The trim as three sequential passes, each compacting when something
+/// goes: the reference trim() must equal.
+void trim_reference(Digraph& g) {
+  std::vector<NodeId> dead;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<NodeId>(v);
+    if (kind_of_node(g, id) == NodeKind::kConstant && g.in_degree(id) == 0) {
+      dead.push_back(id);
+    }
+  }
+  if (!dead.empty()) g.remove_nodes(dead);
+  std::vector<NodeId> isolated;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<NodeId>(v);
+    if (g.in_degree(id) == 0 && g.out_degree(id) == 0) isolated.push_back(id);
+  }
+  if (!isolated.empty()) g.remove_nodes(isolated);
+  if (g.num_nodes() == 0) return;
+  const std::vector<int> component = graph::weakly_connected_components(g);
+  const auto count = static_cast<std::size_t>(
+      1 + *std::max_element(component.begin(), component.end()));
+  std::vector<bool> keep(count, false);
+  std::vector<int> size(count, 0);
+  bool any_output = false;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto c = static_cast<std::size_t>(component[v]);
+    ++size[c];
+    if (kind_of_node(g, static_cast<NodeId>(v)) == NodeKind::kOutput) {
+      keep[c] = true;
+      any_output = true;
+    }
+  }
+  if (!any_output) {
+    keep[static_cast<std::size_t>(std::max_element(size.begin(), size.end()) -
+                                  size.begin())] = true;
+  }
+  std::vector<NodeId> to_remove;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    if (!keep[static_cast<std::size_t>(component[v])]) {
+      to_remove.push_back(static_cast<NodeId>(v));
+    }
+  }
+  if (!to_remove.empty()) g.remove_nodes(to_remove);
+}
+
+TEST(Trim, OnePassEqualsThreeSequentialPasses) {
+  std::vector<std::pair<std::string, Digraph>> cases;
+  for (const auto& [label, src] : golden::designs()) {
+    cases.emplace_back(label, build_dfg(src));
+  }
+  const auto k = [](NodeKind kind) { return static_cast<int>(kind); };
+  // A constant with a successor: step 1 drops it, which leaves the
+  // successor isolated, so step 2 drops that too.
+  cases.emplace_back("constant-with-successor",
+                     Digraph({{"1'b1", k(NodeKind::kConstant)},
+                              {"x", k(NodeKind::kSignal)}},
+                             {{0, 1}}));
+  // A node whose only edge is a self-loop is not isolated.
+  cases.emplace_back("self-loop-only", Digraph({{"r", k(NodeKind::kRegister)},
+                                                {"a", k(NodeKind::kInput)}},
+                                               {{0, 0}}));
+  // No output and two equally large components: the first one stays.
+  cases.emplace_back("no-output-tie",
+                     Digraph({{"a", k(NodeKind::kInput)},
+                              {"b", k(NodeKind::kInput)},
+                              {"c", k(NodeKind::kSignal)},
+                              {"d", k(NodeKind::kSignal)}},
+                             {{3, 1}, {2, 0}}));
+  cases.emplace_back("all-isolated", Digraph({{"a", k(NodeKind::kInput)},
+                                              {"b", k(NodeKind::kSignal)},
+                                              {"1", k(NodeKind::kConstant)}},
+                                             {}));
+  for (auto& [label, g] : cases) {
+    Digraph reference = g;
+    trim_reference(reference);
+    trim(g);
+    ASSERT_EQ(g.num_nodes(), reference.num_nodes()) << label;
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      const auto id = static_cast<NodeId>(v);
+      EXPECT_EQ(g.node(id).name, reference.node(id).name) << label;
+      EXPECT_EQ(g.node(id).kind, reference.node(id).kind) << label;
+      const auto in = g.in_neighbors(id);
+      const auto ref_in = reference.in_neighbors(id);
+      EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()),
+                std::vector<NodeId>(ref_in.begin(), ref_in.end()))
+          << label << " node " << v;
+    }
+    EXPECT_EQ(g.edges(), reference.edges()) << label;
+  }
+}
+
 // --- hierarchy ---------------------------------------------------------------
 
 TEST(Dfg, HierarchicalDesignFlattensIntoOneGraph) {

@@ -28,15 +28,11 @@ namespace gnn4ip::gnn {
 namespace {
 
 graph::Digraph tiny_graph() {
-  graph::Digraph g;
-  g.add_node("out", static_cast<int>(dfg::NodeKind::kOutput));
-  g.add_node("op", static_cast<int>(dfg::NodeKind::kXor));
-  g.add_node("a", static_cast<int>(dfg::NodeKind::kInput));
-  g.add_node("b", static_cast<int>(dfg::NodeKind::kInput));
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(1, 3);
-  return g;
+  return graph::Digraph({{"out", static_cast<int>(dfg::NodeKind::kOutput)},
+                         {"op", static_cast<int>(dfg::NodeKind::kXor)},
+                         {"a", static_cast<int>(dfg::NodeKind::kInput)},
+                         {"b", static_cast<int>(dfg::NodeKind::kInput)}},
+                        {{0, 1}, {1, 2}, {1, 3}});
 }
 
 TEST(Featurize, OneHotRows) {
@@ -77,10 +73,7 @@ TEST(Featurize, EdgesPropagateBothWays) {
 TEST(Featurize, NormalizationMatchesEq5ByHand) {
   // Two nodes, one edge, symmetric: Â = [[1,1],[1,1]], D̂ = diag(2,2)
   // -> normalized entries all 1/2.
-  graph::Digraph g;
-  g.add_node("a", 0);
-  g.add_node("b", 1);
-  g.add_edge(0, 1);
+  const graph::Digraph g({{"a", 0}, {"b", 1}}, {{0, 1}});
   const GraphTensors t = featurize(g);
   const tensor::Matrix dense = t.adj->to_dense();
   for (std::size_t i = 0; i < 2; ++i) {
@@ -178,11 +171,12 @@ TEST(SagPool, RatioOneKeepsAll) {
 TEST(SagPool, TiesKeepLowestIndices) {
   // 64 isolated nodes of one kind score exactly alike; top-k must keep
   // the lowest indices, as a stable sort by score would.
-  graph::Digraph g;
+  std::vector<graph::Node> nodes;
   for (int i = 0; i < 64; ++i) {
-    g.add_node("n" + std::to_string(i),
-               static_cast<int>(dfg::NodeKind::kInput));
+    nodes.push_back(
+        {"n" + std::to_string(i), static_cast<int>(dfg::NodeKind::kInput)});
   }
+  const graph::Digraph g(std::move(nodes), {});
   const GraphTensors t = featurize(g);
   util::Rng rng(9);
   SagPool pool(static_cast<std::size_t>(dfg::kNodeKindCount), 0.5F, rng);
@@ -358,16 +352,17 @@ TEST(Hw2Vec, InferenceForwardKeepsLowestIndicesOnTiedScores) {
       dfg::NodeKind::kOutput, dfg::NodeKind::kXor, dfg::NodeKind::kAnd,
       dfg::NodeKind::kMux,    dfg::NodeKind::kAdd, dfg::NodeKind::kInput};
   const auto chain = [&kinds](bool reversed) {
-    graph::Digraph g;
+    std::vector<graph::Node> nodes;
+    std::vector<graph::Edge> edges;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       const dfg::NodeKind kind = kinds[reversed ? kinds.size() - 1 - i : i];
-      g.add_node("n" + std::to_string(i), static_cast<int>(kind));
+      nodes.push_back({"n" + std::to_string(i), static_cast<int>(kind)});
     }
     for (std::size_t i = 0; i + 1 < kinds.size(); ++i) {
-      g.add_edge(static_cast<graph::NodeId>(i),
-                 static_cast<graph::NodeId>(i + 1));
+      edges.emplace_back(static_cast<graph::NodeId>(i),
+                         static_cast<graph::NodeId>(i + 1));
     }
-    return featurize(g);
+    return featurize(graph::Digraph(std::move(nodes), edges));
   };
   const GraphTensors forward = chain(false);
   const GraphTensors backward = chain(true);

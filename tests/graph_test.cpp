@@ -1,7 +1,10 @@
 // Digraph, algorithms, and serialization tests.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
@@ -11,51 +14,74 @@
 namespace gnn4ip::graph {
 namespace {
 
-Digraph chain(int n) {
-  Digraph g;
-  for (int i = 0; i < n; ++i) g.add_node("n" + std::to_string(i), i % 3);
-  for (int i = 0; i + 1 < n; ++i) {
-    g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
-  }
-  return g;
+std::vector<Node> named(int n) {
+  std::vector<Node> nodes;
+  for (int i = 0; i < n; ++i) nodes.push_back({"n" + std::to_string(i), i % 3});
+  return nodes;
 }
 
-TEST(Digraph, AddNodesAndEdges) {
-  Digraph g;
-  const NodeId a = g.add_node("a", 1);
-  const NodeId b = g.add_node("b", 2);
-  g.add_edge(a, b);
+std::vector<Edge> chain_edges(int n) {
+  std::vector<Edge> edges;
+  for (int i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return edges;
+}
+
+Digraph chain(int n) { return Digraph(named(n), chain_edges(n)); }
+
+std::vector<NodeId> ids(std::span<const NodeId> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Digraph, ConstructorBuildsNodesAndEdges) {
+  const Digraph g({{"a", 1}, {"b", 2}}, {{0, 1}});
   EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_TRUE(g.has_edge(a, b));
-  EXPECT_FALSE(g.has_edge(b, a));
-  EXPECT_EQ(g.out_degree(a), 1u);
-  EXPECT_EQ(g.in_degree(b), 1u);
+  EXPECT_EQ(g.node(1).name, "b");
+  EXPECT_EQ(g.node(1).kind, 2);
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_FALSE(g.has_edge(1, 0));
+  EXPECT_EQ(g.out_degree(0), 1u);
+  EXPECT_EQ(g.in_degree(1), 1u);
 }
 
-TEST(Digraph, DuplicateEdgesCollapsed) {
-  Digraph g;
-  const NodeId a = g.add_node("a", 0);
-  const NodeId b = g.add_node("b", 0);
-  g.add_edge(a, b);
-  g.add_edge(a, b);
-  EXPECT_EQ(g.num_edges(), 1u);
+TEST(Digraph, RepeatedEdgeKeepsFirstOccurrence) {
+  const Digraph g(named(3), {{0, 2}, {0, 1}, {0, 2}, {1, 2}, {0, 1}});
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(ids(g.out_neighbors(0)), (std::vector<NodeId>{2, 1}));
+  EXPECT_EQ(ids(g.in_neighbors(2)), (std::vector<NodeId>{0, 1}));
 }
 
-TEST(Digraph, SelfLoopControl) {
-  Digraph g;
-  const NodeId a = g.add_node("a", 0);
-  g.add_edge(a, a, /*allow_self_loop=*/false);
-  EXPECT_EQ(g.num_edges(), 0u);
-  g.add_edge(a, a, /*allow_self_loop=*/true);
-  EXPECT_EQ(g.num_edges(), 1u);
+TEST(Digraph, SelfLoopsStay) {
+  const Digraph g(named(2), {{0, 0}, {0, 1}, {0, 0}});
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.has_edge(0, 0));
+  EXPECT_EQ(ids(g.in_neighbors(0)), (std::vector<NodeId>{0}));
+}
+
+TEST(Digraph, EdgesBySourceThenInsertion) {
+  const Digraph g(named(4), {{2, 0}, {0, 3}, {2, 1}, {0, 1}, {1, 3}});
+  EXPECT_EQ(g.edges(),
+            (std::vector<Edge>{{0, 3}, {0, 1}, {1, 3}, {2, 0}, {2, 1}}));
+}
+
+TEST(Digraph, InNeighborsInInsertionOrder) {
+  const Digraph g(named(4), {{2, 3}, {0, 3}, {1, 3}, {2, 0}});
+  EXPECT_EQ(ids(g.in_neighbors(3)), (std::vector<NodeId>{2, 0, 1}));
+}
+
+TEST(Digraph, InNeighborsAscendingAfterRemoveNodes) {
+  Digraph g(named(5), {{3, 4}, {0, 4}, {2, 4}, {3, 0}});
+  (void)g.remove_nodes({1});
+  // Old 4 is new 3; its sources old {3, 0, 2} are new {2, 0, 1}.
+  EXPECT_EQ(ids(g.in_neighbors(3)), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(g.edges(), (std::vector<Edge>{{0, 3}, {1, 3}, {2, 3}, {2, 0}}));
 }
 
 TEST(Digraph, InvalidIdThrows) {
-  Digraph g;
-  g.add_node("a", 0);
+  const Digraph g(named(1), {});
   EXPECT_THROW((void)g.node(5), util::ContractViolation);
-  EXPECT_THROW(g.add_edge(0, 9), util::ContractViolation);
+  EXPECT_THROW(Digraph(named(1), {{0, 9}}), util::ContractViolation);
+  EXPECT_THROW(Digraph(named(1), {{-1, 0}}), util::ContractViolation);
 }
 
 TEST(Digraph, RemoveNodesRemapsAndPreservesEdges) {
@@ -85,8 +111,7 @@ TEST(Digraph, FindByName) {
 }
 
 TEST(Algorithms, WeaklyConnectedComponents) {
-  Digraph g = chain(3);
-  g.add_node("island", 0);
+  Digraph g(named(4), chain_edges(3));  // node 3 is an island
   const auto labels = weakly_connected_components(g);
   EXPECT_EQ(labels[0], labels[2]);
   EXPECT_NE(labels[0], labels[3]);
@@ -105,26 +130,22 @@ TEST(Algorithms, ReachableForwardAndBackward) {
 }
 
 TEST(Algorithms, CycleDetection) {
-  Digraph g = chain(3);
-  EXPECT_FALSE(has_cycle(g));
-  g.add_edge(2, 0);
-  EXPECT_TRUE(has_cycle(g));
+  EXPECT_FALSE(has_cycle(chain(3)));
+  std::vector<Edge> edges = chain_edges(3);
+  edges.emplace_back(2, 0);
+  EXPECT_TRUE(has_cycle(Digraph(named(3), edges)));
 }
 
 TEST(Algorithms, SelfLoopIsCycle) {
-  Digraph g;
-  const NodeId a = g.add_node("a", 0);
-  g.add_edge(a, a);
+  const Digraph g({{"a", 0}}, {{0, 0}});
   EXPECT_TRUE(has_cycle(g));
 }
 
 TEST(Algorithms, TopologicalOrder) {
-  Digraph g;
-  const NodeId a = g.add_node("a", 0);
-  const NodeId b = g.add_node("b", 0);
-  const NodeId c = g.add_node("c", 0);
-  g.add_edge(a, c);
-  g.add_edge(b, c);
+  const NodeId a = 0;
+  const NodeId b = 1;
+  const NodeId c = 2;
+  const Digraph g({{"a", 0}, {"b", 0}, {"c", 0}}, {{a, c}, {b, c}});
   const auto order = topological_order(g);
   ASSERT_EQ(order.size(), 3u);
   // c must come after both a and b.
@@ -141,54 +162,28 @@ TEST(Algorithms, TopologicalOrder) {
 }
 
 TEST(Algorithms, TopologicalOrderThrowsOnCycle) {
-  Digraph g = chain(2);
-  g.add_edge(1, 0);
+  const Digraph g(named(2), {{0, 1}, {1, 0}});
   EXPECT_THROW(topological_order(g), util::ContractViolation);
 }
 
 TEST(Algorithms, StructuralHashInvariantToNames) {
-  Digraph g1;
-  g1.add_node("x", 1);
-  g1.add_node("y", 2);
-  g1.add_edge(0, 1);
-  Digraph g2;
-  g2.add_node("completely", 1);
-  g2.add_node("different", 2);
-  g2.add_edge(0, 1);
+  const Digraph g1({{"x", 1}, {"y", 2}}, {{0, 1}});
+  const Digraph g2({{"completely", 1}, {"different", 2}}, {{0, 1}});
   EXPECT_EQ(structural_hash(g1), structural_hash(g2));
 }
 
 TEST(Algorithms, StructuralHashSensitiveToKindsAndWiring) {
-  Digraph g1;
-  g1.add_node("a", 1);
-  g1.add_node("b", 2);
-  g1.add_edge(0, 1);
-  Digraph g2;
-  g2.add_node("a", 1);
-  g2.add_node("b", 3);  // different kind
-  g2.add_edge(0, 1);
+  const Digraph g1({{"a", 1}, {"b", 2}}, {{0, 1}});
+  const Digraph g2({{"a", 1}, {"b", 3}}, {{0, 1}});  // different kind
   EXPECT_NE(structural_hash(g1), structural_hash(g2));
 
-  Digraph g3;
-  g3.add_node("a", 1);
-  g3.add_node("b", 2);
-  g3.add_edge(1, 0);  // reversed edge
+  const Digraph g3({{"a", 1}, {"b", 2}}, {{1, 0}});  // reversed edge
   EXPECT_NE(structural_hash(g1), structural_hash(g3));
 }
 
 TEST(Algorithms, StructuralHashInvariantToNodeOrder) {
-  Digraph g1;
-  g1.add_node("a", 1);
-  g1.add_node("b", 2);
-  g1.add_node("c", 3);
-  g1.add_edge(0, 1);
-  g1.add_edge(1, 2);
-  Digraph g2;
-  g2.add_node("c", 3);
-  g2.add_node("a", 1);
-  g2.add_node("b", 2);
-  g2.add_edge(1, 2);
-  g2.add_edge(2, 0);
+  const Digraph g1({{"a", 1}, {"b", 2}, {"c", 3}}, {{0, 1}, {1, 2}});
+  const Digraph g2({{"c", 3}, {"a", 1}, {"b", 2}}, {{1, 2}, {2, 0}});
   EXPECT_EQ(structural_hash(g1), structural_hash(g2));
 }
 
@@ -210,15 +205,15 @@ TEST(Serialize, DotOutputContainsNodesAndEdges) {
 }
 
 TEST(Serialize, DotEscapesQuotes) {
-  Digraph g;
-  g.add_node("a\"b", 0);
+  const Digraph g({{"a\"b", 0}}, {});
   const std::string dot = to_dot(g);
   EXPECT_NE(dot.find("a\\\"b"), std::string::npos);
 }
 
 TEST(Serialize, TextRoundTrip) {
-  Digraph g = chain(4);
-  g.add_edge(0, 3);
+  std::vector<Edge> edges = chain_edges(4);
+  edges.emplace_back(0, 3);
+  const Digraph g(named(4), edges);
   std::ostringstream os;
   write_text(os, g);
   std::istringstream is(os.str());
@@ -237,9 +232,27 @@ TEST(Serialize, RejectsMalformedStream) {
   EXPECT_THROW(read_text(bad2), std::runtime_error);
 }
 
+TEST(Serialize, OverLargeCountsEndInTruncationErrors) {
+  // The counts are untrusted: no allocation is sized from them.
+  const auto message = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)read_text(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message("gnn4ip-graph v1\nnodes 4000000000\n0 a\n")
+                .find("truncated node list"),
+            std::string::npos);
+  EXPECT_NE(message("gnn4ip-graph v1\nnodes 1\n0 a\nedges 4000000000\n0 0\n")
+                .find("truncated edge list"),
+            std::string::npos);
+}
+
 TEST(Serialize, NodeNamesWithSpacesSurvive) {
-  Digraph g;
-  g.add_node("name with spaces", 7);
+  const Digraph g({{"name with spaces", 7}}, {});
   std::ostringstream os;
   write_text(os, g);
   std::istringstream is(os.str());

@@ -15,15 +15,11 @@ namespace gnn4ip::gnn {
 namespace {
 
 graph::Digraph probe_graph() {
-  graph::Digraph g;
-  g.add_node("out", static_cast<int>(dfg::NodeKind::kOutput));
-  g.add_node("op", static_cast<int>(dfg::NodeKind::kAnd));
-  g.add_node("a", static_cast<int>(dfg::NodeKind::kInput));
-  g.add_node("b", static_cast<int>(dfg::NodeKind::kInput));
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(1, 3);
-  return g;
+  return graph::Digraph({{"out", static_cast<int>(dfg::NodeKind::kOutput)},
+                         {"op", static_cast<int>(dfg::NodeKind::kAnd)},
+                         {"a", static_cast<int>(dfg::NodeKind::kInput)},
+                         {"b", static_cast<int>(dfg::NodeKind::kInput)}},
+                        {{0, 1}, {1, 2}, {1, 3}});
 }
 
 std::string saved_model_text(Hw2Vec& model) {

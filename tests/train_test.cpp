@@ -43,12 +43,13 @@ std::vector<GraphEntry> toy_entries(int families, int per_family) {
   std::vector<GraphEntry> entries;
   for (int f = 0; f < families; ++f) {
     for (int i = 0; i < per_family; ++i) {
-      graph::Digraph g;
-      g.add_node("out", 1);
+      std::vector<graph::Node> nodes{{"out", 1}};
+      std::vector<graph::Edge> edges;
       for (int k = 0; k < 2 + f; ++k) {
-        g.add_node("n", 5 + f);
-        g.add_edge(0, static_cast<graph::NodeId>(k + 1));
+        nodes.push_back({"n", 5 + f});
+        edges.emplace_back(0, static_cast<graph::NodeId>(k + 1));
       }
+      const graph::Digraph g(std::move(nodes), edges);
       GraphEntry e;
       e.name = "g" + std::to_string(f) + "_" + std::to_string(i);
       e.design = "design" + std::to_string(f);
