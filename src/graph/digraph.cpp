@@ -100,22 +100,6 @@ std::vector<Edge> Digraph::edges() const {
   return result;
 }
 
-void Digraph::rebuild_in_from_out() {
-  const std::size_t n = nodes_.size();
-  in_offsets_.assign(n + 1, 0);
-  for (const NodeId d : out_ids_) ++in_offsets_[static_cast<std::size_t>(d) + 1];
-  for (std::size_t v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
-  in_ids_.resize(out_ids_.size());
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t k = out_offsets_[s]; k < out_offsets_[s + 1]; ++k) {
-      in_ids_[in_offsets_[static_cast<std::size_t>(out_ids_[k])]++] =
-          static_cast<NodeId>(s);
-    }
-  }
-  for (std::size_t v = n; v > 0; --v) in_offsets_[v] = in_offsets_[v - 1];
-  in_offsets_[0] = 0;
-}
-
 std::vector<NodeId> Digraph::remove_nodes(const std::vector<NodeId>& to_remove) {
   std::vector<NodeId> remap(nodes_.size(), 0);
   for (NodeId id : to_remove) {
@@ -126,27 +110,23 @@ std::vector<NodeId> Digraph::remove_nodes(const std::vector<NodeId>& to_remove) 
   for (NodeId& r : remap) {
     if (r != kInvalidNode) r = next++;
   }
-  // Survivors move down in place; a row is read before anything that
-  // could overwrite it is written, since new ids never exceed old ones.
-  std::size_t write = 0;
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < nodes_.size(); ++s) {
-    const std::size_t end = out_offsets_[s + 1];
-    const NodeId to = remap[s];
-    if (to != kInvalidNode) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const NodeId d = remap[static_cast<std::size_t>(out_ids_[k])];
-        if (d != kInvalidNode) out_ids_[write++] = d;
-      }
-      nodes_[static_cast<std::size_t>(to)] = std::move(nodes_[s]);
-      out_offsets_[static_cast<std::size_t>(to) + 1] = write;
-    }
-    begin = end;
+  std::vector<Node> kept;
+  kept.reserve(static_cast<std::size_t>(next));
+  for (std::size_t v = 0; v < nodes_.size(); ++v) {
+    if (remap[v] != kInvalidNode) kept.push_back(std::move(nodes_[v]));
   }
-  nodes_.resize(static_cast<std::size_t>(next));
-  out_offsets_.resize(static_cast<std::size_t>(next) + 1);
-  out_ids_.resize(write);
-  rebuild_in_from_out();
+  // Edges by source, so the constructor lists predecessors in ascending
+  // source order.
+  std::vector<Edge> edges;
+  edges.reserve(out_ids_.size());
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    if (remap[s] == kInvalidNode) continue;
+    for (std::size_t k = out_offsets_[s]; k < out_offsets_[s + 1]; ++k) {
+      const NodeId d = remap[static_cast<std::size_t>(out_ids_[k])];
+      if (d != kInvalidNode) edges.emplace_back(remap[s], d);
+    }
+  }
+  *this = Digraph(std::move(kept), edges);
   return remap;
 }
 

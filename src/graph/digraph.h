@@ -13,8 +13,9 @@
 //   - out_neighbors(v) and edges() list edges by source, then insertion;
 //   - in_neighbors(v) lists predecessors in edge insertion order, and,
 //     after remove_nodes(), in ascending source order.
-// remove_nodes() compacts in place and renumbers the surviving ids
-// densely in their relative order.
+// remove_nodes() rebuilds the graph through the constructor from the
+// surviving nodes, renumbered densely in their relative order, and
+// their edges listed by source.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +90,6 @@ class Digraph {
 
  private:
   void check_id(NodeId id) const;
-  /// Rebuild the predecessor arrays from the successor arrays, so each
-  /// row lists its sources in ascending order.
-  void rebuild_in_from_out();
 
   std::vector<Node> nodes_;
   std::vector<std::size_t> out_offsets_;

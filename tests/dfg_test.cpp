@@ -338,11 +338,25 @@ TEST(Dfg, TrimRemovesIsolatedNets) {
   trim(g);
   EXPECT_EQ(g.find_by_name("unused_net"), graph::kInvalidNode);
   EXPECT_EQ(g.num_nodes(), untrimmed - 1);
+  EXPECT_NE(g.find_by_name("a"), graph::kInvalidNode);
+  EXPECT_NE(g.find_by_name("y"), graph::kInvalidNode);
 }
 
 /// The trim as three sequential passes, each compacting when something
-/// goes: the reference trim() must equal.
-void trim_reference(Digraph& g) {
+/// goes: the reference trim() must equal. Returns each original id's
+/// id after the trim (graph::kInvalidNode for the ones it drops).
+std::vector<NodeId> trim_reference(Digraph& g) {
+  std::vector<NodeId> final_id(g.num_nodes());
+  for (std::size_t v = 0; v < final_id.size(); ++v) {
+    final_id[v] = static_cast<NodeId>(v);
+  }
+  const auto compact = [&g, &final_id](const std::vector<NodeId>& gone) {
+    if (gone.empty()) return;
+    const std::vector<NodeId> remap = g.remove_nodes(gone);
+    for (NodeId& id : final_id) {
+      if (id != graph::kInvalidNode) id = remap[static_cast<std::size_t>(id)];
+    }
+  };
   std::vector<NodeId> dead;
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<NodeId>(v);
@@ -350,14 +364,14 @@ void trim_reference(Digraph& g) {
       dead.push_back(id);
     }
   }
-  if (!dead.empty()) g.remove_nodes(dead);
+  compact(dead);
   std::vector<NodeId> isolated;
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<NodeId>(v);
     if (g.in_degree(id) == 0 && g.out_degree(id) == 0) isolated.push_back(id);
   }
-  if (!isolated.empty()) g.remove_nodes(isolated);
-  if (g.num_nodes() == 0) return;
+  compact(isolated);
+  if (g.num_nodes() == 0) return final_id;
   const std::vector<int> component = graph::weakly_connected_components(g);
   const auto count = static_cast<std::size_t>(
       1 + *std::max_element(component.begin(), component.end()));
@@ -382,7 +396,8 @@ void trim_reference(Digraph& g) {
       to_remove.push_back(static_cast<NodeId>(v));
     }
   }
-  if (!to_remove.empty()) g.remove_nodes(to_remove);
+  compact(to_remove);
+  return final_id;
 }
 
 TEST(Trim, OnePassEqualsThreeSequentialPasses) {
@@ -413,10 +428,22 @@ TEST(Trim, OnePassEqualsThreeSequentialPasses) {
                                               {"1", k(NodeKind::kConstant)}},
                                              {}));
   for (auto& [label, g] : cases) {
+    const Digraph untrimmed = g;
     Digraph reference = g;
-    trim_reference(reference);
+    const std::vector<NodeId> final_id = trim_reference(reference);
     trim(g);
     ASSERT_EQ(g.num_nodes(), reference.num_nodes()) << label;
+    // Both trims go through remove_nodes, so check the survivors against
+    // the untrimmed graph as well as against each other.
+    for (std::size_t old = 0; old < untrimmed.num_nodes(); ++old) {
+      const NodeId id = final_id[old];
+      if (id == graph::kInvalidNode) continue;
+      const auto before = static_cast<NodeId>(old);
+      EXPECT_EQ(g.node(id).name, untrimmed.node(before).name)
+          << label << " node " << old;
+      EXPECT_EQ(g.node(id).kind, untrimmed.node(before).kind)
+          << label << " node " << old;
+    }
     for (std::size_t v = 0; v < g.num_nodes(); ++v) {
       const auto id = static_cast<NodeId>(v);
       EXPECT_EQ(g.node(id).name, reference.node(id).name) << label;

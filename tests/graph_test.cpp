@@ -91,6 +91,10 @@ TEST(Digraph, RemoveNodesRemapsAndPreservesEdges) {
   EXPECT_EQ(remap[0], 0);
   EXPECT_EQ(remap[1], kInvalidNode);
   EXPECT_EQ(remap[2], 1);
+  // Survivors keep their names, the ones before the removed id too.
+  EXPECT_EQ(g.node(0).name, "n0");
+  EXPECT_EQ(g.node(1).name, "n2");
+  EXPECT_EQ(g.node(3).name, "n4");
   // Edge 0->1 and 1->2 removed with the node; 2->3->4 survive.
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.has_edge(1, 2));
