@@ -148,6 +148,29 @@ void BM_Featurize(benchmark::State& state) {
 }
 BENCHMARK(BM_Featurize)->DenseRange(0, 5);
 
+// Elaboration of the six ISCAS stand-ins, each freshly parsed outside
+// the timer: the timed part is elaborate plus destroying the flat module
+// and what is left of the parsed design. `nets` counts each flat module.
+void BM_Elaborate(benchmark::State& state) {
+  const data::IscasBenchmark& bench =
+      iscas()[static_cast<std::size_t>(state.range(0))];
+  const std::string src = bench.netlist.to_verilog();
+  const std::string top = verilog::infer_top_module(verilog::parse(src));
+  std::size_t nets = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    verilog::Design design = verilog::parse(src);
+    state.ResumeTiming();
+    const verilog::Module flat = verilog::elaborate(std::move(design), top);
+    nets = flat.nets.size();
+    design = {};
+    benchmark::DoNotOptimize(nets);
+  }
+  state.SetLabel(bench.name);
+  state.counters["nets"] = static_cast<double>(nets);
+}
+BENCHMARK(BM_Elaborate)->DenseRange(0, 5);
+
 // Merge plus trim (phases 4 and 5 of Fig. 2) of the six ISCAS
 // stand-ins; parse, elaborate and dataflow run once, outside the loop.
 // `nodes` counts each trimmed DFG.

@@ -2,12 +2,11 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dfg/node_kind.h"
 #include "util/contract.h"
+#include "util/name_map.h"
 
 namespace gnn4ip::dfg {
 namespace {
@@ -21,18 +20,22 @@ class Merger {
  public:
   Merger(const verilog::Module& flat,
          const std::vector<SignalDriver>& drivers)
-      : flat_(flat), drivers_(drivers) {}
+      : flat_(flat),
+        drivers_(drivers),
+        // Elaborate declares every net a driver names, implicit ones too,
+        // so the nets size the table; a name used only in a net
+        // initializer grows it.
+        signals_(flat.nets.size()) {}
 
   Digraph run() {
     // Registers are collected before the first node exists, so each signal
     // is classified once, when it is created.
     for (const SignalDriver& driver : drivers_) {
-      if (driver.is_register) registers_.insert(driver.signal);
+      if (driver.is_register) registers_.try_emplace(driver.signal, true);
     }
     const std::size_t expected = flat_.nets.size() + drivers_.size();
     nodes_.reserve(expected);
     edges_.reserve(expected);
-    signals_.reserve(expected);
     // Pre-create signal nodes for everything declared or driven so that
     // identifier references resolve to shared vertices. A name's node is
     // created, and classified, at its first declaration (the one a lookup
@@ -61,27 +64,30 @@ class Merger {
           return NodeKind::kSignal;
       }
     }
-    if (registers_.count(name) > 0) return NodeKind::kRegister;
+    if (registers_.find(name) != nullptr) return NodeKind::kRegister;
     return NodeKind::kSignal;
   }
 
   NodeId signal_node(std::string_view name,
                      const verilog::NetDecl* decl = nullptr) {
-    const auto it = signals_.find(name);
-    if (it != signals_.end()) return it->second;
-    const NodeId id = new_node(
-        std::string(name), static_cast<int>(classify_signal(name, decl)));
-    signals_.emplace(name, id);
-    return id;
+    const auto [id, created] = signals_.try_emplace(name, next_id());
+    if (created) {
+      new_node(std::string(name),
+               static_cast<int>(classify_signal(name, decl)));
+    }
+    return *id;
   }
 
   NodeId constant_node(std::string_view literal) {
-    const auto it = constants_.find(literal);
-    if (it != constants_.end()) return it->second;
-    const NodeId id = new_node(std::string(literal),
-                               static_cast<int>(NodeKind::kConstant));
-    constants_.emplace(literal, id);
-    return id;
+    const auto [id, created] = constants_.try_emplace(literal, next_id());
+    if (created) {
+      new_node(std::string(literal), static_cast<int>(NodeKind::kConstant));
+    }
+    return *id;
+  }
+
+  [[nodiscard]] NodeId next_id() const {
+    return static_cast<NodeId>(nodes_.size());
   }
 
   NodeId operator_node(NodeKind kind) {
@@ -164,12 +170,11 @@ class Merger {
   // edge keeps its first occurrence.
   std::vector<graph::Node> nodes_;
   std::vector<graph::Edge> edges_;
-  // Lookup only, never iterated, so node ids and edges follow creation
-  // order. Keys view names in `flat_` and `drivers_`, which outlive the
-  // merge.
-  std::unordered_map<std::string_view, NodeId> signals_;
-  std::unordered_map<std::string_view, NodeId> constants_;
-  std::unordered_set<std::string_view> registers_;
+  // Keys view names in `flat_`, in `drivers_` and in their expressions,
+  // which outlive the merge.
+  util::NameMap<NodeId> signals_;
+  util::NameMap<NodeId> constants_;
+  util::NameMap<bool> registers_;
   std::vector<Frame> stack_;
 };
 

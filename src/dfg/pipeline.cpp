@@ -1,5 +1,7 @@
 #include "dfg/pipeline.h"
 
+#include <utility>
+
 #include "dfg/dataflow.h"
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
@@ -11,9 +13,10 @@
 namespace gnn4ip::dfg {
 
 graph::Digraph build_dfg(const std::string& verilog_source) {
-  const verilog::Design design = verilog::parse(verilog_source);
-  const verilog::Module flat =
-      verilog::elaborate(design, verilog::infer_top_module(design));
+  verilog::Design design = verilog::parse(verilog_source);
+  // Computed before the design moves into elaborate, which consumes it.
+  const std::string top = verilog::infer_top_module(design);
+  const verilog::Module flat = verilog::elaborate(std::move(design), top);
   const std::vector<SignalDriver> drivers = analyze_dataflow(flat);
   return merge_drivers(flat, drivers);
 }

@@ -8,6 +8,10 @@
 // instantiation with ordered or named connections and parameter
 // overrides. Unsupported constructs (functions, tasks, generate, for
 // loops in synthesis position) raise ParseError with a location.
+//
+// Expressions and statements are shared and immutable once built
+// (`ExprPtr`, `StmtPtr`), so copying a Module or a Design copies
+// pointers to its trees, never the trees.
 #pragma once
 
 #include <memory>
@@ -101,7 +105,10 @@ enum class StmtKind {
 };
 
 struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
+/// Statements are immutable once built, like expressions, so a module's
+/// statement trees are shared by its copies: elaborate copies a node only
+/// where a rewrite changes something under it.
+using StmtPtr = std::shared_ptr<const Stmt>;
 
 struct CaseItem {
   std::vector<ExprPtr> labels;  // empty => default

@@ -1,10 +1,11 @@
 #include "verilog/elaborate.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string_view>
 #include <unordered_set>
 
-#include "util/contract.h"
+#include "util/name_map.h"
 #include "util/string_util.h"
 
 namespace gnn4ip::verilog {
@@ -16,6 +17,11 @@ using ParamEnv = std::vector<std::pair<std::string, long long>>;
 struct RewriteContext {
   std::string prefix;                 // "" for top, "u1." style otherwise
   const ParamEnv* params = nullptr;
+
+  /// True when nothing is rewritten: the top of a parameterless design.
+  [[nodiscard]] bool identity() const {
+    return prefix.empty() && params->empty();
+  }
 };
 
 std::string prefixed(const RewriteContext& ctx, std::string_view name) {
@@ -28,7 +34,7 @@ std::string prefixed(const RewriteContext& ctx, std::string_view name) {
 /// itself when nothing under it changes, so a flat top module shares its
 /// expressions instead of rebuilding them.
 ExprPtr rewrite_expr(const ExprPtr& e, const RewriteContext& ctx) {
-  if (e == nullptr || (ctx.prefix.empty() && ctx.params->empty())) return e;
+  if (e == nullptr || ctx.identity()) return e;
   if (e->kind == ExprKind::kIdentifier) {
     // Parameter use -> constant.
     for (const auto& [name, value] : *ctx.params) {
@@ -53,76 +59,166 @@ ExprPtr rewrite_expr(const ExprPtr& e, const RewriteContext& ctx) {
   return copy;
 }
 
-StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
-  auto copy = std::make_unique<Stmt>();
-  copy->kind = s.kind;
-  copy->casex = s.casex;
-  copy->loc = s.loc;
-  copy->cond = rewrite_expr(s.cond, ctx);
-  copy->lhs = rewrite_expr(s.lhs, ctx);
-  copy->rhs = rewrite_expr(s.rhs, ctx);
-  for (const StmtPtr& child : s.children) {
-    copy->children.push_back(child == nullptr ? nullptr
-                                              : rewrite_stmt(*child, ctx));
+/// `s` with its expressions rewritten. Like rewrite_expr, it returns `s`
+/// itself when nothing under it changes, and copies a node only at the
+/// first child that does.
+StmtPtr rewrite_stmt(const StmtPtr& s, const RewriteContext& ctx) {
+  if (s == nullptr) return s;
+  std::shared_ptr<Stmt> copy;
+  const auto edit = [&]() -> Stmt& {
+    if (copy == nullptr) copy = std::make_shared<Stmt>(*s);
+    return *copy;
+  };
+  if (ExprPtr e = rewrite_expr(s->cond, ctx); e != s->cond) {
+    edit().cond = std::move(e);
   }
-  for (const CaseItem& item : s.case_items) {
-    CaseItem ci;
-    for (const ExprPtr& label : item.labels) {
-      ci.labels.push_back(rewrite_expr(label, ctx));
+  if (ExprPtr e = rewrite_expr(s->lhs, ctx); e != s->lhs) {
+    edit().lhs = std::move(e);
+  }
+  if (ExprPtr e = rewrite_expr(s->rhs, ctx); e != s->rhs) {
+    edit().rhs = std::move(e);
+  }
+  for (std::size_t i = 0; i < s->children.size(); ++i) {
+    StmtPtr child = rewrite_stmt(s->children[i], ctx);
+    if (child != s->children[i]) edit().children[i] = std::move(child);
+  }
+  for (std::size_t i = 0; i < s->case_items.size(); ++i) {
+    const CaseItem& item = s->case_items[i];
+    for (std::size_t j = 0; j < item.labels.size(); ++j) {
+      ExprPtr label = rewrite_expr(item.labels[j], ctx);
+      if (label != item.labels[j]) {
+        edit().case_items[i].labels[j] = std::move(label);
+      }
     }
-    ci.body = item.body == nullptr ? nullptr : rewrite_stmt(*item.body, ctx);
-    copy->case_items.push_back(std::move(ci));
+    StmtPtr body = rewrite_stmt(item.body, ctx);
+    if (body != item.body) edit().case_items[i].body = std::move(body);
   }
+  if (copy == nullptr) return s;
   return copy;
 }
 
-/// Collect every identifier that appears in expression position. The views
-/// point into the module's own expressions.
-void collect_identifiers(const Expr& e,
-                         std::unordered_set<std::string_view>& out) {
-  if (e.kind == ExprKind::kIdentifier) out.insert(e.text);
+/// Rewrites in place. The top of a parameterless design is left as it
+/// is, without touching a reference count.
+void rewrite(ExprPtr& e, const RewriteContext& ctx) {
+  if (!ctx.identity()) e = rewrite_expr(e, ctx);
+}
+
+void rewrite(StmtPtr& s, const RewriteContext& ctx) {
+  if (!ctx.identity()) s = rewrite_stmt(s, ctx);
+}
+
+/// A module's implicit nets as they are found: identifiers in expression
+/// position that are neither declared nets nor parameters.
+struct ImplicitNames {
+  util::NameMap<bool> known;            // nets, parameters, names found
+  std::vector<std::string_view> names;  // found, each once
+};
+
+/// Adds every identifier in expression position that `found` does not
+/// know yet. The views point into the expressions' text.
+void collect_identifiers(const Expr& e, ImplicitNames& found) {
+  if (e.kind == ExprKind::kIdentifier &&
+      found.known.try_emplace(e.text, true).second) {
+    found.names.push_back(e.text);
+  }
   for (const ExprPtr& child : e.operands) {
-    if (child != nullptr) collect_identifiers(*child, out);
+    if (child != nullptr) collect_identifiers(*child, found);
   }
 }
 
-void collect_identifiers(const Stmt& s,
-                         std::unordered_set<std::string_view>& out) {
-  if (s.cond != nullptr) collect_identifiers(*s.cond, out);
-  if (s.lhs != nullptr) collect_identifiers(*s.lhs, out);
-  if (s.rhs != nullptr) collect_identifiers(*s.rhs, out);
+void collect_identifiers(const Stmt& s, ImplicitNames& found) {
+  if (s.cond != nullptr) collect_identifiers(*s.cond, found);
+  if (s.lhs != nullptr) collect_identifiers(*s.lhs, found);
+  if (s.rhs != nullptr) collect_identifiers(*s.rhs, found);
   for (const StmtPtr& child : s.children) {
-    if (child != nullptr) collect_identifiers(*child, out);
+    if (child != nullptr) collect_identifiers(*child, found);
   }
   for (const CaseItem& item : s.case_items) {
-    for (const ExprPtr& label : item.labels) collect_identifiers(*label, out);
-    if (item.body != nullptr) collect_identifiers(*item.body, out);
+    for (const ExprPtr& label : item.labels) {
+      collect_identifiers(*label, found);
+    }
+    if (item.body != nullptr) collect_identifiers(*item.body, found);
   }
+}
+
+/// `m`'s implicit nets, named with `ctx.prefix`, in name order: the
+/// identifiers used in its assigns, sensitivity lists, always bodies,
+/// gate terminals and instance connections that are neither declared
+/// nets nor parameters. The lookups view `m`'s net names, so this runs
+/// before any of them moves.
+std::vector<NetDecl> implicit_nets(const Module& m, const ParamEnv& env,
+                                   const RewriteContext& ctx) {
+  ImplicitNames found{util::NameMap<bool>(m.nets.size() + env.size()), {}};
+  for (const NetDecl& net : m.nets) found.known.try_emplace(net.name, true);
+  for (const auto& param : env) found.known.try_emplace(param.first, true);
+  for (const ContinuousAssign& ca : m.assigns) {
+    collect_identifiers(*ca.lhs, found);
+    collect_identifiers(*ca.rhs, found);
+  }
+  for (const AlwaysBlock& ab : m.always_blocks) {
+    for (const SensitivityItem& item : ab.sensitivity) {
+      if (item.signal != nullptr) collect_identifiers(*item.signal, found);
+    }
+    if (ab.body != nullptr) collect_identifiers(*ab.body, found);
+  }
+  for (const GateInstance& gate : m.gates) {
+    for (const ExprPtr& t : gate.terminals) collect_identifiers(*t, found);
+  }
+  for (const ModuleInstance& inst : m.instances) {
+    for (const PortConnection& conn : inst.connections) {
+      if (conn.actual != nullptr) collect_identifiers(*conn.actual, found);
+    }
+  }
+  std::sort(found.names.begin(), found.names.end());
+  std::vector<NetDecl> nets(found.names.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    nets[i].name = prefixed(ctx, found.names[i]);
+  }
+  return nets;
+}
+
+/// Appends `items` to `out`, moving each.
+template <typename T>
+void append(std::vector<T>& out, std::vector<T>& items) {
+  if (out.empty()) {
+    out = std::move(items);
+  } else {
+    out.insert(out.end(), std::make_move_iterator(items.begin()),
+               std::make_move_iterator(items.end()));
+  }
+}
+
+std::size_t flat_items(const Module& m) {
+  return m.nets.size() + m.assigns.size() + m.always_blocks.size() +
+         m.gates.size();
 }
 
 class Elaborator {
  public:
-  Elaborator(const Design& design, const ElaborateOptions& options)
-      : design_(design), options_(options) {}
+  explicit Elaborator(Design& design) : design_(design) {}
 
   Module run(const std::string& top_name) {
-    const Module* top = design_.find_module(top_name);
-    if (top == nullptr) {
+    const auto top = std::find_if(
+        design_.modules.begin(), design_.modules.end(),
+        [&](const Module& m) { return m.name == top_name; });
+    if (top == design_.modules.end()) {
       throw ParseError("top module '" + top_name + "' not found", {1, 1});
     }
+    Module m = std::move(*top);
+    // The name stays in the design: an instance of the top is found by
+    // it, and rejected as recursive.
+    top->name = m.name;
     Module out;
-    out.name = top->name;
-    out.port_order = top->port_order;
-    out.loc = top->loc;
-    inline_module(*top, /*prefix=*/"", /*overrides=*/{}, out,
-                  /*depth=*/0, /*keep_ports=*/true);
+    out.name = m.name;
+    out.port_order = std::move(m.port_order);
+    out.loc = m.loc;
+    inline_module(std::move(m), /*prefix=*/"", /*overrides=*/{}, out,
+                  /*depth=*/0);
     return out;
   }
 
  private:
-  ParamEnv resolve_params(const Module& m,
-                          const std::vector<std::pair<std::string, long long>>&
-                              overrides) {
+  ParamEnv resolve_params(const Module& m, const ParamEnv& overrides) {
     ParamEnv env;
     for (const ParamDecl& p : m.params) {
       std::optional<long long> value;
@@ -147,110 +243,62 @@ class Elaborator {
     return env;
   }
 
-  void inline_module(const Module& m, const std::string& prefix,
-                     const std::vector<std::pair<std::string, long long>>&
-                         param_overrides,
-                     Module& out, int depth, bool keep_ports) {
-    if (depth > options_.max_depth) {
+  /// Rewrites `m`'s items in place (parameters folded, names prefixed)
+  /// and appends them to `out`, then inlines its instances. The top is
+  /// moved in and keeps its ports; an instance's module is a copy, and
+  /// its ports become plain nets.
+  void inline_module(Module m, const std::string& prefix,
+                     const ParamEnv& param_overrides, Module& out,
+                     int depth) {
+    if (depth > kMaxHierarchyDepth) {
       throw ParseError("module hierarchy too deep (cycle?)", m.loc);
-    }
-    if (std::find(stack_.begin(), stack_.end(), m.name) != stack_.end()) {
-      throw ParseError("recursive instantiation of module " + m.name, m.loc);
     }
     stack_.push_back(m.name);
 
     const ParamEnv env = resolve_params(m, param_overrides);
+    const RewriteContext ctx{prefix, &env};
+    std::vector<NetDecl> implicit = implicit_nets(m, env, ctx);
 
-    // Identifiers used but neither declared nor parameters are implicit
-    // nets, declared after the explicit ones in name order.
-    std::unordered_set<std::string_view> used;
-    for (const ContinuousAssign& ca : m.assigns) {
-      collect_identifiers(*ca.lhs, used);
-      collect_identifiers(*ca.rhs, used);
-    }
-    for (const AlwaysBlock& ab : m.always_blocks) {
-      for (const SensitivityItem& item : ab.sensitivity) {
-        if (item.signal != nullptr) collect_identifiers(*item.signal, used);
+    // Nets, each initializer becoming one of the first assigns.
+    for (NetDecl& net : m.nets) {
+      if (!prefix.empty()) {
+        net.name.insert(0, prefix);
+        net.direction.reset();
       }
-      if (ab.body != nullptr) collect_identifiers(*ab.body, used);
-    }
-    for (const GateInstance& gate : m.gates) {
-      for (const ExprPtr& t : gate.terminals) collect_identifiers(*t, used);
-    }
-    for (const ModuleInstance& inst : m.instances) {
-      for (const PortConnection& conn : inst.connections) {
-        if (conn.actual != nullptr) collect_identifiers(*conn.actual, used);
-      }
-    }
-    for (const NetDecl& net : m.nets) used.erase(net.name);
-    for (const auto& param : env) used.erase(param.first);
-    std::vector<std::string_view> implicit(used.begin(), used.end());
-    std::sort(implicit.begin(), implicit.end());
-
-    RewriteContext ctx;
-    ctx.prefix = prefix;
-    ctx.params = &env;
-
-    // Nets.
-    for (const NetDecl& net : m.nets) {
-      NetDecl copy;
-      copy.name = prefixed(ctx, net.name);
-      copy.type = net.type;
-      copy.is_signed = net.is_signed;
-      copy.loc = net.loc;
-      if (keep_ports) copy.direction = net.direction;
       if (net.range.has_value()) {
-        copy.range = Range{rewrite_expr(net.range->msb, ctx),
-                           rewrite_expr(net.range->lsb, ctx)};
+        rewrite(net.range->msb, ctx);
+        rewrite(net.range->lsb, ctx);
       }
-      out.nets.push_back(std::move(copy));
       if (net.init != nullptr) {
         ContinuousAssign ca;
         ca.loc = net.loc;
-        ca.lhs = make_identifier(prefixed(ctx, net.name), net.loc);
-        ca.rhs = rewrite_expr(net.init, ctx);
+        ca.lhs = make_identifier(net.name, net.loc);
+        ca.rhs = std::move(net.init);
+        rewrite(ca.rhs, ctx);
         out.assigns.push_back(std::move(ca));
       }
     }
-    for (const std::string_view name : implicit) {
-      NetDecl copy;
-      copy.name = prefixed(ctx, name);
-      out.nets.push_back(std::move(copy));
-    }
+    append(out.nets, m.nets);
+    append(out.nets, implicit);
 
     // Behavior.
-    for (const ContinuousAssign& ca : m.assigns) {
-      ContinuousAssign copy;
-      copy.loc = ca.loc;
-      copy.lhs = rewrite_expr(ca.lhs, ctx);
-      copy.rhs = rewrite_expr(ca.rhs, ctx);
-      out.assigns.push_back(std::move(copy));
+    for (ContinuousAssign& ca : m.assigns) {
+      rewrite(ca.lhs, ctx);
+      rewrite(ca.rhs, ctx);
     }
-    for (const AlwaysBlock& ab : m.always_blocks) {
-      AlwaysBlock copy;
-      copy.is_initial = ab.is_initial;
-      copy.sensitivity_star = ab.sensitivity_star;
-      copy.loc = ab.loc;
-      for (const SensitivityItem& item : ab.sensitivity) {
-        SensitivityItem si;
-        si.edge = item.edge;
-        si.signal = rewrite_expr(item.signal, ctx);
-        copy.sensitivity.push_back(std::move(si));
+    append(out.assigns, m.assigns);
+    for (AlwaysBlock& ab : m.always_blocks) {
+      for (SensitivityItem& item : ab.sensitivity) rewrite(item.signal, ctx);
+      rewrite(ab.body, ctx);
+    }
+    append(out.always_blocks, m.always_blocks);
+    for (GateInstance& gate : m.gates) {
+      if (!prefix.empty() && !gate.instance_name.empty()) {
+        gate.instance_name.insert(0, prefix);
       }
-      copy.body = ab.body == nullptr ? nullptr : rewrite_stmt(*ab.body, ctx);
-      out.always_blocks.push_back(std::move(copy));
+      for (ExprPtr& t : gate.terminals) rewrite(t, ctx);
     }
-    for (const GateInstance& gate : m.gates) {
-      GateInstance copy;
-      copy.gate_type = gate.gate_type;
-      copy.instance_name =
-          gate.instance_name.empty() ? "" : prefixed(ctx, gate.instance_name);
-      copy.loc = gate.loc;
-      for (const ExprPtr& t : gate.terminals) {
-        copy.terminals.push_back(rewrite_expr(t, ctx));
-      }
-      out.gates.push_back(std::move(copy));
-    }
+    append(out.gates, m.gates);
 
     // Instances: connect ports via assigns, then recurse.
     for (const ModuleInstance& inst : m.instances) {
@@ -259,8 +307,14 @@ class Elaborator {
         throw ParseError("unknown module '" + inst.module_name + "'",
                          inst.loc);
       }
+      // Before the child's ports are read: the top's have moved out.
+      if (std::find(stack_.begin(), stack_.end(), child->name) !=
+          stack_.end()) {
+        throw ParseError("recursive instantiation of module " + child->name,
+                         child->loc);
+      }
       // Parameter overrides resolved in the parent environment.
-      std::vector<std::pair<std::string, long long>> child_overrides;
+      ParamEnv child_overrides;
       for (std::size_t i = 0; i < inst.parameter_overrides.size(); ++i) {
         const PortConnection& conn = inst.parameter_overrides[i];
         if (conn.actual == nullptr) continue;
@@ -341,23 +395,27 @@ class Elaborator {
         out.assigns.push_back(std::move(ca));
       }
 
-      inline_module(*child, child_prefix, child_overrides, out, depth + 1,
-                    /*keep_ports=*/false);
+      inline_module(*child, child_prefix, child_overrides, out, depth + 1);
+      if (flat_items(out) > kMaxFlatItems) {
+        throw ParseError(
+            util::format("design flattens to more than %zu nets, assigns, "
+                         "always blocks and gates",
+                         kMaxFlatItems),
+            inst.loc);
+      }
     }
 
     stack_.pop_back();
   }
 
-  const Design& design_;
-  const ElaborateOptions& options_;
+  Design& design_;
   std::vector<std::string> stack_;
 };
 
 }  // namespace
 
-Module elaborate(const Design& design, const std::string& top,
-                 const ElaborateOptions& options) {
-  Elaborator elaborator(design, options);
+Module elaborate(Design design, const std::string& top) {
+  Elaborator elaborator(design);
   return elaborator.run(top);
 }
 

@@ -3,10 +3,10 @@
 #include <array>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "util/contract.h"
+#include "util/name_map.h"
 #include "verilog/preprocess.h"
 
 namespace gnn4ip::verilog {
@@ -146,8 +146,7 @@ class Parser {
 
   // --- module structure ----------------------------------------------------
   Module parse_module() {
-    net_index_.clear();
-    indexed_nets_ = 0;
+    net_index_ = {};
     Module mod;
     mod.loc = peek().loc;
     expect_keyword("module");
@@ -229,12 +228,16 @@ class Parser {
       }
       NetDecl net;
       net.loc = peek().loc;
-      net.name = expect_identifier("port name");
+      const std::string_view name = expect_identifier("port name");
+      net.name = name;
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
       net.range = range;
       mod.port_order.push_back(net.name);
+      // A repeated ANSI port stays a second declaration; lookups by name
+      // find the first.
+      net_index_.try_emplace(name, mod.nets.size());
       mod.nets.push_back(std::move(net));
     } while (accept_punct(","));
   }
@@ -336,7 +339,8 @@ class Parser {
     do {
       NetDecl net;
       net.loc = peek().loc;
-      net.name = expect_identifier("net name");
+      const std::string_view name = expect_identifier("net name");
+      net.name = name;
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
@@ -344,37 +348,28 @@ class Parser {
       if (accept_punct("=")) {
         net.init = parse_expression();
       }
-      merge_or_append_net(mod, std::move(net));
+      merge_or_append_net(mod, name, std::move(net));
     } while (accept_punct(","));
     expect_punct(";");
   }
 
   /// Non-ANSI style declares the same name twice (header + body, or
   /// `output Sum;` + `reg Sum;`). Merge attributes into the name's first
-  /// declaration instead of duplicating.
-  void merge_or_append_net(Module& mod, NetDecl net) {
-    NetDecl* existing = first_declaration(mod, net.name);
-    if (existing == nullptr) {
+  /// declaration instead of duplicating. `name` is the declaring token's
+  /// text, which outlives the module's index.
+  void merge_or_append_net(Module& mod, std::string_view name, NetDecl net) {
+    const auto [index, inserted] =
+        net_index_.try_emplace(name, mod.nets.size());
+    if (inserted) {
       mod.nets.push_back(std::move(net));
       return;
     }
+    NetDecl* existing = &mod.nets[*index];
     if (net.direction.has_value()) existing->direction = net.direction;
     if (net.type != NetType::kWire) existing->type = net.type;
     if (net.range.has_value()) existing->range = std::move(net.range);
     existing->is_signed = existing->is_signed || net.is_signed;
     if (net.init != nullptr) existing->init = std::move(net.init);
-  }
-
-  /// The first of `mod`'s nets named `name`, or nullptr. Each call first
-  /// extends the name index over the nets appended since the last (the
-  /// ANSI port list included), so a netlist's thousands of declarations
-  /// stay linear.
-  NetDecl* first_declaration(Module& mod, const std::string& name) {
-    for (; indexed_nets_ < mod.nets.size(); ++indexed_nets_) {
-      net_index_.try_emplace(mod.nets[indexed_nets_].name, indexed_nets_);
-    }
-    const auto it = net_index_.find(name);
-    return it == net_index_.end() ? nullptr : &mod.nets[it->second];
   }
 
   void parse_parameter_declaration(Module& mod) {
@@ -455,7 +450,7 @@ class Parser {
   // --- statements -----------------------------------------------------------
   StmtPtr parse_statement() {
     const DepthGuard guard(*this);
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = std::make_shared<Stmt>();
     stmt->loc = peek().loc;
     skip_optional_delay();
     if (peek().is_keyword("begin")) {
@@ -840,9 +835,9 @@ class Parser {
   std::size_t pos_ = 0;
   int depth_ = 0;  // DepthGuards alive
   /// Current module's net name -> position of its first declaration in
-  /// `Module::nets`, covering the first `indexed_nets_` nets.
-  std::unordered_map<std::string, std::size_t> net_index_;
-  std::size_t indexed_nets_ = 0;
+  /// `Module::nets`. Keys view the declaring tokens' text, which the
+  /// caller keeps for the whole parse.
+  util::NameMap<std::size_t> net_index_;
 };
 
 }  // namespace

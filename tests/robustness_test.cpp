@@ -11,6 +11,7 @@
 #include "dfg/pipeline.h"
 #include "graph/algorithms.h"
 #include "util/rng.h"
+#include "verilog/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/preprocess.h"
 
@@ -245,6 +246,47 @@ TEST(Robustness, ManyModulesManyInstances) {
   const graph::Digraph g = dfg::extract_dfg(src);
   EXPECT_GT(g.num_nodes(), 80u);
   EXPECT_EQ(graph::num_weak_components(g), 1);
+}
+
+// Module i instantiates module i+1 twice and the leaf inverts, so each
+// level doubles the flattened design: `levels` levels flatten to
+// 10 * 2^levels - 7 nets, assigns, always blocks and gates.
+std::string fan_out_design(int levels) {
+  std::string src = "module m" + std::to_string(levels) +
+                    " (input a, output y);\n  assign y = ~a;\nendmodule\n";
+  for (int i = levels - 1; i >= 0; --i) {
+    const std::string child = "m" + std::to_string(i + 1);
+    src += "module m" + std::to_string(i) +
+           " (input a, output y);\n  wire t;\n  " + child +
+           " u0 (.a(a), .y(t));\n  " + child +
+           " u1 (.a(t), .y(y));\nendmodule\n";
+  }
+  return src;
+}
+
+TEST(Robustness, HierarchyFanOutIsCapped) {
+  const verilog::Module flat =
+      verilog::elaborate(verilog::parse(fan_out_design(12)), "m0");
+  EXPECT_EQ(flat.nets.size() + flat.assigns.size() +
+                flat.always_blocks.size() + flat.gates.size(),
+            40'953u);
+  EXPECT_NO_THROW((void)dfg::extract_dfg(fan_out_design(12)));
+
+  // 16 levels (about 2 KB of source) would flatten to 655,353 items.
+  const std::string src = fan_out_design(16);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)dfg::extract_dfg(src);
+    FAIL() << "a 16-level fan-out flattened";
+  } catch (const verilog::ParseError& e) {
+    EXPECT_EQ(e.message(),
+              "design flattens to more than 100000 nets, assigns, always "
+              "blocks and gates");
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  // ~0.1 s in Release: elaboration stops near the cap.
+  EXPECT_LT(elapsed.count(), 5.0);
 }
 
 TEST(Robustness, EmptyAndWhitespaceOnlySources) {

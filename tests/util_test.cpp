@@ -16,6 +16,7 @@
 
 #include "util/bounded_queue.h"
 #include "util/contract.h"
+#include "util/name_map.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -81,6 +82,54 @@ TEST(StringUtil, IsIdentifier) {
 TEST(StringUtil, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%zu", static_cast<std::size_t>(7)), "7");
+}
+
+TEST(NameMap, FirstInsertWins) {
+  NameMap<int> map;
+  const auto [first, inserted] = map.try_emplace("clk", 1);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*first, 1);
+  const auto [again, reinserted] = map.try_emplace("clk", 2);
+  EXPECT_FALSE(reinserted);
+  EXPECT_EQ(*again, 1);
+  ASSERT_NE(map.find("clk"), nullptr);
+  EXPECT_EQ(*map.find("clk"), 1);
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(NameMap, FindMissesAnAbsentName) {
+  const NameMap<int> empty;
+  EXPECT_EQ(empty.find("a"), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
+  NameMap<int> map(4);
+  map.try_emplace("a", 1);
+  EXPECT_EQ(map.find("b"), nullptr);
+  EXPECT_EQ(map.find(""), nullptr);
+  EXPECT_EQ(map.find("aa"), nullptr);
+  map.try_emplace("", 2);
+  ASSERT_NE(map.find(""), nullptr);
+  EXPECT_EQ(*map.find(""), 2);
+}
+
+TEST(NameMap, EveryEntrySurvivesGrowth) {
+  // Keys are views, so the names must stay where they are: they are all
+  // made before the first insert. 10,000 names grow the table from 16
+  // slots to 32,768.
+  std::vector<std::string> names;
+  for (int i = 0; i < 10'000; ++i) names.push_back("n" + std::to_string(i));
+  NameMap<std::size_t> map;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(map.try_emplace(names[i], i).second) << names[i];
+  }
+  EXPECT_EQ(map.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::size_t* value = map.find(names[i]);
+    ASSERT_NE(value, nullptr) << names[i];
+    EXPECT_EQ(*value, i);
+    EXPECT_FALSE(map.try_emplace(names[i], 0).second) << names[i];
+  }
+  EXPECT_EQ(map.size(), names.size());
+  EXPECT_EQ(map.find("n10000"), nullptr);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

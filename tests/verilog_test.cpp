@@ -802,7 +802,120 @@ TEST(Elaborate, PositionalConnections) {
 TEST(Elaborate, DetectsRecursion) {
   const Design d = parse(
       "module a (input x, output y);\n  a u (.x(x), .y(y));\nendmodule\n");
-  EXPECT_THROW(elaborate(d, "a"), ParseError);
+  try {
+    (void)elaborate(d, "a");
+    FAIL() << "a module that instantiates itself elaborated";
+  } catch (const ParseError& e) {
+    // Not "unknown module": the top's name stays findable in the design
+    // after its items move into the flat module.
+    EXPECT_EQ(e.message(), "recursive instantiation of module a");
+  }
+}
+
+TEST(Elaborate, ImplicitNetsFollowDeclaredNetsInNameOrder) {
+  // First used in the order zz, ss, mm, gg, kk: by an assign, a
+  // sensitivity list, an always body, a gate and an instance connection.
+  // P is a parameter and `init_only` appears only in a net initializer,
+  // so neither becomes a net.
+  const Design d = parse(
+      "module leaf (input x, output y);\n  assign y = ~x;\nendmodule\n"
+      "module top (input a, output y);\n"
+      "  parameter P = 2;\n"
+      "  wire w = init_only;\n"
+      "  assign zz = a & P;\n"
+      "  always @(ss) mm = a;\n"
+      "  and g (gg, a, w);\n"
+      "  leaf u (.x(kk), .y(y));\n"
+      "endmodule\n");
+  const Module flat = elaborate(d, "top");
+  std::vector<std::string> names;
+  for (const NetDecl& net : flat.nets) names.push_back(net.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "y", "w", "gg", "kk", "mm",
+                                             "ss", "zz", "u.x", "u.y"}));
+  for (std::size_t i = 3; i < 8; ++i) {
+    EXPECT_EQ(flat.nets[i].type, NetType::kWire) << flat.nets[i].name;
+    EXPECT_FALSE(flat.nets[i].direction.has_value()) << flat.nets[i].name;
+    EXPECT_FALSE(flat.nets[i].range.has_value()) << flat.nets[i].name;
+  }
+}
+
+TEST(Elaborate, FlatModuleOrder) {
+  // Nets: the top's declared nets in declaration order with their
+  // directions, then each instance's, prefixed and without directions.
+  // Assigns: the top's initializers, its body assigns, then per instance
+  // the port bindings and the instance's own initializers and assigns.
+  const Design d = parse(
+      "module child (input x, output y);\n"
+      "  parameter K = 1;\n"
+      "  wire t = x ^ K;\n"
+      "  and g (y, t, x);\n"
+      "endmodule\n"
+      "module top (input a, input b, output y, output z);\n"
+      "  wire m = a | b;\n"
+      "  assign z = ~m;\n"
+      "  child #(.K(3)) u (.x(m), .y(y));\n"
+      "endmodule\n");
+  const Module flat = elaborate(d, "top");
+  EXPECT_EQ(flat.name, "top");
+  EXPECT_EQ(flat.port_order, (std::vector<std::string>{"a", "b", "y", "z"}));
+  std::vector<std::string> nets;
+  for (const NetDecl& net : flat.nets) {
+    std::string line = net.name;
+    if (net.direction == PortDirection::kInput) line += " input";
+    if (net.direction == PortDirection::kOutput) line += " output";
+    nets.push_back(line);
+    EXPECT_EQ(net.init, nullptr) << net.name;
+  }
+  EXPECT_EQ(nets, (std::vector<std::string>{"a input", "b input", "y output",
+                                            "z output", "m", "u.x", "u.y",
+                                            "u.t"}));
+  std::vector<std::string> assigns;
+  for (const ContinuousAssign& ca : flat.assigns) {
+    assigns.push_back(to_verilog(*ca.lhs) + " = " + to_verilog(*ca.rhs));
+  }
+  EXPECT_EQ(assigns, (std::vector<std::string>{"m = (a | b)", "z = (~m)",
+                                               "u.x = m", "y = u.y",
+                                               "u.t = (u.x ^ 3)"}));
+  ASSERT_EQ(flat.gates.size(), 1u);
+  EXPECT_EQ(flat.gates[0].gate_type, "and");
+  EXPECT_EQ(flat.gates[0].instance_name, "u.g");
+  std::vector<std::string> terminals;
+  for (const ExprPtr& t : flat.gates[0].terminals) {
+    terminals.push_back(to_verilog(*t));
+  }
+  EXPECT_EQ(terminals, (std::vector<std::string>{"u.y", "u.t", "u.x"}));
+  EXPECT_TRUE(flat.always_blocks.empty());
+  EXPECT_TRUE(flat.instances.empty());
+  EXPECT_TRUE(flat.params.empty());
+}
+
+TEST(Elaborate, StatementsAreSharedUnlessRewritten) {
+  // The top's always body has nothing to rewrite, so the flat module
+  // holds the parsed tree itself. The instance's body is copied down to
+  // what its prefix changes: the null statement is still shared.
+  const Design d = parse(
+      "module child (input x, output y);\n"
+      "  reg r;\n"
+      "  always @(*) begin r = x; ; end\n"
+      "  assign y = r;\n"
+      "endmodule\n"
+      "module top (input a, output y);\n"
+      "  reg q;\n"
+      "  always @(*) q = a;\n"
+      "  child u (.x(q), .y(y));\n"
+      "endmodule\n");
+  const Module flat = elaborate(d, "top");
+  ASSERT_EQ(flat.always_blocks.size(), 2u);
+  EXPECT_EQ(flat.always_blocks[0].body, d.modules[1].always_blocks[0].body);
+  const StmtPtr& parsed = d.modules[0].always_blocks[0].body;
+  const StmtPtr& inlined = flat.always_blocks[1].body;
+  ASSERT_EQ(inlined->children.size(), 2u);
+  EXPECT_NE(inlined, parsed);
+  EXPECT_NE(inlined->children[0], parsed->children[0]);
+  EXPECT_EQ(to_verilog(*inlined->children[0]->lhs), "u.r");
+  EXPECT_EQ(to_verilog(*inlined->children[0]->rhs), "u.x");
+  EXPECT_EQ(inlined->children[1], parsed->children[1]);
+  EXPECT_EQ(to_verilog(*parsed->children[0]->lhs), "r");
 }
 
 TEST(Elaborate, InferTopModule) {
